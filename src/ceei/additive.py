@@ -6,10 +6,17 @@ and guarded by hard caps.  Deviation constraints feed the same strict-price
 device as the Leontief side: a bundle strictly better than the assigned one
 must cost at least 1 + eps for a maximized slack eps, and the system counts
 as strictly satisfiable only when the optimal eps is positive.
+
+The enumerations run on Python ints.  Each buyer's value row is scaled by
+the LCM of its denominators (comparisons within one buyer's row do not
+change under the scale), and the prices are put over one common
+denominator D, so "cost <= 1" becomes "cost <= D" and "spend = 1" becomes
+"spend = D".  Rationals are made only for returned values.
 """
 
 from __future__ import annotations
 
+from math import floor
 from typing import Iterable, List, Optional, Tuple
 
 from . import lp
@@ -28,6 +35,8 @@ from .core import (
     check_budgets,
     check_clearing,
     check_feasible,
+    integer_row,
+    rational,
 )
 
 
@@ -52,10 +61,6 @@ def _check_enum_cap(market: Market, caps: SearchCaps) -> None:
         )
 
 
-def _positive_items(market: Market, buyer: int) -> List[int]:
-    return [j for j, v in enumerate(market.values[buyer]) if v > 0]
-
-
 def best_affordable_bundle(
     market: Market, buyer: int, prices: PriceVector, caps: SearchCaps = DEFAULT_CAPS
 ) -> Tuple[frozenset, object]:
@@ -64,25 +69,25 @@ def best_affordable_bundle(
     Only items the buyer values positively are considered (zero-value items
     change nothing but the price), and among maximizers the first bundle in
     binary subset order over ascending item indices is returned, so the
-    result is deterministic.
+    result is deterministic.  Values and costs are summed as scaled ints
+    (budget test cost <= D); the value is made rational once, on return.
     """
     _require_additive(market)
     _check_enum_cap(market, caps)
-    row = market.values[buyer]
-    p = prices.prices
-    pos = _positive_items(market, buyer)
-    best_mask, best_value = 0, ZERO
+    row, scale = integer_row(market.values[buyer])
+    costs, den = integer_row(prices.prices)
+    pos = [j for j, v in enumerate(row) if v > 0]
+    best_mask, best = 0, 0
     for mask in range(1, 1 << len(pos)):
-        value = ZERO
-        cost = ZERO
+        value = cost = 0
         for t, j in enumerate(pos):
             if mask >> t & 1:
                 value += row[j]
-                cost += p[j]
-        if cost <= 1 and value > best_value:
-            best_mask, best_value = mask, value
+                cost += costs[j]
+        if cost <= den and value > best:
+            best_mask, best = mask, value
     bundle = frozenset(j for t, j in enumerate(pos) if best_mask >> t & 1)
-    return bundle, best_value
+    return bundle, rational(best, scale)
 
 
 def verify_equilibrium(
@@ -116,17 +121,19 @@ def _minimal_deviating_bundles(market: Market, buyer: int, target) -> List[froze
 
     Supersets are dropped: prices are nonnegative, so once a bundle is
     priced above budget every superset is too.  Zero-value items never
-    appear in a minimal deviator.
+    appear in a minimal deviator.  Values are summed as the buyer's scaled
+    ints; an int exceeds `target * scale` iff it exceeds its floor.
     """
-    row = market.values[buyer]
-    pos = _positive_items(market, buyer)
+    row, scale = integer_row(market.values[buyer])
+    limit = floor(target * scale)
+    pos = [j for j, v in enumerate(row) if v > 0]
     deviators = []
     for mask in range(1, 1 << len(pos)):
-        value = ZERO
+        value = 0
         for t, j in enumerate(pos):
             if mask >> t & 1:
                 value += row[j]
-        if value > target:
+        if value > limit:
             deviators.append(mask)
     deviators.sort(key=lambda m: bin(m).count("1"))
     minimal = []
@@ -211,26 +218,27 @@ def allocation_for_prices(
     buyers in index order, unsold last.  Sound cuts only: an item can stay
     unsold only at price zero and only if nobody values it (otherwise that
     buyer could add it for free), and a buyer's spend can never exceed 1.
+    Spend is tracked in ints over the prices' common denominator D.
     """
     _require_additive(market)
     _check_assignment_cap(market, caps)
     _check_enum_cap(market, caps)
     n, m = market.n, market.m
-    p = prices.prices
+    p, den = integer_row(prices.prices)
     unsellable = [all(market.values[i][j] == 0 for i in range(n)) for j in range(m)]
     bundles = [[] for _ in range(n)]
-    spend = [ZERO] * n
+    spend = [0] * n
 
     def assign(j: int) -> Optional[Allocation]:
         if j == m:
-            if any(s != 1 for s in spend):
+            if any(s != den for s in spend):
                 return None
             candidate = Allocation(tuple(frozenset(b) for b in bundles))
             if verify_equilibrium(market, candidate, prices, caps).equilibrium:
                 return candidate
             return None
         for i in range(n):
-            if spend[i] + p[j] <= 1:
+            if spend[i] + p[j] <= den:
                 bundles[i].append(j)
                 spend[i] += p[j]
                 found = assign(j + 1)
@@ -257,26 +265,23 @@ def search_equilibrium(
     free); allocations with an empty bundle can never exhaust that buyer's
     budget; and an envious buyer (one valuing another's bundle above its
     own) always has an affordable deviation, since bundles cost exactly 1.
-    The envy screen is maintained incrementally so most leaves are rejected
-    without touching the pricing system.
+    The envy screen is maintained incrementally, on each buyer's value row
+    scaled to ints, so most leaves are rejected without touching the
+    pricing system or any rational arithmetic.
     """
     _require_additive(market)
     _check_assignment_cap(market, caps)
     _check_enum_cap(market, caps)
     n, m = market.n, market.m
-    values = market.values
+    values = [integer_row(row)[0] for row in market.values]
     unsellable = [all(values[i][j] == 0 for i in range(n)) for j in range(m)]
     bundles = [[] for _ in range(n)]
-    cross = [[ZERO] * n for _ in range(n)]  # cross[i][k] = buyer i's value for bundle k
+    cross = [[0] * n for _ in range(n)]  # cross[i][k] = buyer i's scaled value for bundle k
 
     def assign(j: int):
         if j == m:
-            if any(not b for b in bundles):
+            if not all(bundles) or any(max(row) > row[i] for i, row in enumerate(cross)):
                 return None
-            for i in range(n):
-                own = cross[i][i]
-                if any(cross[i][k] > own for k in range(n)):
-                    return None
             candidate = Allocation(tuple(frozenset(b) for b in bundles))
             found = prices_for_allocation(market, candidate, caps)
             if found is not None:

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 for a positive answer (equilibrium found / verified / exists),
-1 for a negative answer (none / violation) with a JSON body naming the
-reason, 2 for usage, parse, or search-cap errors.  Standard output carries
-exactly one JSON document per invocation; diagnostics go to standard error.
+1 for a negative answer (none / violation / a market breaking a structural
+invariant) with a JSON body naming the reason, 2 for usage, parse, or
+search-cap errors, a price vector whose length is not the item count
+included.  Standard output carries exactly one JSON document per
+invocation; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -43,11 +45,14 @@ def _read_allocation(path: str):
     return doc["allocation"]
 
 
-def _read_prices(path: str):
+def _read_prices(path: str, market):
     doc = io.solution_from_json(Path(path).read_text())
     if "prices" not in doc:
         raise _UsageError(f"{path} has no prices")
-    return doc["prices"]
+    prices = doc["prices"]
+    if len(prices.prices) != market.m:
+        raise _UsageError(f"{path} has {len(prices.prices)} prices for {market.m} items")
+    return prices
 
 
 def _caps(args) -> SearchCaps:
@@ -69,7 +74,7 @@ def _parse_set(text: str):
 def _cmd_validate(args) -> int:
     try:
         market = _read_market(args.market)
-    except (InvalidMarketError, ValueError) as exc:
+    except InvalidMarketError as exc:
         _emit({"valid": False, "reason": str(exc)})
         return 1
     _emit({"valid": True, "class": market.market_class, "buyers": market.n, "items": market.m})
@@ -83,7 +88,7 @@ def _verifier(market):
 def _cmd_verify(args) -> int:
     market = _read_market(args.market)
     allocation = _read_allocation(args.alloc)
-    prices = _read_prices(args.prices)
+    prices = _read_prices(args.prices, market)
     report = _verifier(market)(market, allocation, prices)
     if report.equilibrium:
         _emit({"verdict": "equilibrium"})
@@ -129,7 +134,7 @@ def _cmd_prices_for(args) -> int:
 
 def _cmd_alloc_for(args) -> int:
     market = _read_market(args.market)
-    prices = _read_prices(args.prices)
+    prices = _read_prices(args.prices, market)
     finder = leontief.allocation_for_prices if market.market_class == LEONTIEF else additive.allocation_for_prices
     allocation = finder(market, prices, _caps(args))
     if allocation is None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 try:  # gmpy2's mpq is a drop-in exact rational, roughly 10x faster than Fraction
@@ -41,6 +42,21 @@ def rational(value: RationalLike, den: int = 1):
 
 ZERO = rational(0)
 ONE = rational(1)
+
+
+def integer_row(values):
+    """Scale rationals to integers by the LCM of their denominators.
+
+    Returns (integers, scale), with `values[j] == integers[j] / scale`.
+    Comparisons among the values, and between their sums, are unchanged by
+    the common positive scale, so exact searches can run on Python ints and
+    convert back only what they return.  Reads `.numerator` and
+    `.denominator`, so ints, `fractions.Fraction` and `gmpy2.mpq` all work.
+    """
+    scale = 1
+    for v in values:
+        scale = lcm(scale, int(v.denominator))
+    return [int(v.numerator) * (scale // int(v.denominator)) for v in values], scale
 
 
 class InvalidMarketError(ValueError):

@@ -15,6 +15,7 @@ from typing import Optional
 
 from .core import (
     Allocation,
+    InvalidMarketError,
     Market,
     PriceVector,
     Violation,
@@ -41,7 +42,10 @@ def parse_rational(value):
     if isinstance(value, int):
         return rational(value)
     if isinstance(value, str):
-        return rational(value.strip())
+        try:
+            return rational(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"not an exact rational: {value!r}")
 
 
@@ -71,7 +75,7 @@ def obj_to_market(obj: dict) -> Market:
     values = [[parse_rational(v) for v in row] for row in obj["values"]]
     market = make_market(values, obj["class"])
     if market.n != obj["buyers"] or market.m != obj["items"]:
-        raise ValueError("buyers/items counts disagree with the value matrix")
+        raise InvalidMarketError("buyers/items counts disagree with the value matrix")
     return market
 
 

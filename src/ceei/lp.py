@@ -16,10 +16,9 @@ and treat the system as strictly satisfiable iff the optimum eps is positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .core import ZERO, RationalLike, rational
+from .core import ZERO, RationalLike, integer_row, rational
 
 LE = "<="
 EQ = "=="
@@ -116,18 +115,6 @@ def check_point(problem: LPProblem, point: Sequence[RationalLike]) -> bool:
         if con.relation == EQ and lhs != con.rhs:
             return False
     return True
-
-
-def _integer_row(values):
-    """Scale rationals to integers by the LCM of their denominators.
-
-    Returns (integers, scale).  Reads `.numerator` and `.denominator`, so
-    ints, `fractions.Fraction` and `gmpy2.mpq` all work.
-    """
-    scale = 1
-    for v in values:
-        scale = lcm(scale, int(v.denominator))
-    return [int(v.numerator) * (scale // int(v.denominator)) for v in values], scale
 
 
 def _eliminate(other, f, row, nonzero, p, d):
@@ -262,7 +249,7 @@ def solve_lp(problem: LPProblem) -> LPResult:
             coeffs[col_of[var]] += c
             if var in neg_col_of:
                 coeffs[neg_col_of[var]] -= c
-        ints, scale = _integer_row(coeffs + [con.rhs])
+        ints, scale = integer_row(coeffs + [con.rhs])
         rel, rhs = con.relation, ints.pop()
         if rhs < 0:
             ints = [-c for c in ints]
@@ -325,7 +312,7 @@ def solve_lp(problem: LPProblem) -> LPResult:
         objective[col_of[var]] += c
         if var in neg_col_of:
             objective[neg_col_of[var]] -= c
-    cost = tab.reduce_cost_row(_integer_row(objective)[0])
+    cost = tab.reduce_cost_row(integer_row(objective)[0])
     if tab.run(cost) == UNBOUNDED:
         return LPResult(status=UNBOUNDED)
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,8 +157,12 @@ class TestSearchEquilibrium:
         assert oracle.equilibrium_exists_bruteforce(market) is None
 
 
+# "1/3", "2/5" and "5/6" give rows whose LCM differs from every denominator in them.
+value_choices = st.sampled_from([0, 1, 2, 3, "1/2", "3/2", "1/3", "2/5", "5/6"])
+price_choices = st.sampled_from([0, "1/2", 1, "1/3", "2/3", "1/4"])
+
 small_values = st.lists(
-    st.lists(st.sampled_from([0, 1, 2, 3, "1/2", "3/2"]), min_size=2, max_size=3),
+    st.lists(value_choices, min_size=2, max_size=3),
     min_size=1, max_size=2,
 ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 
@@ -190,10 +196,34 @@ def test_violation_witnesses_recheck(rows, data):
         if owner < n:
             bundles[owner].append(j)
     x = make_allocation(bundles)
-    p = make_prices([data.draw(st.sampled_from([0, "1/2", 1]), label=f"p_{j}") for j in range(m)])
+    p = make_prices([data.draw(price_choices, label=f"p_{j}") for j in range(m)])
     report = additive.verify_equilibrium(market, x, p)
     if report.violation is not None and report.violation.kind == "suboptimal-bundle":
         k, witness = report.violation.buyer, report.violation.witness
         spend = sum((p.prices[j] for j in witness), rational(0))
         assert spend <= 1
         assert additive.additive_utility(market, k, witness) > additive.additive_utility(market, k, x.bundles[k])
+
+
+def _best_affordable_reference(row, prices):
+    """Plain-Fraction knapsack: first maximizer in binary subset order over
+    the positively valued items, value summed as Fractions."""
+    row = [Fraction(v) for v in row]
+    prices = [Fraction(p) for p in prices]
+    pos = [j for j, v in enumerate(row) if v > 0]
+    best_mask, best = 0, Fraction(0)
+    for mask in range(1, 1 << len(pos)):
+        chosen = [j for t, j in enumerate(pos) if mask >> t & 1]
+        value = sum((row[j] for j in chosen), Fraction(0))
+        if sum((prices[j] for j in chosen), Fraction(0)) <= 1 and value > best:
+            best_mask, best = mask, value
+    return frozenset(j for t, j in enumerate(pos) if best_mask >> t & 1), best
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(value_choices, min_size=1, max_size=6), st.data())
+def test_best_affordable_bundle_matches_fraction_reference(row, data):
+    prices = [data.draw(price_choices, label=f"p_{j}") for j in range(len(row))]
+    market = make_market([row], "additive")
+    bundle, value = additive.best_affordable_bundle(market, 0, make_prices(prices))
+    assert (bundle, value) == _best_affordable_reference(row, prices)

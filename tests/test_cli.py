@@ -157,6 +157,45 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["valid"] is False
 
+    @pytest.mark.parametrize("command", ["validate", "verify", "alloc-for"])
+    def test_zero_denominator_value_is_usage_error(self, run, tmp_path, command):
+        (tmp_path / "m.json").write_text(json.dumps(
+            {"class": "additive", "buyers": 1, "items": 2, "values": [[1, "1/0"]]}))
+        (tmp_path / "a.json").write_text(io.solution_to_json(allocation=make_allocation([[0, 1]])))
+        (tmp_path / "p.json").write_text(io.solution_to_json(prices=make_prices([1, 0])))
+        argv = {"validate": (), "verify": ("--alloc", str(tmp_path / "a.json")), "alloc-for": ()}[command]
+        if command != "validate":
+            argv += ("--prices", str(tmp_path / "p.json"))
+        code, out, err = run(command, "--market", str(tmp_path / "m.json"), *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["verify", "alloc-for"])
+    def test_zero_denominator_price_is_usage_error(self, run, tmp_path, command):
+        (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1, 1], [1, 1]], "additive")))
+        (tmp_path / "a.json").write_text(io.solution_to_json(allocation=make_allocation([[0], [1]])))
+        (tmp_path / "p.json").write_text(json.dumps({"prices": ["1/0", "1"]}))
+        extra = ("--alloc", str(tmp_path / "a.json")) if command == "verify" else ()
+        code, out, err = run(command, "--market", str(tmp_path / "m.json"), *extra,
+                             "--prices", str(tmp_path / "p.json"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["verify", "alloc-for"])
+    @pytest.mark.parametrize("prices", [["1"], ["1", "1", "0"]])
+    def test_price_vector_of_wrong_length_is_usage_error(self, run, tmp_path, command, prices):
+        (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1, 1], [1, 1]], "additive")))
+        (tmp_path / "a.json").write_text(io.solution_to_json(allocation=make_allocation([[0], [1]])))
+        (tmp_path / "p.json").write_text(json.dumps({"prices": prices}))
+        extra = ("--alloc", str(tmp_path / "a.json")) if command == "verify" else ()
+        code, out, err = run(command, "--market", str(tmp_path / "m.json"), *extra,
+                             "--prices", str(tmp_path / "p.json"))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {tmp_path / 'p.json'} has {len(prices)} prices for 2 items\n"
+
     def test_cap_flag_triggers_cap_error(self, run, tmp_path):
         (tmp_path / "m.json").write_text(io.market_to_json(demand_market([{0}], 3)))
         (tmp_path / "p.json").write_text(io.solution_to_json(prices=make_prices([1, 0, 0])))
