@@ -20,6 +20,13 @@ def leontief_profile_corpus(buyer_counts=(1, 2, 3), item_counts=(1, 2, 3, 4)):
                 yield demand_market(profile, m), profile
 
 
+def multisets(max_len=5, max_value=9):
+    """Every multiset of 1..max_len values drawn from 1..max_value: the
+    source-problem instances of the additive reduction families."""
+    for k in range(1, max_len + 1):
+        yield from itertools.combinations_with_replacement(range(1, max_value + 1), k)
+
+
 def example1_market():
     """3 buyers, 4 items; the worked utility example."""
     return make_market([

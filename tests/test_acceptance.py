@@ -22,6 +22,7 @@ from conftest import (
     example3_market,
     example4_market,
     leontief_profile_corpus,
+    multisets,
 )
 
 
@@ -124,11 +125,6 @@ def test_criterion_4_unsupportable_optimum(announce):
              f"full-demand split unsupportable ({elapsed:.3f}s < 1s)")
 
 
-def _multisets(max_len=5, max_value=9):
-    for k in range(1, max_len + 1):
-        yield from itertools.combinations_with_replacement(range(1, max_value + 1), k)
-
-
 def test_criterion_5_reduction_soundness(announce):
     start = time.perf_counter()
     counts, seconds = {}, {}
@@ -142,7 +138,7 @@ def test_criterion_5_reduction_soundness(announce):
         lap = now
 
     n = 0
-    for values in _multisets():
+    for values in multisets():
         inst = rd.PartitionInstance(values)
         market, prices = rd.partition_to_leontief(inst)
         assert rd.decide_partition(inst)[0] == (leontief.allocation_for_prices(market, prices) is not None), values
@@ -162,7 +158,7 @@ def test_criterion_5_reduction_soundness(announce):
     done("setpacking->leontief", n)
 
     n = 0
-    for values in _multisets():
+    for values in multisets():
         for target in range(1, 10):
             inst = rd.SubsetSumInstance(values, target)
             market, x, p = rd.subsetsum_to_additive_verify(inst)
@@ -172,7 +168,7 @@ def test_criterion_5_reduction_soundness(announce):
     done("subsetsum->verify", n)
 
     n = 0
-    for values in _multisets():
+    for values in multisets():
         for target in range(max(values), min(9, sum(values)) + 1):
             inst = rd.SubsetSumInstance(values, target)
             market, x = rd.subsetsum_to_additive_allocation(inst)
@@ -182,7 +178,7 @@ def test_criterion_5_reduction_soundness(announce):
     done("subsetsum->alloc", n)
 
     n = 0
-    for values in _multisets():
+    for values in multisets():
         if sum(values) % 2:
             continue
         inst = rd.PartitionInstance(values)

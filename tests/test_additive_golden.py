@@ -17,17 +17,14 @@ import pytest
 from ceei import additive, io
 from ceei import reductions as rd
 
+from conftest import multisets
+
 # family -> (outputs checked, SHA-256 of the serialized outputs)
 GOLDEN = {
     "x3c->additive": (148, "cb0e32abf4f1d071e95b7bdfbb03b71fcd3463c66fbce25f525f8a5a2c53cf01"),
     "partition->additive": (167, "0f82225a69d5799e2b3800184df492a5d1bcea6aa87eaa3f65ed21a89168ef9d"),
     "subsetsum->verify": (201, "a8f753a7d51104774a0808feaffa257ba5b56fd96b260c8e5b5b76e7fd4adbc9"),
 }
-
-
-def _multisets(max_len=5, max_value=9):
-    for k in range(1, max_len + 1):
-        yield from itertools.combinations_with_replacement(range(1, max_value + 1), k)
 
 
 def _x3c_searches():
@@ -49,7 +46,7 @@ def _x3c_searches():
 
 
 def _partition_allocations():
-    cases = [values for values in _multisets() if sum(values) % 2 == 0]
+    cases = [values for values in multisets() if sum(values) % 2 == 0]
     for values in cases[::6]:
         market, prices = rd.partition_to_additive_prices(rd.PartitionInstance(values))
         found = additive.allocation_for_prices(market, prices)
@@ -58,7 +55,7 @@ def _partition_allocations():
 
 def _subsetsum_reports():
     cases = [rd.SubsetSumInstance(values, target)
-             for values in _multisets() for target in range(1, 10)]
+             for values in multisets() for target in range(1, 10)]
     for inst in cases[::90]:
         market, x, p = rd.subsetsum_to_additive_verify(inst)
         report = additive.verify_equilibrium(market, x, p)
