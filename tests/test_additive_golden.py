@@ -1,11 +1,13 @@
-"""Golden differential test for the perfect-substitutes layer.
+"""Golden differential test for both valuation classes.
 
-Runs a fixed stride of the additive reduction families of acceptance
-criterion 5 and pins a SHA-256 digest of every output, serialized through
-`ceei.io` and `format_rational` so the digest does not depend on the
-rational backend.  The digests were recorded on the Fraction-arithmetic
-implementation; any change to an allocation, a price, a verdict or a
-witness changes them.
+Runs fixed strides of the reduction families of acceptance criterion 5 and
+of the criterion-2 Leontief profile corpus, and pins a SHA-256 digest of
+every output, serialized through `ceei.io` and `format_rational` so the
+digest does not depend on the rational backend.  The three additive digests
+were recorded on the Fraction-arithmetic implementation, the rest on the
+implementation with separate Leontief and additive verifiers, price
+recovery and assignment searches; any change to an allocation, a price, a
+welfare, a verdict or a witness changes them.
 """
 
 import hashlib
@@ -14,16 +16,22 @@ import json
 
 import pytest
 
-from ceei import additive, io
+from ceei import additive, io, leontief, oracle
 from ceei import reductions as rd
+from ceei.core import make_prices
 
-from conftest import multisets
+from conftest import leontief_profile_corpus, multisets
 
 # family -> (outputs checked, SHA-256 of the serialized outputs)
 GOLDEN = {
     "x3c->additive": (148, "cb0e32abf4f1d071e95b7bdfbb03b71fcd3463c66fbce25f525f8a5a2c53cf01"),
     "partition->additive": (167, "0f82225a69d5799e2b3800184df492a5d1bcea6aa87eaa3f65ed21a89168ef9d"),
     "subsetsum->verify": (201, "a8f753a7d51104774a0808feaffa257ba5b56fd96b260c8e5b5b76e7fd4adbc9"),
+    "partition->leontief": (1001, "f7d2a48907e3c61549c98a5d83a1335a97df6e15374332d29fe4c5d39f6254f9"),
+    "setpacking->leontief": (227, "6c54e79d3163613394a136555ffbeabe08b27d3f56bf8a17279ccd72e637b217"),
+    "corpus->leontief": (239, "d3705bc9371a10b1935bdf46f977a86e4b59e6aa244d243c4a50e3bb83781391"),
+    "corpus->leontief-verify": (177, "ed9f214e27b7b1e790c40989e855c2d0a75d1e272e167867972f8c7c9d147064"),
+    "subsetsum->alloc": (483, "dd96739e3129195059967867c4b8d097c06be78ff22d326fd6999e82c9639392"),
 }
 
 
@@ -63,10 +71,80 @@ def _subsetsum_reports():
         yield market, [report.equilibrium, violation]
 
 
+def _prices(prices):
+    return None if prices is None else [io.format_rational(q) for q in prices.prices]
+
+
+def _solution(found):
+    """(allocation, prices[, welfare]) or None, serialized."""
+    if found is None:
+        return None
+    x, p, *welfare = found
+    return [io.allocation_to_obj(x), _prices(p), *(io.format_rational(w) for w in welfare)]
+
+
+def _partition_leontief_allocations():
+    for values in list(multisets())[::2]:
+        market, prices = rd.partition_to_leontief(rd.PartitionInstance(values))
+        found = leontief.allocation_for_prices(market, prices)
+        yield market, None if found is None else io.allocation_to_obj(found)
+
+
+def _setpacking_optima():
+    subsets = [frozenset(c) for size in (1, 2, 3) for c in itertools.combinations(range(1, 5), size)]
+    cases = [sets for ns in (1, 2, 3) for sets in itertools.combinations_with_replacement(subsets, ns)]
+    for sets in cases[::3]:
+        market, _ = rd.setpacking_to_leontief(rd.SetPackingInstance(sets, 1))
+        yield market, _solution(leontief.optimal_welfare_equilibrium(market))
+
+
+def _corpus_stride(step):
+    return [market for market, _ in leontief_profile_corpus()][::step]
+
+
+def _leontief_corpus():
+    """Both constructions, and price recovery for every allocation."""
+    for market in _corpus_stride(17):
+        constructed = leontief.compute_equilibrium(market)
+        apx = leontief.compute_equilibrium_apx_welfare(market)
+        recovered = [_prices(leontief.prices_for_allocation(market, x))
+                     for x in oracle.enumerate_allocations(market)]
+        yield market, [_solution(constructed), _solution(apx), recovered]
+
+
+def _leontief_corpus_reports():
+    """Verdicts for every allocation against a few price vectors."""
+    for market in _corpus_stride(23):
+        candidates = [found[1] for found in (leontief.compute_equilibrium(market),
+                                             leontief.compute_equilibrium_apx_welfare(market))
+                      if found is not None]
+        candidates.append(make_prices(["1/2"] * market.m))
+        reports = []
+        for p in candidates:
+            for x in oracle.enumerate_allocations(market):
+                report = leontief.verify_equilibrium(market, x, p)
+                violation = None if report.violation is None else io.violation_to_obj(report.violation)
+                reports.append([report.equilibrium, violation])
+        yield market, [[_prices(p) for p in candidates], reports]
+
+
+def _subsetsum_prices():
+    cases = [rd.SubsetSumInstance(values, target) for values in multisets()
+             for target in range(max(values), min(9, sum(values)) + 1)]
+    for inst in cases[::10]:
+        market, x = rd.subsetsum_to_additive_allocation(inst)
+        yield market, [io.allocation_to_obj(x), _prices(additive.prices_for_allocation(market, x))]
+
+
 FAMILIES = {
     "x3c->additive": _x3c_searches,
     "partition->additive": _partition_allocations,
     "subsetsum->verify": _subsetsum_reports,
+    "partition->leontief": _partition_leontief_allocations,
+    "setpacking->leontief": _setpacking_optima,
+    "corpus->leontief": _leontief_corpus,
+    "corpus->leontief-verify": _leontief_corpus_reports,
+    "subsetsum->alloc": _subsetsum_prices,
 }
 
 
