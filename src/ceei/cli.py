@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import additive, io, leontief, oracle, reductions
 from .core import (
+    ADDITIVE,
     LEONTIEF,
     DEFAULT_CAPS,
     InvalidMarketError,
@@ -34,22 +35,54 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
+def _answer(found, reason: str, *fields: str) -> int:
+    """Write `found` as a solution document naming `fields` (a single field
+    takes `found` whole) and return 0, or, when nothing was found, the
+    negative answer with its reason and return 1."""
+    if found is None:
+        _emit({"result": "none", "reason": reason})
+        return 1
+    values = found if len(fields) > 1 else (found,)
+    sys.stdout.write(io.solution_to_json(**dict(zip(fields, values))))
+    return 0
+
+
+# The one place a command picks its algorithm by market class.  Each entry
+# takes the market and the caps first; the polynomial Leontief algorithms
+# ignore the caps.
+_ALGORITHMS = {
+    LEONTIEF: {
+        "verify": lambda market, caps, x, p: leontief.verify_equilibrium(market, x, p),
+        "solve": lambda market, caps: leontief.compute_equilibrium(market),
+        "prices-for": lambda market, caps, x: leontief.prices_for_allocation(market, x),
+        "alloc-for": lambda market, caps, p: leontief.allocation_for_prices(market, p, caps),
+        "maxwelfare": lambda market, caps: leontief.optimal_welfare_equilibrium(market, caps),
+        "no-equilibrium": lambda market: "m < n" if market.m < market.n else "duplicate singleton demand sets",
+    },
+    ADDITIVE: {
+        "verify": lambda market, caps, x, p: additive.verify_equilibrium(market, x, p, caps),
+        "solve": lambda market, caps: additive.search_equilibrium(market, caps),
+        "prices-for": lambda market, caps, x: additive.prices_for_allocation(market, x, caps),
+        "alloc-for": lambda market, caps, p: additive.allocation_for_prices(market, p, caps),
+        "maxwelfare": lambda market, caps: oracle.max_welfare_equilibrium_bruteforce(market, caps),
+        "no-equilibrium": lambda market: "no equilibrium",
+    },
+}
+
+
 def _read_market(path: str):
     return io.market_from_json(Path(path).read_text())
 
 
-def _read_allocation(path: str):
+def _read_solution(path: str, key: str):
     doc = io.solution_from_json(Path(path).read_text())
-    if "allocation" not in doc:
-        raise _UsageError(f"{path} has no allocation")
-    return doc["allocation"]
+    if key not in doc:
+        raise _UsageError(f"{path} has no {key}")
+    return doc[key]
 
 
 def _read_prices(path: str, market):
-    doc = io.solution_from_json(Path(path).read_text())
-    if "prices" not in doc:
-        raise _UsageError(f"{path} has no prices")
-    prices = doc["prices"]
+    prices = _read_solution(path, "prices")
     if len(prices.prices) != market.m:
         raise _UsageError(f"{path} has {len(prices.prices)} prices for {market.m} items")
     return prices
@@ -81,15 +114,11 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _verifier(market):
-    return leontief.verify_equilibrium if market.market_class == LEONTIEF else additive.verify_equilibrium
-
-
 def _cmd_verify(args) -> int:
     market = _read_market(args.market)
-    allocation = _read_allocation(args.alloc)
+    allocation = _read_solution(args.alloc, "allocation")
     prices = _read_prices(args.prices, market)
-    report = _verifier(market)(market, allocation, prices)
+    report = _ALGORITHMS[market.market_class]["verify"](market, DEFAULT_CAPS, allocation, prices)
     if report.equilibrium:
         _emit({"verdict": "equilibrium"})
         return 0
@@ -99,63 +128,30 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve(args) -> int:
     market = _read_market(args.market)
-    if market.market_class == LEONTIEF:
-        found = leontief.compute_equilibrium(market)
-        if found is None:
-            if market.m < market.n:
-                reason = "m < n"
-            else:
-                reason = "duplicate singleton demand sets"
-            _emit({"result": "none", "reason": reason})
-            return 1
-    else:
-        found = additive.search_equilibrium(market, _caps(args))
-        if found is None:
-            _emit({"result": "none", "reason": "no equilibrium"})
-            return 1
-    allocation, prices = found
-    sys.stdout.write(io.solution_to_json(allocation=allocation, prices=prices))
-    return 0
+    algorithms = _ALGORITHMS[market.market_class]
+    found = algorithms["solve"](market, _caps(args))
+    reason = None if found is not None else algorithms["no-equilibrium"](market)
+    return _answer(found, reason, "allocation", "prices")
 
 
 def _cmd_prices_for(args) -> int:
     market = _read_market(args.market)
-    allocation = _read_allocation(args.alloc)
-    if market.market_class == LEONTIEF:
-        prices = leontief.prices_for_allocation(market, allocation)
-    else:
-        prices = additive.prices_for_allocation(market, allocation, _caps(args))
-    if prices is None:
-        _emit({"result": "none", "reason": "no supporting prices"})
-        return 1
-    sys.stdout.write(io.solution_to_json(prices=prices))
-    return 0
+    allocation = _read_solution(args.alloc, "allocation")
+    prices = _ALGORITHMS[market.market_class]["prices-for"](market, _caps(args), allocation)
+    return _answer(prices, "no supporting prices", "prices")
 
 
 def _cmd_alloc_for(args) -> int:
     market = _read_market(args.market)
     prices = _read_prices(args.prices, market)
-    finder = leontief.allocation_for_prices if market.market_class == LEONTIEF else additive.allocation_for_prices
-    allocation = finder(market, prices, _caps(args))
-    if allocation is None:
-        _emit({"result": "none", "reason": "no clearing allocation"})
-        return 1
-    sys.stdout.write(io.solution_to_json(allocation=allocation))
-    return 0
+    allocation = _ALGORITHMS[market.market_class]["alloc-for"](market, _caps(args), prices)
+    return _answer(allocation, "no clearing allocation", "allocation")
 
 
 def _cmd_maxwelfare(args) -> int:
     market = _read_market(args.market)
-    if market.market_class == LEONTIEF:
-        found = leontief.optimal_welfare_equilibrium(market, _caps(args))
-    else:
-        found = oracle.max_welfare_equilibrium_bruteforce(market, _caps(args))
-    if found is None:
-        _emit({"result": "none", "reason": "no equilibrium"})
-        return 1
-    allocation, prices, welfare = found
-    sys.stdout.write(io.solution_to_json(allocation=allocation, prices=prices, welfare=welfare))
-    return 0
+    found = _ALGORITHMS[market.market_class]["maxwelfare"](market, _caps(args))
+    return _answer(found, "no equilibrium", "allocation", "prices", "welfare")
 
 
 def _cmd_apxwelfare(args) -> int:
@@ -163,32 +159,18 @@ def _cmd_apxwelfare(args) -> int:
     if market.market_class != LEONTIEF:
         raise _UsageError("apxwelfare requires a leontief market")
     found = leontief.compute_equilibrium_apx_welfare(market)
-    if found is None:
-        _emit({"result": "none", "reason": "no equilibrium"})
-        return 1
-    allocation, prices = found
-    welfare = social_welfare(market, allocation)
-    sys.stdout.write(io.solution_to_json(allocation=allocation, prices=prices, welfare=welfare))
-    return 0
+    if found is not None:
+        found = (*found, social_welfare(market, found[0]))
+    return _answer(found, "no equilibrium", "allocation", "prices", "welfare")
 
 
 def _cmd_oracle(args) -> int:
     market = _read_market(args.market)
     if args.max_welfare:
         found = oracle.max_welfare_equilibrium_bruteforce(market, _caps(args))
-        if found is None:
-            _emit({"result": "none", "reason": "no equilibrium"})
-            return 1
-        allocation, prices, welfare = found
-        sys.stdout.write(io.solution_to_json(allocation=allocation, prices=prices, welfare=welfare))
-        return 0
+        return _answer(found, "no equilibrium", "allocation", "prices", "welfare")
     found = oracle.equilibrium_exists_bruteforce(market, _caps(args))
-    if found is None:
-        _emit({"result": "none", "reason": "no equilibrium"})
-        return 1
-    allocation, prices = found
-    sys.stdout.write(io.solution_to_json(allocation=allocation, prices=prices))
-    return 0
+    return _answer(found, "no equilibrium", "allocation", "prices")
 
 
 def _require_args(args, *names) -> None:
@@ -208,16 +190,13 @@ def _cmd_gen(args) -> int:
         written[kind] = str(path)
 
     extra = {}
-    if args.source == "partition":
+    if args.source in ("partition", "partition-prices"):
         _require_args(args, "values")
         inst = reductions.PartitionInstance(_parse_values(args.values))
-        market, prices = reductions.partition_to_leontief(inst)
-        write("market", io.market_to_json(market))
-        write("prices", io.solution_to_json(prices=prices))
-    elif args.source == "partition-prices":
-        _require_args(args, "values")
-        inst = reductions.PartitionInstance(_parse_values(args.values))
-        market, prices = reductions.partition_to_additive_prices(inst)
+        if args.source == "partition":
+            market, prices = reductions.partition_to_leontief(inst)
+        else:
+            market, prices = reductions.partition_to_additive_prices(inst)
         write("market", io.market_to_json(market))
         write("prices", io.solution_to_json(prices=prices))
     elif args.source == "subsetsum-verify":
@@ -244,64 +223,36 @@ def _cmd_gen(args) -> int:
         market, threshold = reductions.setpacking_to_leontief(inst)
         write("market", io.market_to_json(market))
         extra["threshold"] = threshold
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown source problem {args.source!r}")
     _emit({"written": written, **extra})
     return 0
-
-
-def _add_caps(parser) -> None:
-    parser.add_argument("--cap-items", type=int, default=DEFAULT_CAPS.max_items,
-                        help="maximum item count for exhaustive searches")
-    parser.add_argument("--cap-states", type=int, default=DEFAULT_CAPS.max_states,
-                        help="maximum assignment-space size (n+1)^m")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ceei", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a market file against the structural invariants")
-    p.add_argument("--market", required=True)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("verify", help="decide whether (allocation, prices) is an equilibrium")
-    p.add_argument("--market", required=True)
-    p.add_argument("--alloc", required=True)
-    p.add_argument("--prices", required=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("solve", help="compute an equilibrium if one exists")
-    p.add_argument("--market", required=True)
-    _add_caps(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("prices-for", help="find prices supporting a given allocation")
-    p.add_argument("--market", required=True)
-    p.add_argument("--alloc", required=True)
-    _add_caps(p)
-    p.set_defaults(func=_cmd_prices_for)
-
-    p = sub.add_parser("alloc-for", help="find an allocation clearing given prices")
-    p.add_argument("--market", required=True)
-    p.add_argument("--prices", required=True)
-    _add_caps(p)
-    p.set_defaults(func=_cmd_alloc_for)
-
-    p = sub.add_parser("maxwelfare", help="equilibrium with maximum social welfare (exhaustive)")
-    p.add_argument("--market", required=True)
-    _add_caps(p)
-    p.set_defaults(func=_cmd_maxwelfare)
-
-    p = sub.add_parser("apxwelfare", help="equilibrium within 1/n of the best equilibrium welfare")
-    p.add_argument("--market", required=True)
-    p.set_defaults(func=_cmd_apxwelfare)
-
-    p = sub.add_parser("oracle", help="brute-force equilibrium search (ground truth)")
-    p.add_argument("--market", required=True)
-    p.add_argument("--max-welfare", action="store_true")
-    _add_caps(p)
-    p.set_defaults(func=_cmd_oracle)
+    # name, handler, help, files read besides --market, whether search caps apply
+    for name, func, text, files, caps in (
+        ("validate", _cmd_validate, "check a market file against the structural invariants", (), False),
+        ("verify", _cmd_verify, "decide whether (allocation, prices) is an equilibrium",
+         ("alloc", "prices"), False),
+        ("solve", _cmd_solve, "compute an equilibrium if one exists", (), True),
+        ("prices-for", _cmd_prices_for, "find prices supporting a given allocation", ("alloc",), True),
+        ("alloc-for", _cmd_alloc_for, "find an allocation clearing given prices", ("prices",), True),
+        ("maxwelfare", _cmd_maxwelfare, "equilibrium with maximum social welfare (exhaustive)", (), True),
+        ("apxwelfare", _cmd_apxwelfare, "equilibrium within 1/n of the best equilibrium welfare", (), False),
+        ("oracle", _cmd_oracle, "brute-force equilibrium search (ground truth)", (), True),
+    ):
+        p = sub.add_parser(name, help=text)
+        for flag in ("market", *files):
+            p.add_argument(f"--{flag}", required=True)
+        if name == "oracle":
+            p.add_argument("--max-welfare", action="store_true")
+        if caps:
+            p.add_argument("--cap-items", type=int, default=DEFAULT_CAPS.max_items,
+                           help="maximum item count for exhaustive searches")
+            p.add_argument("--cap-states", type=int, default=DEFAULT_CAPS.max_states,
+                           help="maximum assignment-space size (n+1)^m")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("gen", help="generate a hardness-gadget instance")
     p.add_argument("source", choices=[
@@ -326,8 +277,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (_UsageError, InvalidMarketError, SearchCapExceeded, ValueError, OSError,
-            json.JSONDecodeError, TypeError) as exc:
+    except (_UsageError, SearchCapExceeded, ValueError, OSError, TypeError) as exc:  # ValueError: bad JSON too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

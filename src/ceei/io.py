@@ -23,17 +23,11 @@ from .core import (
     rational,
 )
 
-SUPPORTED_CLASSES = ("leontief", "additive")
-
 
 def format_rational(q) -> object:
     """Bare int when the denominator is 1, else a reduced "p/q" string."""
     num, den = int(q.numerator), int(q.denominator)
     return num if den == 1 else f"{num}/{den}"
-
-
-def format_rational_str(q) -> str:
-    return f"{int(q.numerator)}/{int(q.denominator)}" if int(q.denominator) != 1 else str(int(q.numerator))
 
 
 def parse_rational(value):
@@ -88,13 +82,18 @@ def allocation_to_obj(allocation: Allocation) -> list:
 
 
 def obj_to_allocation(obj) -> Allocation:
-    if not isinstance(obj, list):
+    """Each bundle must list distinct JSON integers; their range and the
+    disjointness of bundles are left to the feasibility check."""
+    if not isinstance(obj, list) or not all(isinstance(bundle, list) for bundle in obj):
         raise ValueError("allocation must be a list of item-index lists")
-    return Allocation(tuple(frozenset(int(j) - 1 for j in bundle) for bundle in obj))
+    for bundle in obj:
+        if not all(type(j) is int for j in bundle) or len(set(bundle)) != len(bundle):
+            raise ValueError(f"bundle {bundle!r} must list distinct integer item indices")
+    return Allocation(tuple(frozenset(j - 1 for j in bundle) for bundle in obj))
 
 
 def prices_to_obj(prices: PriceVector) -> list:
-    return [format_rational_str(p) for p in prices.prices]
+    return [str(format_rational(p)) for p in prices.prices]
 
 
 def obj_to_prices(obj) -> PriceVector:
@@ -118,7 +117,6 @@ def solution_to_json(
     allocation: Optional[Allocation] = None,
     prices: Optional[PriceVector] = None,
     welfare=None,
-    witness: Optional[Violation] = None,
 ) -> str:
     out = {}
     if allocation is not None:
@@ -126,9 +124,7 @@ def solution_to_json(
     if prices is not None:
         out["prices"] = prices_to_obj(prices)
     if welfare is not None:
-        out["welfare"] = format_rational_str(welfare)
-    if witness is not None:
-        out["witness"] = violation_to_obj(witness)
+        out["welfare"] = str(format_rational(welfare))
     return _dump(out)
 
 

@@ -1,38 +1,36 @@
 """Perfect-complements (Leontief) market algorithms.
 
 A buyer's utility is positive only when its whole demand set (the items it
-values strictly positively) is received, so equilibrium verification reduces
-to exact budget, clearing and affordability checks, and both equilibrium
-computation and price recovery run in polynomial time.  The given-prices
-allocation search and the welfare-optimal search are exact exponential
-enumerations guarded by hard caps.
+values strictly positively) is received, so to the skeleton in
+`ceei.equilibrium` this module adds one deviator per unserved buyer, its
+demand set, and any zero-priced item may stay unsold.  Verification,
+equilibrium computation and price recovery run in polynomial time.  The
+given-prices allocation search and the welfare-optimal search are exact
+exponential enumerations guarded by hard caps.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional, Tuple
 
-from . import lp
+from . import equilibrium, lp
 from .core import (
     DEFAULT_CAPS,
     LEONTIEF,
     ONE,
-    SUBOPTIMAL_BUNDLE,
     ZERO,
     Allocation,
     EquilibriumReport,
     Market,
     PriceVector,
-    SearchCapExceeded,
     SearchCaps,
-    Violation,
-    check_budgets,
-    check_clearing,
-    check_feasible,
+    bundle_utility,
     demand_items,
 )
+from .equilibrium import _check_assignment_cap
 
 
 @dataclass(frozen=True)
@@ -52,135 +50,53 @@ def demand_sets(market: Market) -> list:
     return [DemandSet(i, demand_items(market, i)) for i in range(market.n)]
 
 
-def leontief_utility(market: Market, buyer: int, bundle: Iterable[int]):
-    """min over demanded items j of 1/values[buyer][j] when the bundle
-    contains the buyer's whole demand set, else 0."""
-    row = market.values[buyer]
-    bundle = frozenset(bundle)
-    demanded = [j for j, v in enumerate(row) if v > 0]
-    if not all(j in bundle for j in demanded):
-        return ZERO
-    return min(ONE / row[j] for j in demanded)
+def _deviators(market: Market, buyer: int, bundle: frozenset) -> list:
+    """The demand set, unless the bundle already contains it."""
+    demand = demand_items(market, buyer)
+    return [] if demand <= bundle else [demand]
 
 
 def verify_equilibrium(market: Market, allocation: Allocation, prices: PriceVector) -> EquilibriumReport:
-    """Decide whether (allocation, prices) is a competitive equilibrium.
-
-    Checks, in order: feasibility, market clearing, exact budget exhaustion,
-    and per-buyer optimality (a buyer missing part of its demand set must
-    find the demand set unaffordable: its total price strictly above 1).
-    Touches each (buyer, item) pair a constant number of times.
-    """
+    """Decide whether (allocation, prices) is a competitive equilibrium: the
+    shared checks, where a buyer missing part of its demand set must find
+    the demand set unaffordable (priced strictly above 1).  Touches each
+    (buyer, item) pair a constant number of times."""
     _require_leontief(market)
-    for found in (
-        check_feasible(market, allocation),
-        check_clearing(market, allocation, prices),
-        check_budgets(market, allocation, prices),
-    ):
-        if found is not None:
-            return EquilibriumReport.fail(found)
-    for i in range(market.n):
-        demand = demand_items(market, i)
-        if demand <= allocation.bundles[i]:
-            continue  # full demand received: utility is maximal regardless of prices
-        cost = ZERO
-        for j in demand:
-            cost += prices.prices[j]
-        if cost <= 1:
-            return EquilibriumReport.fail(Violation(SUBOPTIMAL_BUNDLE, buyer=i, witness=demand))
-    return EquilibriumReport.ok()
+
+    def better_bundle(i: int) -> Optional[frozenset]:
+        for demand in _deviators(market, i, allocation.bundles[i]):
+            if sum((prices.prices[j] for j in demand), ZERO) <= 1:
+                return demand
+        return None
+
+    return equilibrium.verify_equilibrium(market, allocation, prices, better_bundle)
 
 
 def price_support_lp(market: Market, allocation: Allocation) -> lp.LPProblem:
-    """The price-recovery system for a fixed feasible allocation.
-
-    Variables 0..m-1 are item prices, variable m is the strictness slack.
-    Unsold items are pinned to price zero, every bundle must cost exactly 1,
-    and every buyer missing part of its demand needs the demand set priced
-    at least 1 + slack.  The allocation is price-supportable exactly when
-    the maximal slack is positive.
-    """
+    """The shared price-recovery system, where a buyer missing part of its
+    demand set needs the demand set priced at least 1 + slack."""
     _require_leontief(market)
-    m = market.m
-    eps = m
-    cons = []
-    sold = set()
-    for bundle in allocation.bundles:
-        sold.update(bundle)
-    for j in range(m):
-        if j not in sold:
-            cons.append(lp.constraint({j: 1}, lp.EQ, 0))
-    for i, bundle in enumerate(allocation.bundles):
-        if not bundle:
-            raise ValueError(f"buyer {i} has an empty bundle; no prices can exhaust its budget")
-        cons.append(lp.constraint({j: 1 for j in bundle}, lp.EQ, 1))
-        demand = demand_items(market, i)
-        if not demand <= bundle:
-            coeffs = {j: -1 for j in demand}
-            coeffs[eps] = 1
-            cons.append(lp.constraint(coeffs, lp.LE, -1))
-    cons.append(lp.constraint({eps: 1}, lp.LE, 1))
-    return lp.lp_problem(m + 1, cons, {eps: 1})
+    return equilibrium.price_support_lp(market, allocation, partial(_deviators, market))
 
 
 def prices_for_allocation(market: Market, allocation: Allocation) -> Optional[PriceVector]:
     """Prices making the given allocation an equilibrium, or None."""
     _require_leontief(market)
-    if check_feasible(market, allocation) is not None:
-        return None
-    if any(not b for b in allocation.bundles):
-        return None
-    result = lp.solve_lp(price_support_lp(market, allocation))
-    if result.status != lp.OPTIMAL or result.value <= 0:
-        return None
-    return PriceVector(result.point[: market.m])
-
-
-def _check_assignment_cap(market: Market, caps: SearchCaps) -> None:
-    if market.m > caps.max_items or (market.n + 1) ** market.m > caps.max_states:
-        raise SearchCapExceeded(
-            f"assignment search over {market.n} buyers and {market.m} items exceeds the cap"
-        )
+    return equilibrium.prices_for_allocation(market, allocation, partial(_deviators, market))
 
 
 def allocation_for_prices(
     market: Market, prices: PriceVector, caps: SearchCaps = DEFAULT_CAPS
 ) -> Optional[Allocation]:
-    """First allocation (in the deterministic assignment order) that forms an
-    equilibrium with the given prices, or None.
-
-    Assignments are enumerated lexicographically: items in index order, each
-    tried with buyers in index order and unsold last.  Leaving an item unsold
-    is considered only at price zero, and branches where a buyer's spend
-    already exceeds 1 are cut; neither prune can discard an equilibrium.
-    """
+    """First allocation, in the shared deterministic assignment order, that
+    forms an equilibrium with the given prices, or None.  Any zero-priced
+    item may stay unsold."""
     _require_leontief(market)
     _check_assignment_cap(market, caps)
-    n, m = market.n, market.m
-    p = prices.prices
-    bundles = [[] for _ in range(n)]
-    spend = [ZERO] * n
-
-    def assign(j: int) -> Optional[Allocation]:
-        if j == m:
-            candidate = Allocation(tuple(frozenset(b) for b in bundles))
-            if verify_equilibrium(market, candidate, prices).equilibrium:
-                return candidate
-            return None
-        for i in range(n):
-            if spend[i] + p[j] <= 1:
-                bundles[i].append(j)
-                spend[i] += p[j]
-                found = assign(j + 1)
-                if found is not None:
-                    return found
-                bundles[i].pop()
-                spend[i] -= p[j]
-        if p[j] == 0:
-            return assign(j + 1)
-        return None
-
-    return assign(0)
+    return equilibrium.allocation_for_prices(
+        market, prices, [True] * market.m,
+        lambda candidate: verify_equilibrium(market, candidate, prices).equilibrium,
+    )
 
 
 def compute_equilibrium(market: Market) -> Optional[Tuple[Allocation, PriceVector]]:
@@ -196,10 +112,9 @@ def compute_equilibrium(market: Market) -> Optional[Tuple[Allocation, PriceVecto
     """
     _require_leontief(market)
     demands = [demand_items(market, i) for i in range(market.n)]
-    plan = _assignment_plan(market, demands)
-    if plan is None:
+    if not _exists(market, demands):
         return None
-    bundles, _ = plan
+    bundles, _ = _assignment_plan(market, demands, range(market.n))
     prices = [ZERO] * market.m
     for bundle in bundles:
         share = ONE / len(bundle)
@@ -208,35 +123,28 @@ def compute_equilibrium(market: Market) -> Optional[Tuple[Allocation, PriceVecto
     return Allocation(tuple(bundles)), PriceVector(tuple(prices))
 
 
-def _assignment_plan(market: Market, demands) -> Optional[Tuple[list, int]]:
-    """Shared allocation loop: singleton picks in size order, leftovers to the
-    last buyer.  Returns (bundles, last_buyer) or None if no equilibrium."""
-    n, m = market.n, market.m
-    if m < n:
-        return None
-    seen_singletons = set()
-    for d in demands:
-        if len(d) == 1:
-            if d in seen_singletons:
-                return None
-            seen_singletons.add(d)
-    order = sorted(range(n), key=lambda i: (len(demands[i]), i))
-    allocated = set()
-    bundles = [frozenset()] * n
+def _exists(market: Market, demands) -> bool:
+    """False exactly when m < n or two buyers share a singleton demand set."""
+    singletons = [d for d in demands if len(d) == 1]
+    return market.m >= market.n and len(singletons) == len(set(singletons))
+
+
+def _assignment_plan(market: Market, demands, buyers, taken=frozenset()) -> Tuple[list, list]:
+    """The constructive allocation loop over `buyers`, with the `taken` items
+    already gone: singleton picks in demand-size order, leftovers to the
+    buyer served last.  Returns (bundles, service order)."""
+    m = market.m
+    order = sorted(buyers, key=lambda i: (len(demands[i]), i))
+    allocated = set(taken)
+    bundles = [frozenset()] * market.n
     for i in order:
         free_demand = demands[i] - allocated
         pick = min(free_demand) if free_demand else min(set(range(m)) - allocated)
         bundles[i] = frozenset([pick])
         allocated.add(pick)
-    last = order[-1]
-    bundles[last] |= frozenset(range(m)) - allocated
-    return bundles, last
-
-
-def _strictness_eps(market: Market, demands):
-    """A positive rational strictly below 1/|D| for every demand set D."""
-    d_max = max(len(d) for d in demands)
-    return ONE / ((market.m + 1) * (d_max + 1))
+    if order:
+        bundles[order[-1]] |= frozenset(range(m)) - allocated
+    return bundles, order
 
 
 def compute_equilibrium_prealloc(
@@ -264,25 +172,17 @@ def compute_equilibrium_prealloc(
         raise ValueError("not enough free items for the remaining buyers")
     demands = [demand_items(market, i) for i in range(market.n)]
     remaining = [i for i in range(market.n) if i != excluded_buyer]
-    order = sorted(remaining, key=lambda i: (len(demands[i]), i))
-    allocated = set(prealloc)
-    bundles = [frozenset()] * market.n
-    for i in order:
-        free_demand = demands[i] - allocated
-        pick = min(free_demand) if free_demand else min(set(range(market.m)) - allocated)
-        bundles[i] = frozenset([pick])
-        allocated.add(pick)
+    bundles, order = _assignment_plan(market, demands, remaining, prealloc)
     prices = [ZERO] * market.m
     if order:
         last = order[-1]
-        bundles[last] |= frozenset(range(market.m)) - allocated
         for i in order[:-1]:
             for j in bundles[i]:
                 prices[j] = ONE
         wanted = bundles[last] & demands[last]
         unwanted = bundles[last] - demands[last]
         if wanted and unwanted:
-            eps = _strictness_eps(market, demands)
+            eps = ONE / ((market.m + 1) * (max(len(d) for d in demands) + 1))
             for j in wanted:
                 prices[j] = (ONE - eps) / len(wanted)
             for j in unwanted:
@@ -308,7 +208,7 @@ def compute_equilibrium_apx_welfare(market: Market) -> Optional[Tuple[Allocation
     """
     _require_leontief(market)
     demands = [demand_items(market, i) for i in range(market.n)]
-    if _assignment_plan(market, demands) is None:
+    if not _exists(market, demands):
         return None
     n, m = market.n, market.m
     eligible = []
@@ -320,13 +220,8 @@ def compute_equilibrium_apx_welfare(market: Market) -> Optional[Tuple[Allocation
         eligible.append(k)
     if not eligible:
         return compute_equilibrium(market)
-    best, best_value = None, None
-    for k in eligible:
-        value = leontief_utility(market, k, demands[k])
-        if best is None or value > best_value:
-            best, best_value = k, value
-    sub = compute_equilibrium_prealloc(market, best, demands[best])
-    sub_alloc, sub_prices = sub
+    best = max(eligible, key=lambda k: bundle_utility(market, k, demands[k]))  # ties: lowest index
+    sub_alloc, sub_prices = compute_equilibrium_prealloc(market, best, demands[best])
     bundles = list(sub_alloc.bundles)
     bundles[best] = demands[best]
     prices = list(sub_prices.prices)
@@ -352,7 +247,7 @@ def optimal_welfare_equilibrium(
     n, m = market.n, market.m
     demands = [demand_items(market, i) for i in range(n)]
     masks = [sum(1 << j for j in d) for d in demands]
-    gains = [leontief_utility(market, i, demands[i]) for i in range(n)]
+    gains = [bundle_utility(market, i, demands[i]) for i in range(n)]
 
     levels = {ZERO}
     for chosen in itertools.product((False, True), repeat=n):

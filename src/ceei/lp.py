@@ -62,10 +62,15 @@ class LPResult:
     value: Optional[object] = None
 
 
+def _terms(coeffs: Mapping[int, RationalLike]) -> tuple:
+    terms = ((int(v), rational(c)) for v, c in coeffs.items())
+    return tuple(sorted(term for term in terms if term[1] != 0))
+
+
 def constraint(coeffs: Mapping[int, RationalLike], relation: str, rhs: RationalLike) -> LinearConstraint:
     if relation not in (LE, EQ):
         raise ValueError(f"unknown relation {relation!r}")
-    items = tuple(sorted((int(v), rational(c)) for v, c in coeffs.items() if rational(c) != 0))
+    items = _terms(coeffs)
     if not items:
         raise ValueError("constraint needs at least one nonzero coefficient")
     return LinearConstraint(items, relation, rational(rhs))
@@ -78,7 +83,7 @@ def lp_problem(
     nonneg: Optional[Sequence[bool]] = None,
 ) -> LPProblem:
     flags = tuple(nonneg) if nonneg is not None else (True,) * num_vars
-    obj = tuple(sorted((int(v), rational(c)) for v, c in objective.items() if rational(c) != 0))
+    obj = _terms(objective)
     return LPProblem(num_vars=num_vars, nonneg=flags, constraints=tuple(constraints), objective=obj)
 
 

@@ -96,7 +96,7 @@ def test_criterion_3_welfare_approximation_bound(announce):
         full = make_allocation([sorted(d.items) for d in leontief.demand_sets(market)])
         assert social_welfare(market, full) == n
         assert leontief.prices_for_allocation(market, full) is not None
-        ceiling = sum(leontief.leontief_utility(market, i, d.items)
+        ceiling = sum(bundle_utility(market, i, d.items)
                       for i, d in enumerate(leontief.demand_sets(market)))
         assert ceiling == n
         if n <= 3:

@@ -8,6 +8,7 @@ from ceei import additive, oracle
 from ceei.core import (
     SearchCapExceeded,
     SearchCaps,
+    bundle_utility,
     make_allocation,
     make_market,
     make_prices,
@@ -27,15 +28,15 @@ from ceei.reductions import (
 class TestUtility:
     def test_sum(self):
         market = make_market([[3, 2]], "additive")
-        assert additive.additive_utility(market, 0, {0, 1}) == 5
+        assert bundle_utility(market, 0, {0, 1}) == 5
 
     def test_empty_bundle(self):
         market = make_market([[3, 2]], "additive")
-        assert additive.additive_utility(market, 0, ()) == 0
+        assert bundle_utility(market, 0, ()) == 0
 
     def test_third_valued_triple_is_worth_one(self):
         market = x3c_to_additive(X3CInstance(3, (frozenset({1, 2, 3}),)))
-        assert additive.additive_utility(market, 0, {0, 1, 2}) == 1
+        assert bundle_utility(market, 0, {0, 1, 2}) == 1
 
 
 class TestBestAffordableBundle:
@@ -86,7 +87,7 @@ class TestVerify:
         k, witness = violation.buyer, violation.witness
         spend = sum((p.prices[j] for j in witness), rational(0))
         assert spend <= 1
-        assert additive.additive_utility(market, k, witness) > additive.additive_utility(market, k, x.bundles[k])
+        assert bundle_utility(market, k, witness) > bundle_utility(market, k, x.bundles[k])
 
 
 class TestPricesForAllocation:
@@ -104,6 +105,15 @@ class TestPricesForAllocation:
         market = make_market([[5]], "additive")
         prices = additive.prices_for_allocation(market, make_allocation([[0]]))
         assert prices.prices == (rational(1),)
+
+    def test_enumeration_cap_bounds_the_first_enumeration(self):
+        # buyer 1's bundle {1, 2} contains buyer 0's minimal deviator {1, 2},
+        # so the allocation is rejected without an LP -- but only after an
+        # enumeration over m = 3 items, above the cap of 2
+        market = make_market([[1, 1, 1], [1, 1, 1]], "additive")
+        with pytest.raises(SearchCapExceeded):
+            additive.prices_for_allocation(market, make_allocation([[0], [1, 2]]),
+                                           SearchCaps(max_enum_items=2))
 
 
 class TestAllocationForPrices:
@@ -181,8 +191,8 @@ def test_search_agrees_with_oracle_and_is_envy_free(rows):
             for j in range(market.n):
                 spend = sum((p.prices[t] for t in x.bundles[j]), rational(0))
                 if spend <= 1:
-                    assert additive.additive_utility(market, i, x.bundles[i]) >= \
-                        additive.additive_utility(market, i, x.bundles[j])
+                    assert bundle_utility(market, i, x.bundles[i]) >= \
+                        bundle_utility(market, i, x.bundles[j])
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,7 +212,7 @@ def test_violation_witnesses_recheck(rows, data):
         k, witness = report.violation.buyer, report.violation.witness
         spend = sum((p.prices[j] for j in witness), rational(0))
         assert spend <= 1
-        assert additive.additive_utility(market, k, witness) > additive.additive_utility(market, k, x.bundles[k])
+        assert bundle_utility(market, k, witness) > bundle_utility(market, k, x.bundles[k])
 
 
 def _best_affordable_reference(row, prices):

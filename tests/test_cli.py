@@ -196,6 +196,30 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {tmp_path / 'p.json'} has {len(prices)} prices for 2 items\n"
 
+    @pytest.mark.parametrize("command", ["verify", "prices-for"])
+    @pytest.mark.parametrize("allocation", [[[1.7], [2]], [[True], [2]], [["1"], [2]], [[1, 1], [2]]],
+                             ids=["float", "bool", "string", "repeated"])
+    def test_allocation_index_not_a_distinct_int_is_usage_error(self, run, tmp_path, command, allocation):
+        (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1, 1], [1, 1]], "additive")))
+        (tmp_path / "a.json").write_text(json.dumps({"allocation": allocation}))
+        (tmp_path / "p.json").write_text(io.solution_to_json(prices=make_prices([1, 1])))
+        extra = ("--prices", str(tmp_path / "p.json")) if command == "verify" else ()
+        code, out, err = run(command, "--market", str(tmp_path / "m.json"),
+                             "--alloc", str(tmp_path / "a.json"), *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("market_class", ["leontief", "additive"])
+    def test_out_of_range_index_is_an_infeasible_allocation(self, run, tmp_path, market_class):
+        (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1, 1], [1, 1]], market_class)))
+        (tmp_path / "a.json").write_text(json.dumps({"allocation": [[5], [2]]}))
+        (tmp_path / "p.json").write_text(io.solution_to_json(prices=make_prices([1, 1])))
+        code, out, err = run("verify", "--market", str(tmp_path / "m.json"), "--alloc", str(tmp_path / "a.json"),
+                             "--prices", str(tmp_path / "p.json"))
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"verdict": "violation", "violation": {"kind": "infeasible-allocation"}}
+
     def test_cap_flag_triggers_cap_error(self, run, tmp_path):
         (tmp_path / "m.json").write_text(io.market_to_json(demand_market([{0}], 3)))
         (tmp_path / "p.json").write_text(io.solution_to_json(prices=make_prices([1, 0, 0])))
