@@ -4,14 +4,18 @@ Buyer optimality here is a knapsack-like question, so verification and both
 one-side searches enumerate bundles exhaustively; every operation is exact
 and guarded by hard caps.  To the skeleton in `ceei.equilibrium` this module
 adds the knapsack best response (its maximizer is the violation witness),
-the inclusion-minimal strictly better bundles as deviators, and the rule
-that a zero-priced item may stay unsold only when no buyer values it.
+the inclusion-minimal strictly better bundles as deviators, the rule that
+a zero-priced item may stay unsold only when no buyer values it, and the
+welfare search's bound.  Each public entry point checks the enumeration cap
+once; the helpers it calls do not check it again.
 
 The enumerations run on Python ints.  Each buyer's value row is scaled by
 the LCM of its denominators (comparisons within one buyer's row do not
 change under the scale), and the prices are put over one common
 denominator D, so "cost <= 1" becomes "cost <= D" and "spend = 1" becomes
-"spend = D".  Rationals are made only for returned values.
+"spend = D".  The welfare search adds values of different buyers, so it
+scales all rows by one common LCM.  Rationals are made only for returned
+values.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def _require_additive(market: Market) -> None:
 def _check_enum_cap(market: Market, caps: SearchCaps) -> None:
     if market.m > caps.max_enum_items:
         raise SearchCapExceeded(
-            f"bundle enumeration over {market.m} items exceeds the cap of {caps.max_enum_items}"
+            "bundle enumeration, m items", "max_enum_items", market.m, caps.max_enum_items
         )
 
 
@@ -62,6 +66,10 @@ def best_affordable_bundle(
     """
     _require_additive(market)
     _check_enum_cap(market, caps)
+    return _best_affordable_bundle(market, buyer, prices)
+
+
+def _best_affordable_bundle(market: Market, buyer: int, prices: PriceVector) -> Tuple[frozenset, object]:
     row, scale = integer_row(market.values[buyer])
     costs, den = integer_row(prices.prices)
     pos = [j for j, v in enumerate(row) if v > 0]
@@ -88,17 +96,16 @@ def verify_equilibrium(
     rechecked independently."""
     _require_additive(market)
     _check_enum_cap(market, caps)
-
-    def better_bundle(i: int) -> Optional[frozenset]:
-        bundle, value = best_affordable_bundle(market, i, prices, caps)
-        return bundle if value > bundle_utility(market, i, allocation.bundles[i]) else None
-
-    return equilibrium.verify_equilibrium(market, allocation, prices, better_bundle)
+    return equilibrium.verify_equilibrium(market, allocation, prices, partial(_better_bundle, market, prices))
 
 
-def _minimal_deviating_bundles(
-    market: Market, buyer: int, bundle: frozenset, caps: SearchCaps
-) -> List[frozenset]:
+def _better_bundle(market: Market, prices: PriceVector, buyer: int, bundle: frozenset) -> Optional[frozenset]:
+    """The buyer's best affordable bundle when it is worth more than `bundle`."""
+    best, value = _best_affordable_bundle(market, buyer, prices)
+    return best if value > bundle_utility(market, buyer, bundle) else None
+
+
+def _minimal_deviating_bundles(market: Market, buyer: int, bundle: frozenset) -> List[frozenset]:
     """Inclusion-minimal bundles worth strictly more than `bundle`.
 
     Supersets are dropped: prices are nonnegative, so once a bundle is
@@ -106,7 +113,6 @@ def _minimal_deviating_bundles(
     appear in a minimal deviator.  Values are summed as the buyer's scaled
     ints; an int exceeds `utility * scale` iff it exceeds its floor.
     """
-    _check_enum_cap(market, caps)
     row, scale = integer_row(market.values[buyer])
     limit = floor(bundle_utility(market, buyer, bundle) * scale)
     pos = [j for j, v in enumerate(row) if v > 0]
@@ -133,8 +139,7 @@ def price_support_lp(
     strictly prefers to its own must cost at least 1 + slack."""
     _require_additive(market)
     _check_enum_cap(market, caps)
-    deviators = partial(_minimal_deviating_bundles, market, caps=caps)
-    return equilibrium.price_support_lp(market, allocation, deviators)
+    return equilibrium.price_support_lp(market, allocation, partial(_minimal_deviating_bundles, market))
 
 
 def prices_for_allocation(
@@ -142,8 +147,18 @@ def prices_for_allocation(
 ) -> Optional[PriceVector]:
     """Prices making the given allocation an equilibrium, or None."""
     _require_additive(market)
-    deviators = partial(_minimal_deviating_bundles, market, caps=caps)
-    return equilibrium.prices_for_allocation(market, allocation, deviators)
+    _check_enum_cap(market, caps)
+    return _prices_for_allocation(market, allocation)
+
+
+def _prices_for_allocation(market: Market, allocation: Allocation) -> Optional[PriceVector]:
+    return equilibrium.prices_for_allocation(market, allocation, partial(_minimal_deviating_bundles, market))
+
+
+def _unsellable(values) -> List[bool]:
+    """A zero-priced item may stay unsold only if nobody values it
+    (otherwise that buyer could add it for free)."""
+    return [not any(column) for column in zip(*values)]
 
 
 def allocation_for_prices(
@@ -151,15 +166,13 @@ def allocation_for_prices(
 ) -> Optional[Allocation]:
     """First allocation, in the shared deterministic assignment order, that
     forms an equilibrium with the given prices, or None.  A zero-priced item
-    may stay unsold only if nobody values it (otherwise that buyer could
-    add it for free)."""
+    may stay unsold only if nobody values it.  `equilibrium.allocation_for_prices`
+    gives the search and its cuts, the lex-leader rules included."""
     _require_additive(market)
     _check_assignment_cap(market, caps)
     _check_enum_cap(market, caps)
-    unsellable = [all(row[j] == 0 for row in market.values) for j in range(market.m)]
     return equilibrium.allocation_for_prices(
-        market, prices, unsellable,
-        lambda candidate: verify_equilibrium(market, candidate, prices, caps).equilibrium,
+        market, prices, _unsellable(market.values), partial(_better_bundle, market, prices)
     )
 
 
@@ -173,19 +186,24 @@ def search_equilibrium(
     skipped: an item may stay unsold only when no buyer values it (otherwise
     clearing would force its price to zero and some buyer would add it for
     free); allocations with an empty bundle can never exhaust that buyer's
-    budget; and an envious buyer (one valuing another's bundle above its
-    own) always has an affordable deviation, since bundles cost exactly 1.
-    The envy screen is maintained incrementally, on each buyer's value row
-    scaled to ints, so most leaves are rejected without touching the
-    pricing system or any rational arithmetic.
+    budget; an envious buyer (one valuing another's bundle above its own)
+    always has an affordable deviation, since bundles cost exactly 1; and
+    the two lex-leader rules of `equilibrium.symmetry_classes`: a buyer
+    receives an item only once its previous identical buyer holds one, and
+    an item's owner is at or after its previous identical item's owner
+    (unsold last).  The envy screen is maintained incrementally, on each
+    buyer's value row scaled to ints, so most leaves are rejected without
+    touching the pricing system or any rational arithmetic.
     """
     _require_additive(market)
     _check_assignment_cap(market, caps)
     _check_enum_cap(market, caps)
     n, m = market.n, market.m
     values = [integer_row(row)[0] for row in market.values]
-    unsellable = [all(values[i][j] == 0 for i in range(n)) for j in range(m)]
+    unsellable = _unsellable(values)
+    prev_buyer, prev_item = equilibrium.symmetry_classes(market.values)
     bundles = [[] for _ in range(n)]
+    owner = [n] * m
     cross = [[0] * n for _ in range(n)]  # cross[i][k] = buyer i's scaled value for bundle k
 
     def assign(j: int):
@@ -193,12 +211,17 @@ def search_equilibrium(
             if not all(bundles) or any(max(row) > row[i] for i, row in enumerate(cross)):
                 return None
             candidate = Allocation(tuple(frozenset(b) for b in bundles))
-            found = prices_for_allocation(market, candidate, caps)
+            found = _prices_for_allocation(market, candidate)
             if found is not None:
                 return candidate, found
             return None
-        for k in range(n):
+        q = prev_item[j]
+        for k in range(owner[q] if q >= 0 else 0, n):
+            b = prev_buyer[k]
+            if not bundles[k] and b >= 0 and not bundles[b]:
+                continue
             bundles[k].append(j)
+            owner[j] = k
             for i in range(n):
                 cross[i][k] += values[i][j]
             result = assign(j + 1)
@@ -208,7 +231,62 @@ def search_equilibrium(
             for i in range(n):
                 cross[i][k] -= values[i][j]
         if unsellable[j]:
+            owner[j] = n
             return assign(j + 1)
         return None
 
     return assign(0)
+
+
+class _ValueTally:
+    """The additive bound of `equilibrium.welfare_search`: the welfare of
+    the placed items plus, for each item not yet placed, the largest value
+    any buyer puts on it.  All rows share one integer scale, since values of
+    different buyers are added.  The screen is the envy screen of
+    `search_equilibrium`."""
+
+    def __init__(self, market: Market):
+        self.n = n = market.n
+        m = market.m
+        flat, self.scale = integer_row([v for row in market.values for v in row])
+        self.values = [flat[i * m:(i + 1) * m] for i in range(n)]
+        self.best = [max(column) for column in zip(*self.values)]
+        self.bound = sum(self.best)
+        self.cross = [[0] * n for _ in range(n)]  # cross[i][k] = buyer i's value for bundle k
+
+    def place(self, j: int, owner: int) -> None:
+        self.bound -= self.best[j]
+        if owner < self.n:
+            self.bound += self.values[owner][j]
+            for i, row in enumerate(self.values):
+                self.cross[i][owner] += row[j]
+
+    def remove(self, j: int, owner: int) -> None:
+        self.bound += self.best[j]
+        if owner < self.n:
+            self.bound -= self.values[owner][j]
+            for i, row in enumerate(self.values):
+                self.cross[i][owner] -= row[j]
+
+    def screen(self) -> bool:
+        return all(max(row) == row[i] for i, row in enumerate(self.cross))
+
+
+def optimal_welfare_equilibrium(
+    market: Market, caps: SearchCaps = DEFAULT_CAPS
+) -> Optional[Tuple[Allocation, PriceVector, object]]:
+    """Exact welfare-maximal equilibrium, or None: of the maximal-welfare
+    equilibria, the one whose allocation comes first in the assignment
+    order, with its prices and welfare.
+
+    `equilibrium.welfare_search` with the bound "welfare of the placed items
+    plus each unplaced item's largest value to any buyer", the envy screen
+    at leaves, and the lex-leader rules; an item stays unsold only when no
+    buyer values it.
+    """
+    _require_additive(market)
+    _check_assignment_cap(market, caps)
+    _check_enum_cap(market, caps)
+    return equilibrium.welfare_search(
+        market, _unsellable(market.values), _ValueTally(market), partial(_prices_for_allocation, market)
+    )

@@ -64,7 +64,7 @@ _ALGORITHMS = {
         "solve": lambda market, caps: additive.search_equilibrium(market, caps),
         "prices-for": lambda market, caps, x: additive.prices_for_allocation(market, x, caps),
         "alloc-for": lambda market, caps, p: additive.allocation_for_prices(market, p, caps),
-        "maxwelfare": lambda market, caps: oracle.max_welfare_equilibrium_bruteforce(market, caps),
+        "maxwelfare": lambda market, caps: additive.optimal_welfare_equilibrium(market, caps),
         "no-equilibrium": lambda market: "no equilibrium",
     },
 }

@@ -68,7 +68,15 @@ class InfeasibleAllocationError(ValueError):
 
 
 class SearchCapExceeded(RuntimeError):
-    """An exhaustive search would exceed the configured resource cap."""
+    """An exhaustive search would exceed the configured resource cap.
+
+    Carries the cap's name, the search's estimated size and the cap value,
+    and the message prints all three.
+    """
+
+    def __init__(self, search: str, cap: str, size: int, limit: int):
+        super().__init__(f"{search}: {size} exceeds the cap {cap} = {limit}")
+        self.cap, self.size, self.limit = cap, size, limit
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ Both classes are held to the same conditions: a feasible allocation, every
 unsold item free, every bundle costing exactly the budget 1, and no buyer
 able to afford a bundle it strictly prefers.  They differ only in which
 bundles a buyer would deviate to, so `leontief` and `additive` supply a
-best-response test, per-buyer deviators and which items may stay unsold.
+best-response test, per-buyer deviators and which items may stay unsold,
+and for the welfare search an admissible bound.  Every assignment search
+here cuts by the lex-leader symmetry rules of `symmetry_classes`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from . import lp
 from .core import (
@@ -25,6 +27,7 @@ from .core import (
     check_clearing,
     check_feasible,
     integer_row,
+    rational,
 )
 
 #: deviators(buyer, bundle): the bundles the buyer strictly prefers to `bundle`.
@@ -35,15 +38,15 @@ def verify_equilibrium(
     market: Market, allocation: Allocation, prices: PriceVector, better_bundle: Callable
 ) -> EquilibriumReport:
     """Check feasibility, then clearing, then budgets, then each buyer by
-    index: `better_bundle(i)` is an affordable bundle buyer i strictly
-    prefers to its own (the violation's witness), or None.  A later check
-    runs only once the earlier ones pass."""
+    index: `better_bundle(i, bundle)` is an affordable bundle buyer i
+    strictly prefers to `bundle`, its own (the violation's witness), or
+    None.  A later check runs only once the earlier ones pass."""
     found = (check_feasible(market, allocation) or check_clearing(market, allocation, prices)
              or check_budgets(market, allocation, prices))
     if found is not None:
         return EquilibriumReport.fail(found)
     for i in range(market.n):
-        witness = better_bundle(i)
+        witness = better_bundle(i, allocation.bundles[i])
         if witness is not None:
             return EquilibriumReport.fail(Violation(SUBOPTIMAL_BUNDLE, buyer=i, witness=witness))
     return EquilibriumReport.ok()
@@ -96,14 +99,50 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
 
 
 def _check_assignment_cap(market: Market, caps: SearchCaps) -> None:
-    if market.m > caps.max_items or (market.n + 1) ** market.m > caps.max_states:
-        raise SearchCapExceeded(
-            f"assignment search over {market.n} buyers and {market.m} items exceeds the cap"
-        )
+    search = f"assignment search over {market.n} buyers and {market.m} items"
+    if market.m > caps.max_items:
+        raise SearchCapExceeded(f"{search}, m items", "max_items", market.m, caps.max_items)
+    states = (market.n + 1) ** market.m
+    if states > caps.max_states:
+        raise SearchCapExceeded(f"{search}, (n+1)^m states", "max_states", states, caps.max_states)
+
+
+def symmetry_classes(rows, tags=None) -> Tuple[List[int], List[int]]:
+    """Each buyer's previous identical buyer and each item's previous
+    identical item, -1 where there is none, in one pass over the values.
+
+    Buyers are identical when their value rows are equal; items when their
+    value columns are equal and, when `tags` is given, so are their tags
+    (the prices of a given-prices search).  Swapping identical buyers, or
+    identical items, maps equilibria to equilibria and keeps every bundle's
+    value and price.  So the set of allocations an assignment search looks
+    for is closed under these swaps, and the first of them in the
+    assignment order is the lex-least of its orbit (Crawford, Ginsberg, Luks
+    & Roy, KR 1996).  Such an allocation obeys the two lex-leader rules the
+    searches cut by, so the cuts never change a result:
+
+    - buyer k may receive an item only once its previous identical buyer
+      already holds one;
+    - item j's owner is at or after its previous identical item's owner in
+      the order buyers 0..n-1, then unsold.
+    """
+    # (numerator, denominator) pairs hash and compare in C, rationals do not
+    rows = [tuple([(v.numerator, v.denominator) for v in row]) for row in rows]
+    last = {}
+    prev_buyer = []
+    for k, row in enumerate(rows):
+        prev_buyer.append(last.get(row, -1))
+        last[row] = k
+    last = {}
+    prev_item = []
+    for j, column in enumerate(zip(*rows) if tags is None else zip(tags, *rows)):
+        prev_item.append(last.get(column, -1))
+        last[column] = j
+    return prev_buyer, prev_item
 
 
 def allocation_for_prices(
-    market: Market, prices: PriceVector, may_stay_unsold: List[bool], is_equilibrium: Callable
+    market: Market, prices: PriceVector, may_stay_unsold: List[bool], better_bundle: Callable
 ) -> Optional[Allocation]:
     """First allocation (in the deterministic assignment order) that forms an
     equilibrium with the given prices, or None.
@@ -111,32 +150,106 @@ def allocation_for_prices(
     Assignments are enumerated lexicographically: items in index order, each
     tried with buyers in index order and unsold last.  Sound cuts only: an
     item stays unsold only at price zero and where `may_stay_unsold`, a
-    buyer's spend never exceeds 1, and only leaves where every spend is
-    exactly 1 reach `is_equilibrium`.  Spend is kept in ints over the
-    prices' common denominator D, so "spend <= 1" is "spend <= D".
+    buyer's spend never exceeds 1, the two lex-leader rules of
+    `symmetry_classes` (identical items must also share a price), and only
+    leaves where every spend is exactly 1 are checked.  Spend is kept in
+    ints over the prices' common denominator D, so "spend <= 1" is "spend
+    <= D".  Such a leaf is feasible, clears and exhausts every budget by
+    construction, so it is an equilibrium exactly when `better_bundle(i,
+    bundle)`, the verifier's per-buyer test, finds no buyer a better bundle.
     """
     n, m = market.n, market.m
     p, den = integer_row(prices.prices)
+    prev_buyer, prev_item = symmetry_classes(market.values, p)
     bundles = [[] for _ in range(n)]
     spend = [0] * n
+    owner = [n] * m
 
     def assign(j: int) -> Optional[Allocation]:
         if j == m:
             if any(s != den for s in spend):
                 return None
             candidate = Allocation(tuple(frozenset(b) for b in bundles))
-            return candidate if is_equilibrium(candidate) else None
-        for i in range(n):
-            if spend[i] + p[j] <= den:
+            if any(better_bundle(i, b) is not None for i, b in enumerate(candidate.bundles)):
+                return None
+            return candidate
+        q = prev_item[j]
+        for i in range(owner[q] if q >= 0 else 0, n):
+            k = prev_buyer[i]
+            if spend[i] + p[j] <= den and (bundles[i] or k < 0 or bundles[k]):
                 bundles[i].append(j)
                 spend[i] += p[j]
+                owner[j] = i
                 found = assign(j + 1)
                 if found is not None:
                     return found
                 bundles[i].pop()
                 spend[i] -= p[j]
         if p[j] == 0 and may_stay_unsold[j]:
+            owner[j] = n
             return assign(j + 1)
         return None
 
     return assign(0)
+
+
+def welfare_search(
+    market: Market, may_stay_unsold: List[bool], tally, prices_for: Callable
+) -> Optional[Tuple[Allocation, PriceVector, object]]:
+    """Welfare-maximal equilibrium, or None: of the price-supportable
+    allocations of maximal welfare, the first in the assignment order, with
+    `prices_for`'s prices and the welfare.
+
+    One branch-and-bound pass (Land & Doig, 1960) in the assignment order of
+    `allocation_for_prices`: an item stays unsold only where
+    `may_stay_unsold`.  The class supplies `tally`, kept in step with the
+    assignment by `tally.place(j, owner)` and `tally.remove(j, owner)`
+    (owner n is unsold): `tally.bound` is an int upper bound on the welfare,
+    over `tally.scale`, of every completion of the partial assignment, exact
+    at a leaf, and `tally.screen()` rejects leaves that cannot be supported.
+    A subtree is cut once its bound is at most the best welfare found, so a
+    leaf reaches `prices_for` only when it has no empty bundle, passes the
+    screen and strictly beats the best found so far.  That is the
+    brute-force oracle's "skip unless better" rule, so ties still go to the
+    first allocation in the order.  The two lex-leader rules of
+    `symmetry_classes` cut the rest.
+    """
+    n, m = market.n, market.m
+    prev_buyer, prev_item = symmetry_classes(market.values)
+    owner = [n] * m
+    held = [0] * n
+    best = [-1, None]  # welfare over tally.scale, (allocation, prices)
+
+    def assign(j: int) -> None:
+        if tally.bound <= best[0]:
+            return
+        if j == m:
+            if 0 in held or not tally.screen():
+                return
+            candidate = Allocation(tuple(
+                frozenset(k for k in range(m) if owner[k] == i) for i in range(n)
+            ))
+            prices = prices_for(candidate)
+            if prices is not None:
+                best[:] = tally.bound, (candidate, prices)
+            return
+        q = prev_item[j]
+        for i in range(owner[q] if q >= 0 else 0, n):
+            k = prev_buyer[i]
+            if held[i] or k < 0 or held[k]:
+                owner[j] = i
+                held[i] += 1
+                tally.place(j, i)
+                assign(j + 1)
+                tally.remove(j, i)
+                held[i] -= 1
+        if may_stay_unsold[j]:
+            owner[j] = n
+            tally.place(j, n)
+            assign(j + 1)
+            tally.remove(j, n)
+
+    assign(0)
+    if best[1] is None:
+        return None
+    return (*best[1], rational(best[0], tally.scale))

@@ -11,6 +11,7 @@ document is byte-identical.
 from __future__ import annotations
 
 import json
+import re
 from typing import Optional
 
 from .core import (
@@ -30,12 +31,15 @@ def format_rational(q) -> object:
     return num if den == 1 else f"{num}/{den}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value):
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"not an exact rational: {value!r}")
-    if isinstance(value, int):
+    """A JSON int, or a string matching -?[0-9]+(/[0-9]+)? once stripped,
+    with a positive denominator; the non-reduced "2/4" is read as 1/2."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return rational(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value.strip()):
         try:
             return rational(value.strip())
         except ZeroDivisionError:

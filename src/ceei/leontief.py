@@ -11,8 +11,6 @@ exponential enumerations guarded by hard caps.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional, Tuple
 
@@ -29,25 +27,14 @@ from .core import (
     SearchCaps,
     bundle_utility,
     demand_items,
+    integer_row,
 )
 from .equilibrium import _check_assignment_cap
-
-
-@dataclass(frozen=True)
-class DemandSet:
-    buyer: int
-    items: frozenset
 
 
 def _require_leontief(market: Market) -> None:
     if market.market_class != LEONTIEF:
         raise ValueError("operation requires a perfect-complements market")
-
-
-def demand_sets(market: Market) -> list:
-    """One DemandSet per buyer: the items valued strictly positively."""
-    _require_leontief(market)
-    return [DemandSet(i, demand_items(market, i)) for i in range(market.n)]
 
 
 def _deviators(market: Market, buyer: int, bundle: frozenset) -> list:
@@ -62,14 +49,15 @@ def verify_equilibrium(market: Market, allocation: Allocation, prices: PriceVect
     the demand set unaffordable (priced strictly above 1).  Touches each
     (buyer, item) pair a constant number of times."""
     _require_leontief(market)
+    return equilibrium.verify_equilibrium(market, allocation, prices, partial(_better_bundle, market, prices))
 
-    def better_bundle(i: int) -> Optional[frozenset]:
-        for demand in _deviators(market, i, allocation.bundles[i]):
-            if sum((prices.prices[j] for j in demand), ZERO) <= 1:
-                return demand
-        return None
 
-    return equilibrium.verify_equilibrium(market, allocation, prices, better_bundle)
+def _better_bundle(market: Market, prices: PriceVector, buyer: int, bundle: frozenset) -> Optional[frozenset]:
+    """The buyer's demand set when `bundle` misses part of it and it costs at most 1."""
+    for demand in _deviators(market, buyer, bundle):
+        if sum((prices.prices[j] for j in demand), ZERO) <= 1:
+            return demand
+    return None
 
 
 def price_support_lp(market: Market, allocation: Allocation) -> lp.LPProblem:
@@ -94,8 +82,7 @@ def allocation_for_prices(
     _require_leontief(market)
     _check_assignment_cap(market, caps)
     return equilibrium.allocation_for_prices(
-        market, prices, [True] * market.m,
-        lambda candidate: verify_equilibrium(market, candidate, prices).equilibrium,
+        market, prices, [True] * market.m, partial(_better_bundle, market, prices)
     )
 
 
@@ -231,58 +218,49 @@ def compute_equilibrium_apx_welfare(market: Market) -> Optional[Tuple[Allocation
     return Allocation(tuple(bundles)), PriceVector(tuple(prices))
 
 
+class _ServedTally:
+    """The Leontief bound of `equilibrium.welfare_search`: the sum of the
+    gains of the buyers none of whose placed demanded items went to another
+    buyer or stayed unsold.  Gains are ints over one common scale."""
+
+    def __init__(self, market: Market):
+        demands = [demand_items(market, i) for i in range(market.n)]
+        self.gains, self.scale = integer_row([bundle_utility(market, i, d) for i, d in enumerate(demands)])
+        self.wanted_by = [[i for i, d in enumerate(demands) if j in d] for j in range(market.m)]
+        self.missed = [0] * market.n  # placed demanded items that went elsewhere
+        self.bound = sum(self.gains)
+
+    def place(self, j: int, owner: int) -> None:
+        for i in self.wanted_by[j]:
+            if i != owner:
+                if not self.missed[i]:
+                    self.bound -= self.gains[i]
+                self.missed[i] += 1
+
+    def remove(self, j: int, owner: int) -> None:
+        for i in self.wanted_by[j]:
+            if i != owner:
+                self.missed[i] -= 1
+                if not self.missed[i]:
+                    self.bound += self.gains[i]
+
+    def screen(self) -> bool:
+        return True
+
+
 def optimal_welfare_equilibrium(
     market: Market, caps: SearchCaps = DEFAULT_CAPS
 ) -> Optional[Tuple[Allocation, PriceVector, object]]:
-    """Exact welfare-maximal equilibrium by exhaustive search, or None.
+    """Exact welfare-maximal equilibrium by exhaustive search, or None: of
+    the maximal-welfare equilibria, the one whose allocation comes first in
+    the assignment order, with its prices and welfare.
 
-    Welfare levels are scanned from the highest achievable downward; within
-    a level, assignments are tried in the deterministic enumeration order
-    and the first price-supportable one is returned together with its
-    welfare.  So the result is the maximal-welfare equilibrium whose
-    allocation comes first in enumeration order.
+    `equilibrium.welfare_search` with the bound "sum of the gains of the
+    buyers none of whose placed demanded items went to someone else or
+    stayed unsold", and the lex-leader rules; any item may stay unsold.
     """
     _require_leontief(market)
     _check_assignment_cap(market, caps)
-    n, m = market.n, market.m
-    demands = [demand_items(market, i) for i in range(n)]
-    masks = [sum(1 << j for j in d) for d in demands]
-    gains = [bundle_utility(market, i, demands[i]) for i in range(n)]
-
-    levels = {ZERO}
-    for chosen in itertools.product((False, True), repeat=n):
-        picked = [i for i in range(n) if chosen[i]]
-        union, disjoint = 0, True
-        for i in picked:
-            if union & masks[i]:
-                disjoint = False
-                break
-            union |= masks[i]
-        if disjoint:
-            total = ZERO
-            for i in picked:
-                total += gains[i]
-            levels.add(total)
-
-    owners_range = range(n + 1)  # digit n = unsold
-    for level in sorted(levels, reverse=True):
-        for owners in itertools.product(owners_range, repeat=m):
-            bundle_masks = [0] * n
-            for j, o in enumerate(owners):
-                if o < n:
-                    bundle_masks[o] |= 1 << j
-            if any(mask == 0 for mask in bundle_masks):
-                continue  # an empty bundle can never exhaust a budget
-            welfare = ZERO
-            for i in range(n):
-                if masks[i] & ~bundle_masks[i] == 0:
-                    welfare += gains[i]
-            if welfare != level:
-                continue
-            candidate = Allocation(
-                tuple(frozenset(j for j in range(m) if owners[j] == i) for i in range(n))
-            )
-            prices = prices_for_allocation(market, candidate)
-            if prices is not None:
-                return candidate, prices, welfare
-    return None
+    return equilibrium.welfare_search(
+        market, [True] * market.m, _ServedTally(market), partial(prices_for_allocation, market)
+    )

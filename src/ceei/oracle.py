@@ -27,9 +27,11 @@ from .core import (
 
 
 def _check_cap(market: Market, caps: SearchCaps) -> None:
-    if (market.n + 1) ** market.m > caps.max_states:
+    states = (market.n + 1) ** market.m
+    if states > caps.max_states:
         raise SearchCapExceeded(
-            f"enumeration over {market.n} buyers and {market.m} items exceeds the cap"
+            f"enumeration over {market.n} buyers and {market.m} items, (n+1)^m states",
+            "max_states", states, caps.max_states,
         )
 
 

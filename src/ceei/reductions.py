@@ -240,7 +240,8 @@ def subsetsum_to_additive_allocation(inst: SubsetSumInstance) -> Tuple[Market, A
 
 def _check_decider_cap(count: int) -> None:
     if 1 << count > _DECIDER_CAP:
-        raise SearchCapExceeded(f"brute-force decider over {count} elements exceeds the cap")
+        raise SearchCapExceeded(f"brute-force decider over {count} elements, 2^{count} subsets",
+                                "max_subsets", 1 << count, _DECIDER_CAP)
 
 
 def decide_partition(inst: PartitionInstance) -> Tuple[bool, Optional[tuple]]:

@@ -14,7 +14,7 @@ import pytest
 
 from ceei import additive, io, leontief, oracle
 from ceei import reductions as rd
-from ceei.core import bundle_utility, make_allocation, rational, social_welfare
+from ceei.core import bundle_utility, demand_items, make_allocation, rational, social_welfare
 from ceei.lp import EQ, LE, OPTIMAL, check_point, constraint, lp_problem, solve_lp
 
 from conftest import (
@@ -93,11 +93,11 @@ def test_criterion_3_welfare_approximation_bound(announce):
         market = example3_market(n)
         # serving everyone is supportable, and no allocation can beat the sum
         # of full-demand utilities, so the equilibrium optimum is exactly n
-        full = make_allocation([sorted(d.items) for d in leontief.demand_sets(market)])
+        full = make_allocation([sorted(demand_items(market, i)) for i in range(market.n)])
         assert social_welfare(market, full) == n
         assert leontief.prices_for_allocation(market, full) is not None
-        ceiling = sum(bundle_utility(market, i, d.items)
-                      for i, d in enumerate(leontief.demand_sets(market)))
+        ceiling = sum(bundle_utility(market, i, demand_items(market, i))
+                      for i in range(market.n))
         assert ceiling == n
         if n <= 3:
             assert leontief.optimal_welfare_equilibrium(market)[2] == n

@@ -62,6 +62,14 @@ class TestBestAffordableBundle:
         with pytest.raises(SearchCapExceeded):
             additive.best_affordable_bundle(market, 0, make_prices([0] * 4), SearchCaps(max_enum_items=3))
 
+    def test_cap_error_carries_its_numbers(self):
+        market = make_market([[1] * 4], "additive")
+        with pytest.raises(SearchCapExceeded) as info:
+            additive.verify_equilibrium(market, make_allocation([[0, 1, 2, 3]]), make_prices([0] * 4),
+                                        SearchCaps(max_enum_items=3))
+        assert (info.value.cap, info.value.size, info.value.limit) == ("max_enum_items", 4, 3)
+        assert str(info.value) == "bundle enumeration, m items: 4 exceeds the cap max_enum_items = 3"
+
 
 class TestVerify:
     def test_gadget_with_subset_sum_hit(self):

@@ -183,6 +183,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["1.5", "1_000", "+1", "1/-2", "1 /2", "0x1"])
+    def test_value_outside_the_rational_grammar_is_usage_error(self, run, tmp_path, value):
+        (tmp_path / "m.json").write_text(json.dumps(
+            {"class": "additive", "buyers": 1, "items": 2, "values": [[1, value]]}))
+        code, out, err = run("validate", "--market", str(tmp_path / "m.json"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["verify", "alloc-for"])
     @pytest.mark.parametrize("prices", [["1"], ["1", "1", "0"]])
     def test_price_vector_of_wrong_length_is_usage_error(self, run, tmp_path, command, prices):
@@ -262,3 +271,40 @@ class TestOracleCommand:
         code, out, _ = run("oracle", "--market", str(tmp_path / "m.json"), "--max-welfare")
         assert code == 0
         assert json.loads(out)["welfare"] == "2"
+
+
+class TestMaxWelfareCommand:
+    def _market(self, tmp_path, market):
+        (tmp_path / "m.json").write_text(io.market_to_json(market))
+        return str(tmp_path / "m.json")
+
+    def test_leontief_welfare(self, run, tmp_path):
+        code, out, err = run("maxwelfare", "--market", self._market(tmp_path, demand_market([{0, 1}, {2, 3}], 4)))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["welfare"] == "2"
+
+    def test_additive_welfare_and_the_pair_verifies(self, run, tmp_path):
+        market = make_market([[1, 2, 3, 4, 5, 1, 2], [5, 4, 3, 2, 1, 3, 1]], "additive")
+        path = self._market(tmp_path, market)
+        code, out, err = run("maxwelfare", "--market", path)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["welfare"] == "26"
+        (tmp_path / "s.json").write_text(out)
+        code, out, _ = run("verify", "--market", path, "--alloc", str(tmp_path / "s.json"),
+                           "--prices", str(tmp_path / "s.json"))
+        assert (code, json.loads(out)) == (0, {"verdict": "equilibrium"})
+
+    @pytest.mark.parametrize("market", [demand_market([{0}, {0}], 1), make_market([[1], [1]], "additive")],
+                             ids=["leontief", "additive"])
+    def test_none(self, run, tmp_path, market):
+        code, out, err = run("maxwelfare", "--market", self._market(tmp_path, market))
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"result": "none", "reason": "no equilibrium"}
+
+    @pytest.mark.parametrize("market_class", ["leontief", "additive"])
+    def test_cap_error_names_its_numbers(self, run, tmp_path, market_class):
+        market = make_market([[1] * 11] * 3, market_class)
+        code, out, err = run("maxwelfare", "--market", self._market(tmp_path, market), "--cap-states", "1000")
+        assert (code, out) == (2, "")
+        assert err == ("error: assignment search over 3 buyers and 11 items, (n+1)^m states: "
+                       "4194304 exceeds the cap max_states = 1000\n")

@@ -10,6 +10,7 @@ from ceei.core import (
     SearchCapExceeded,
     SearchCaps,
     bundle_utility,
+    demand_items,
     make_allocation,
     make_market,
     make_prices,
@@ -30,18 +31,18 @@ from conftest import (
 class TestDemandSets:
     def test_example1(self):
         market = example1_market()
-        assert [d.items for d in leontief.demand_sets(market)] == [{0}, {1, 3}, {0, 1, 2}]
+        assert [demand_items(market, i) for i in range(market.n)] == [{0}, {1, 3}, {0, 1, 2}]
 
     def test_single_item(self):
-        assert leontief.demand_sets(make_market([[1]], "leontief"))[0].items == {0}
+        assert demand_items(make_market([[1]], "leontief"), 0) == {0}
 
     def test_full_row(self):
         market = make_market([[1, 1, 1]], "leontief")
-        assert leontief.demand_sets(market)[0].items == {0, 1, 2}
+        assert demand_items(market, 0) == {0, 1, 2}
 
     def test_wrong_class_rejected(self):
         with pytest.raises(ValueError):
-            leontief.demand_sets(make_market([[1]], "additive"))
+            leontief.compute_equilibrium(make_market([[1]], "additive"))
 
 
 class TestUtility:

@@ -32,6 +32,12 @@ class TestEnumeration:
         with pytest.raises(SearchCapExceeded):
             list(oracle.enumerate_allocations(market, SearchCaps(max_states=8)))
 
+    def test_cap_error_carries_its_numbers(self):
+        with pytest.raises(SearchCapExceeded) as info:
+            list(oracle.enumerate_allocations(demand_market([{0}, {1}], 2), SearchCaps(max_states=8)))
+        assert (info.value.cap, info.value.size, info.value.limit) == ("max_states", 9, 8)
+        assert "9 exceeds the cap max_states = 8" in str(info.value)
+
 
 class TestExistence:
     def test_example4_has_zero_welfare_equilibrium(self):

@@ -1,7 +1,7 @@
 import pytest
 
 from ceei import additive, io, leontief
-from ceei.core import rational, validate_market
+from ceei.core import SearchCapExceeded, demand_items, rational, validate_market
 from ceei.reductions import (
     PartitionInstance,
     SetPackingInstance,
@@ -67,7 +67,7 @@ class TestSetPackingToLeontief:
     def test_gadget_shape(self):
         market, threshold = setpacking_to_leontief(SetPackingInstance((frozenset({1}), frozenset({1})), 1))
         assert (market.n, market.m, threshold) == (2, 3, 1)
-        assert [d.items for d in leontief.demand_sets(market)] == [{0, 1}, {0, 2}]
+        assert [demand_items(market, i) for i in range(market.n)] == [{0, 1}, {0, 2}]
 
     def test_overlap_caps_welfare_at_one(self):
         market, _ = setpacking_to_leontief(SetPackingInstance((frozenset({1}), frozenset({1})), 2))
@@ -185,6 +185,12 @@ class TestDeciders:
     def test_setpacking(self):
         assert decide_setpacking(SetPackingInstance((frozenset({1}), frozenset({2})), 2))[0]
         assert not decide_setpacking(SetPackingInstance((frozenset({1}), frozenset({1})), 2))[0]
+
+    def test_decider_cap_error_carries_its_numbers(self):
+        with pytest.raises(SearchCapExceeded) as info:
+            decide_subset_sum(SubsetSumInstance(tuple(range(1, 22)), 5))
+        assert (info.value.cap, info.value.size, info.value.limit) == ("max_subsets", 1 << 21, 1 << 20)
+        assert "2097152 exceeds the cap max_subsets = 1048576" in str(info.value)
 
     def test_dispatch(self):
         assert decide_source(PartitionInstance((1, 1)))[0]
