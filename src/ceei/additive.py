@@ -281,8 +281,10 @@ def optimal_welfare_equilibrium(
 
     `equilibrium.welfare_search` with the bound "welfare of the placed items
     plus each unplaced item's largest value to any buyer", the envy screen
-    at leaves, and the lex-leader rules; an item stays unsold only when no
-    buyer values it.
+    at leaves, and the two lex-leader rules (a buyer receives an item only
+    once its previous identical buyer holds one; an item's owner is at or
+    after its previous identical item's owner, unsold last); an item stays
+    unsold only when no buyer values it.
     """
     _require_additive(market)
     _check_assignment_cap(market, caps)

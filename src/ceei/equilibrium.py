@@ -151,8 +151,10 @@ def allocation_for_prices(
     tried with buyers in index order and unsold last.  Sound cuts only: an
     item stays unsold only at price zero and where `may_stay_unsold`, a
     buyer's spend never exceeds 1, the two lex-leader rules of
-    `symmetry_classes` (identical items must also share a price), and only
-    leaves where every spend is exactly 1 are checked.  Spend is kept in
+    `symmetry_classes` (a buyer receives an item only once its previous
+    identical buyer holds one; an item's owner is at or after its previous
+    identical item's owner, unsold last; identical items must also share a
+    price), and only leaves where every spend is exactly 1 are checked.  Spend is kept in
     ints over the prices' common denominator D, so "spend <= 1" is "spend
     <= D".  Such a leaf is feasible, clears and exhausts every budget by
     construction, so it is an equilibrium exactly when `better_bundle(i,
@@ -212,7 +214,9 @@ def welfare_search(
     screen and strictly beats the best found so far.  That is the
     brute-force oracle's "skip unless better" rule, so ties still go to the
     first allocation in the order.  The two lex-leader rules of
-    `symmetry_classes` cut the rest.
+    `symmetry_classes` cut the rest: a buyer receives an item only once its
+    previous identical buyer holds one, and an item's owner is at or after
+    its previous identical item's owner (unsold last).
     """
     n, m = market.n, market.m
     prev_buyer, prev_item = symmetry_classes(market.values)

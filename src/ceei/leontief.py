@@ -257,7 +257,10 @@ def optimal_welfare_equilibrium(
 
     `equilibrium.welfare_search` with the bound "sum of the gains of the
     buyers none of whose placed demanded items went to someone else or
-    stayed unsold", and the lex-leader rules; any item may stay unsold.
+    stayed unsold" and the two lex-leader rules (a buyer receives an item
+    only once its previous identical buyer holds one; an item's owner is at
+    or after its previous identical item's owner, unsold last); any item may
+    stay unsold.
     """
     _require_leontief(market)
     _check_assignment_cap(market, caps)

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from ceei import additive, leontief, oracle
 from ceei.core import Allocation, make_market, make_prices, social_welfare
 
+from conftest import leontief_profile_corpus
+
 MODULES = {"additive": additive, "leontief": leontief}
 VALUES = [0, 1, 2, 3, "1/2"]
 PRICES = [0, "1/4", "1/3", "1/2", "2/3", 1]
@@ -130,3 +132,17 @@ def test_additive_welfare_matches_oracle():
             assert additive.verify_equilibrium(market, x, prices).equilibrium, market.values
         checked += 1
     assert checked == 4452 + 129
+
+
+def test_leontief_welfare_matches_oracle_on_corpus_stride():
+    checked = 0
+    for market, _ in list(leontief_profile_corpus())[::13]:
+        found = leontief.optimal_welfare_equilibrium(market)
+        truth = oracle.max_welfare_equilibrium_bruteforce(market)
+        assert (found is None) == (truth is None), market.values
+        if found is not None:
+            x, prices, welfare = found
+            assert welfare == truth[2] == social_welfare(market, x), market.values
+            assert leontief.verify_equilibrium(market, x, prices).equilibrium, market.values
+        checked += 1
+    assert checked == 312
