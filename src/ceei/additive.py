@@ -4,18 +4,31 @@ Buyer optimality here is a knapsack-like question, so verification and both
 one-side searches enumerate bundles exhaustively; every operation is exact
 and guarded by hard caps.  To the skeleton in `ceei.equilibrium` this module
 adds the knapsack best response (its maximizer is the violation witness),
-the inclusion-minimal strictly better bundles as deviators, the rule that
-a zero-priced item may stay unsold only when no buyer values it, and the
-welfare search's bound.  Each public entry point checks the enumeration cap
-once; the helpers it calls do not check it again.
+the inclusion-minimal strictly better bundles as deviators, and the cuts of
+the two assignment searches, `_ValueTally`.  Each public entry point checks
+the enumeration cap once; the helpers it calls do not check it again.
 
-The enumerations run on Python ints.  Each buyer's value row is scaled by
-the LCM of its denominators (comparisons within one buyer's row do not
-change under the scale), and the prices are put over one common
-denominator D, so "cost <= 1" becomes "cost <= D" and "spend = 1" becomes
-"spend = D".  The welfare search adds values of different buyers, so it
-scales all rows by one common LCM.  Rationals are made only for returned
+The enumerations run on Python ints.  In the bundle enumerations each
+buyer's value row is scaled by the LCM of its denominators (comparisons
+within one buyer's row do not change under the scale), and the prices are
+put over one common denominator D, so "cost <= 1" becomes "cost <= D" and
+"spend = 1" becomes "spend = D".  The assignment searches scale all rows by
+one common LCM instead, since their welfare bound and swap bound add values
+of different buyers; their envy screen compares values within one row, so
+it answers the same on either scale.  Rationals are made only for returned
 values.
+
+The swap bound (after the envy graph of Lipton, Markakis, Mossel & Saberi,
+EC 2004): every bundle of an equilibrium costs the whole budget, so no
+buyer envies another, and for buyers i < k the swap excess
+
+    E_ik = v_i(B_k) - v_i(B_i) + v_k(B_i) - v_k(B_k)
+
+is at most 0.  Placing item j moves E_ik by v_k(j) - v_i(j) (to i), by
+v_i(j) - v_k(j) (to k) or not at all, so by at most |v_i(j) - v_k(j)|.  A
+partial assignment whose E_ik exceeds the sum of |v_i(j') - v_k(j')| over
+the items j' not yet placed has no envy-free completion and is cut.  Items
+both buyers value equally give the pair no slack.
 """
 
 from __future__ import annotations
@@ -155,25 +168,76 @@ def _prices_for_allocation(market: Market, allocation: Allocation) -> Optional[P
     return equilibrium.prices_for_allocation(market, allocation, partial(_minimal_deviating_bundles, market))
 
 
-def _unsellable(values) -> List[bool]:
-    """A zero-priced item may stay unsold only if nobody values it
-    (otherwise that buyer could add it for free)."""
-    return [not any(column) for column in zip(*values)]
-
-
 def allocation_for_prices(
     market: Market, prices: PriceVector, caps: SearchCaps = DEFAULT_CAPS
 ) -> Optional[Allocation]:
     """First allocation, in the shared deterministic assignment order, that
-    forms an equilibrium with the given prices, or None.  A zero-priced item
-    may stay unsold only if nobody values it.  `equilibrium.allocation_for_prices`
-    gives the search and its cuts, the lex-leader rules included."""
+    forms an equilibrium with the given prices, or None.
+    `equilibrium.allocation_for_prices` gives the search and its cuts, the
+    lex-leader rules included."""
     _require_additive(market)
     _check_assignment_cap(market, caps)
     _check_enum_cap(market, caps)
-    return equilibrium.allocation_for_prices(
-        market, prices, _unsellable(market.values), partial(_better_bundle, market, prices)
-    )
+    return equilibrium.allocation_for_prices(market, prices, partial(_better_bundle, market, prices))
+
+
+class _ValueTally:
+    """The placed items' values on one common integer scale, kept in step
+    with an assignment search by `place(j, owner)` and `remove(j, owner)`.
+
+    `cross[i][k]` is buyer i's value for bundle k, `screen()` the envy
+    screen, and `past_slack(j)` the swap bound of the module docstring
+    while items j.. are still to place; only pairs with different rows are
+    kept, since identical buyers have a swap excess of 0.  `bound` is the
+    bound of `equilibrium.welfare_search`: the welfare of the placed items
+    plus, for each item not yet placed, the largest value any buyer puts on
+    it, or -1 once the swap bound cuts, as no completion is supportable.
+    """
+
+    def __init__(self, market: Market):
+        n, m = market.n, market.m
+        flat, self.scale = integer_row([v for row in market.values for v in row])
+        values = [flat[i * m:(i + 1) * m] for i in range(n)]
+        self.columns = list(zip(*values))
+        self.best = [0] * (m + 1)  # best[j]: sum of the largest values of items j..
+        for j in reversed(range(m)):
+            self.best[j] = self.best[j + 1] + max(self.columns[j])
+        self.cross = [[0] * n for _ in range(n)]
+        self.next = 0  # the first item not yet placed
+        pairs = [(i, k) for i in range(n) for k in range(i + 1, n) if values[i] != values[k]]
+        self.slack = [[(i, k, 0) for i, k in pairs]]  # slack[j]: (i, k, slack left at item j)
+        for column in reversed(self.columns):
+            self.slack.append([(i, k, s + abs(column[i] - column[k])) for i, k, s in self.slack[-1]])
+        self.slack.reverse()
+
+    def place(self, j: int, owner: int) -> None:
+        self.next = j + 1
+        for cross, v in zip(self.cross, self.columns[j]):
+            cross[owner] += v
+
+    def remove(self, j: int, owner: int) -> None:
+        self.next = j
+        for cross, v in zip(self.cross, self.columns[j]):
+            cross[owner] -= v
+
+    def past_slack(self, j: int) -> bool:
+        c = self.cross
+        for i, k, slack in self.slack[j]:
+            if c[i][k] - c[i][i] + c[k][i] - c[k][k] > slack:
+                return True
+        return False
+
+    @property
+    def bound(self) -> int:
+        if self.past_slack(self.next):
+            return -1
+        return sum(row[i] for i, row in enumerate(self.cross)) + self.best[self.next]
+
+    def screen(self) -> bool:
+        for i, row in enumerate(self.cross):
+            if max(row) != row[i]:
+                return False
+        return True
 
 
 def search_equilibrium(
@@ -183,37 +247,36 @@ def search_equilibrium(
     supporting prices, with those prices; None when no equilibrium exists.
 
     Sound cuts only, so the first price-supportable allocation is never
-    skipped: an item may stay unsold only when no buyer values it (otherwise
-    clearing would force its price to zero and some buyer would add it for
-    free); allocations with an empty bundle can never exhaust that buyer's
-    budget; an envious buyer (one valuing another's bundle above its own)
-    always has an affordable deviation, since bundles cost exactly 1; and
-    the two lex-leader rules of `equilibrium.symmetry_classes`: a buyer
-    receives an item only once its previous identical buyer holds one, and
-    an item's owner is at or after its previous identical item's owner
-    (unsold last).  The envy screen is maintained incrementally, on each
-    buyer's value row scaled to ints, so most leaves are rejected without
-    touching the pricing system or any rational arithmetic.
+    skipped: no item stays unsold (see `ceei.equilibrium`); allocations
+    with an empty bundle can never exhaust that buyer's budget; an envious
+    buyer (one valuing another's bundle above its own) always has an
+    affordable deviation, since bundles cost exactly 1, so leaves pass the
+    envy screen and inner nodes the swap bound of `_ValueTally`; and the two
+    lex-leader rules of `equilibrium.symmetry_classes`: a buyer receives an
+    item only once its previous identical buyer holds one, and an item's
+    owner is at or after its previous identical item's owner.  The tally
+    keeps both cuts in ints, so most subtrees are cut without touching the
+    pricing system or any rational arithmetic.
     """
     _require_additive(market)
     _check_assignment_cap(market, caps)
     _check_enum_cap(market, caps)
     n, m = market.n, market.m
-    values = [integer_row(row)[0] for row in market.values]
-    unsellable = _unsellable(values)
+    tally = _ValueTally(market)
     prev_buyer, prev_item = equilibrium.symmetry_classes(market.values)
     bundles = [[] for _ in range(n)]
-    owner = [n] * m
-    cross = [[0] * n for _ in range(n)]  # cross[i][k] = buyer i's scaled value for bundle k
+    owner = [0] * m
 
     def assign(j: int):
         if j == m:
-            if not all(bundles) or any(max(row) > row[i] for i, row in enumerate(cross)):
+            if not all(bundles) or not tally.screen():
                 return None
             candidate = Allocation(tuple(frozenset(b) for b in bundles))
             found = _prices_for_allocation(market, candidate)
             if found is not None:
                 return candidate, found
+            return None
+        if tally.past_slack(j):
             return None
         q = prev_item[j]
         for k in range(owner[q] if q >= 0 else 0, n):
@@ -222,54 +285,15 @@ def search_equilibrium(
                 continue
             bundles[k].append(j)
             owner[j] = k
-            for i in range(n):
-                cross[i][k] += values[i][j]
+            tally.place(j, k)
             result = assign(j + 1)
             if result is not None:
                 return result
             bundles[k].pop()
-            for i in range(n):
-                cross[i][k] -= values[i][j]
-        if unsellable[j]:
-            owner[j] = n
-            return assign(j + 1)
+            tally.remove(j, k)
         return None
 
     return assign(0)
-
-
-class _ValueTally:
-    """The additive bound of `equilibrium.welfare_search`: the welfare of
-    the placed items plus, for each item not yet placed, the largest value
-    any buyer puts on it.  All rows share one integer scale, since values of
-    different buyers are added.  The screen is the envy screen of
-    `search_equilibrium`."""
-
-    def __init__(self, market: Market):
-        self.n = n = market.n
-        m = market.m
-        flat, self.scale = integer_row([v for row in market.values for v in row])
-        self.values = [flat[i * m:(i + 1) * m] for i in range(n)]
-        self.best = [max(column) for column in zip(*self.values)]
-        self.bound = sum(self.best)
-        self.cross = [[0] * n for _ in range(n)]  # cross[i][k] = buyer i's value for bundle k
-
-    def place(self, j: int, owner: int) -> None:
-        self.bound -= self.best[j]
-        if owner < self.n:
-            self.bound += self.values[owner][j]
-            for i, row in enumerate(self.values):
-                self.cross[i][owner] += row[j]
-
-    def remove(self, j: int, owner: int) -> None:
-        self.bound += self.best[j]
-        if owner < self.n:
-            self.bound -= self.values[owner][j]
-            for i, row in enumerate(self.values):
-                self.cross[i][owner] -= row[j]
-
-    def screen(self) -> bool:
-        return all(max(row) == row[i] for i, row in enumerate(self.cross))
 
 
 def optimal_welfare_equilibrium(
@@ -279,16 +303,14 @@ def optimal_welfare_equilibrium(
     equilibria, the one whose allocation comes first in the assignment
     order, with its prices and welfare.
 
-    `equilibrium.welfare_search` with the bound "welfare of the placed items
-    plus each unplaced item's largest value to any buyer", the envy screen
-    at leaves, and the two lex-leader rules (a buyer receives an item only
-    once its previous identical buyer holds one; an item's owner is at or
-    after its previous identical item's owner, unsold last); an item stays
-    unsold only when no buyer values it.
+    `equilibrium.welfare_search` with the bound of `_ValueTally` ("welfare
+    of the placed items plus each unplaced item's largest value to any
+    buyer", or -1 once the swap bound cuts), the envy screen at leaves, and
+    the two lex-leader rules (a buyer receives an item only once its
+    previous identical buyer holds one; an item's owner is at or after its
+    previous identical item's owner).
     """
     _require_additive(market)
     _check_assignment_cap(market, caps)
     _check_enum_cap(market, caps)
-    return equilibrium.welfare_search(
-        market, _unsellable(market.values), _ValueTally(market), partial(_prices_for_allocation, market)
-    )
+    return equilibrium.welfare_search(market, _ValueTally(market), partial(_prices_for_allocation, market))

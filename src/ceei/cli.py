@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import additive, io, leontief, oracle, reductions
+from . import additive, io, leontief
 from .core import (
     ADDITIVE,
     LEONTIEF,
@@ -165,6 +165,8 @@ def _cmd_apxwelfare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle  # loaded here only, so other commands start faster
+
     market = _read_market(args.market)
     if args.max_welfare:
         found = oracle.max_welfare_equilibrium_bruteforce(market, _caps(args))
@@ -181,6 +183,8 @@ def _require_args(args, *names) -> None:
 
 
 def _cmd_gen(args) -> int:
+    from . import reductions  # loaded here only, so other commands start faster
+
     prefix = Path(args.out)
     written = {}
 

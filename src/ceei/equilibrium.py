@@ -4,9 +4,18 @@ Both classes are held to the same conditions: a feasible allocation, every
 unsold item free, every bundle costing exactly the budget 1, and no buyer
 able to afford a bundle it strictly prefers.  They differ only in which
 bundles a buyer would deviate to, so `leontief` and `additive` supply a
-best-response test, per-buyer deviators and which items may stay unsold,
-and for the welfare search an admissible bound.  Every assignment search
-here cuts by the lex-leader symmetry rules of `symmetry_classes`.
+best-response test and per-buyer deviators, and for the welfare search an
+admissible bound.  Every assignment search here cuts by the lex-leader
+symmetry rules of `symmetry_classes`.
+
+No assignment search tries leaving an item unsold.  An unsold item is
+priced 0, so giving it to buyer 0 keeps every price, every budget and every
+other bundle, and does not lower buyer 0's utility (utility is monotone in
+both classes) nor the welfare.  The result is again an equilibrium with the
+same prices, of at least the same welfare, and it comes earlier in the
+assignment order, where an item's owners are tried in buyer order.  So an
+allocation that leaves an item unsold is never the first answer, nor the
+first of the maximal-welfare answers.
 """
 
 from __future__ import annotations
@@ -123,8 +132,7 @@ def symmetry_classes(rows, tags=None) -> Tuple[List[int], List[int]]:
 
     - buyer k may receive an item only once its previous identical buyer
       already holds one;
-    - item j's owner is at or after its previous identical item's owner in
-      the order buyers 0..n-1, then unsold.
+    - item j's owner is at or after its previous identical item's owner.
     """
     # (numerator, denominator) pairs hash and compare in C, rationals do not
     rows = [tuple([(v.numerator, v.denominator) for v in row]) for row in rows]
@@ -141,31 +149,29 @@ def symmetry_classes(rows, tags=None) -> Tuple[List[int], List[int]]:
     return prev_buyer, prev_item
 
 
-def allocation_for_prices(
-    market: Market, prices: PriceVector, may_stay_unsold: List[bool], better_bundle: Callable
-) -> Optional[Allocation]:
+def allocation_for_prices(market: Market, prices: PriceVector, better_bundle: Callable) -> Optional[Allocation]:
     """First allocation (in the deterministic assignment order) that forms an
     equilibrium with the given prices, or None.
 
     Assignments are enumerated lexicographically: items in index order, each
-    tried with buyers in index order and unsold last.  Sound cuts only: an
-    item stays unsold only at price zero and where `may_stay_unsold`, a
-    buyer's spend never exceeds 1, the two lex-leader rules of
-    `symmetry_classes` (a buyer receives an item only once its previous
-    identical buyer holds one; an item's owner is at or after its previous
-    identical item's owner, unsold last; identical items must also share a
-    price), and only leaves where every spend is exactly 1 are checked.  Spend is kept in
-    ints over the prices' common denominator D, so "spend <= 1" is "spend
-    <= D".  Such a leaf is feasible, clears and exhausts every budget by
-    construction, so it is an equilibrium exactly when `better_bundle(i,
-    bundle)`, the verifier's per-buyer test, finds no buyer a better bundle.
+    tried with buyers in index order; no item stays unsold (see the module
+    docstring).  Sound cuts only: a buyer's spend never exceeds 1, the two
+    lex-leader rules of `symmetry_classes` (a buyer receives an item only
+    once its previous identical buyer holds one; an item's owner is at or
+    after its previous identical item's owner; identical items must also
+    share a price), and only leaves where every spend is exactly 1 are
+    checked.  Spend is kept in ints over the prices' common denominator D,
+    so "spend <= 1" is "spend <= D".  Such a leaf is feasible, clears and
+    exhausts every budget by construction, so it is an equilibrium exactly
+    when `better_bundle(i, bundle)`, the verifier's per-buyer test, finds no
+    buyer a better bundle.
     """
     n, m = market.n, market.m
     p, den = integer_row(prices.prices)
     prev_buyer, prev_item = symmetry_classes(market.values, p)
     bundles = [[] for _ in range(n)]
     spend = [0] * n
-    owner = [n] * m
+    owner = [0] * m
 
     def assign(j: int) -> Optional[Allocation]:
         if j == m:
@@ -187,40 +193,35 @@ def allocation_for_prices(
                     return found
                 bundles[i].pop()
                 spend[i] -= p[j]
-        if p[j] == 0 and may_stay_unsold[j]:
-            owner[j] = n
-            return assign(j + 1)
         return None
 
     return assign(0)
 
 
-def welfare_search(
-    market: Market, may_stay_unsold: List[bool], tally, prices_for: Callable
-) -> Optional[Tuple[Allocation, PriceVector, object]]:
+def welfare_search(market: Market, tally, prices_for: Callable) -> Optional[Tuple[Allocation, PriceVector, object]]:
     """Welfare-maximal equilibrium, or None: of the price-supportable
     allocations of maximal welfare, the first in the assignment order, with
     `prices_for`'s prices and the welfare.
 
     One branch-and-bound pass (Land & Doig, 1960) in the assignment order of
-    `allocation_for_prices`: an item stays unsold only where
-    `may_stay_unsold`.  The class supplies `tally`, kept in step with the
-    assignment by `tally.place(j, owner)` and `tally.remove(j, owner)`
-    (owner n is unsold): `tally.bound` is an int upper bound on the welfare,
-    over `tally.scale`, of every completion of the partial assignment, exact
-    at a leaf, and `tally.screen()` rejects leaves that cannot be supported.
-    A subtree is cut once its bound is at most the best welfare found, so a
-    leaf reaches `prices_for` only when it has no empty bundle, passes the
-    screen and strictly beats the best found so far.  That is the
-    brute-force oracle's "skip unless better" rule, so ties still go to the
-    first allocation in the order.  The two lex-leader rules of
-    `symmetry_classes` cut the rest: a buyer receives an item only once its
-    previous identical buyer holds one, and an item's owner is at or after
-    its previous identical item's owner (unsold last).
+    `allocation_for_prices`; no item stays unsold.  The class supplies
+    `tally`, kept in step with the assignment by `tally.place(j, owner)` and
+    `tally.remove(j, owner)`: `tally.bound` is an int upper bound on the
+    welfare, over `tally.scale`, of every price-supportable completion of
+    the partial assignment, exact at a leaf that passes the screen, and
+    `tally.screen()` rejects leaves that cannot be supported.  A subtree is
+    cut once its bound is at most the best welfare found, so a leaf reaches
+    `prices_for` only when it has no empty bundle, passes the screen and
+    strictly beats the best found so far.  That is the brute-force oracle's
+    "skip unless better" rule, so ties still go to the first allocation in
+    the order.  The two lex-leader rules of `symmetry_classes` cut the rest:
+    a buyer receives an item only once its previous identical buyer holds
+    one, and an item's owner is at or after its previous identical item's
+    owner.
     """
     n, m = market.n, market.m
     prev_buyer, prev_item = symmetry_classes(market.values)
-    owner = [n] * m
+    owner = [0] * m
     held = [0] * n
     best = [-1, None]  # welfare over tally.scale, (allocation, prices)
 
@@ -247,11 +248,6 @@ def welfare_search(
                 assign(j + 1)
                 tally.remove(j, i)
                 held[i] -= 1
-        if may_stay_unsold[j]:
-            owner[j] = n
-            tally.place(j, n)
-            assign(j + 1)
-            tally.remove(j, n)
 
     assign(0)
     if best[1] is None:

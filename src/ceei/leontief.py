@@ -3,10 +3,10 @@
 A buyer's utility is positive only when its whole demand set (the items it
 values strictly positively) is received, so to the skeleton in
 `ceei.equilibrium` this module adds one deviator per unserved buyer, its
-demand set, and any zero-priced item may stay unsold.  Verification,
-equilibrium computation and price recovery run in polynomial time.  The
-given-prices allocation search and the welfare-optimal search are exact
-exponential enumerations guarded by hard caps.
+demand set.  Verification, equilibrium computation and price recovery run
+in polynomial time.  The given-prices allocation search and the
+welfare-optimal search are exact exponential enumerations guarded by hard
+caps.
 """
 
 from __future__ import annotations
@@ -77,13 +77,10 @@ def allocation_for_prices(
     market: Market, prices: PriceVector, caps: SearchCaps = DEFAULT_CAPS
 ) -> Optional[Allocation]:
     """First allocation, in the shared deterministic assignment order, that
-    forms an equilibrium with the given prices, or None.  Any zero-priced
-    item may stay unsold."""
+    forms an equilibrium with the given prices, or None."""
     _require_leontief(market)
     _check_assignment_cap(market, caps)
-    return equilibrium.allocation_for_prices(
-        market, prices, [True] * market.m, partial(_better_bundle, market, prices)
-    )
+    return equilibrium.allocation_for_prices(market, prices, partial(_better_bundle, market, prices))
 
 
 def compute_equilibrium(market: Market) -> Optional[Tuple[Allocation, PriceVector]]:
@@ -221,7 +218,7 @@ def compute_equilibrium_apx_welfare(market: Market) -> Optional[Tuple[Allocation
 class _ServedTally:
     """The Leontief bound of `equilibrium.welfare_search`: the sum of the
     gains of the buyers none of whose placed demanded items went to another
-    buyer or stayed unsold.  Gains are ints over one common scale."""
+    buyer.  Gains are ints over one common scale."""
 
     def __init__(self, market: Market):
         demands = [demand_items(market, i) for i in range(market.n)]
@@ -256,14 +253,11 @@ def optimal_welfare_equilibrium(
     the assignment order, with its prices and welfare.
 
     `equilibrium.welfare_search` with the bound "sum of the gains of the
-    buyers none of whose placed demanded items went to someone else or
-    stayed unsold" and the two lex-leader rules (a buyer receives an item
-    only once its previous identical buyer holds one; an item's owner is at
-    or after its previous identical item's owner, unsold last); any item may
-    stay unsold.
+    buyers none of whose placed demanded items went to someone else" and
+    the two lex-leader rules (a buyer receives an item only once its
+    previous identical buyer holds one; an item's owner is at or after its
+    previous identical item's owner).
     """
     _require_leontief(market)
     _check_assignment_cap(market, caps)
-    return equilibrium.welfare_search(
-        market, [True] * market.m, _ServedTally(market), partial(prices_for_allocation, market)
-    )
+    return equilibrium.welfare_search(market, _ServedTally(market), partial(prices_for_allocation, market))

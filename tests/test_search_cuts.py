@@ -7,7 +7,8 @@ the assignment order (items in index order, each owned by buyer 0..n-1 and
 then unsold) and apply only the definitions, so any cut that drops the
 answer, or changes which tie comes first, shows up as a difference.  The
 markets are drawn with repeated rows and columns, so the symmetry rules
-fire.
+fire, and with three distinct buyers, so the additive swap bound weighs
+pairs whose values differ, and are summed, on different scales.
 """
 
 import itertools
@@ -79,6 +80,17 @@ def symmetric_markets(draw, market_class):
     return make_market(values, market_class), make_prices(prices)
 
 
+@st.composite
+def distinct_buyer_markets(draw):
+    """An additive market of three buyers with pairwise distinct rows, none
+    of them uniform, so every buyer pair has slack to spend and
+    rows with and without `1/2` sit on different scales."""
+    m = draw(st.integers(2, 4))
+    row = st.lists(st.sampled_from(VALUES), min_size=m, max_size=m).filter(lambda r: len(set(r)) > 1)
+    rows = draw(st.lists(row, min_size=3, max_size=3, unique_by=tuple))
+    return make_market(rows, "additive")
+
+
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 
 
@@ -87,6 +99,18 @@ SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[Heal
 def test_search_equilibrium_matches_reference(case):
     market, _ = case
     assert additive.search_equilibrium(market) == reference_search(market)
+
+
+@SETTINGS
+@given(distinct_buyer_markets())
+def test_swap_bound_keeps_search_equilibrium(market):
+    assert additive.search_equilibrium(market) == reference_search(market)
+
+
+@SETTINGS
+@given(distinct_buyer_markets())
+def test_swap_bound_keeps_welfare_optimum(market):
+    assert additive.optimal_welfare_equilibrium(market) == reference_welfare(market)
 
 
 @pytest.mark.parametrize("market_class", ["additive", "leontief"])
