@@ -4,9 +4,10 @@ Buyer optimality here is a knapsack-like question, so verification and both
 one-side searches enumerate bundles exhaustively; every operation is exact
 and guarded by hard caps.  To the skeleton in `ceei.equilibrium` this module
 adds the knapsack best response (its maximizer is the violation witness),
-the inclusion-minimal strictly better bundles as deviators, and the cuts of
-the two assignment searches, `_ValueTally`.  Each public entry point checks
-the enumeration cap once; the helpers it calls do not check it again.
+the inclusion-minimal strictly better bundles as deviators, and the tallies
+`equilibrium.search` runs on, `_ValueTally` and `_EnvyTally`.  Each public
+entry point checks the enumeration cap once; the helpers it calls do not
+check it again.
 
 The enumerations run on Python ints.  In the bundle enumerations each
 buyer's value row is scaled by the LCM of its denominators (comparisons
@@ -28,7 +29,10 @@ is at most 0.  Placing item j moves E_ik by v_k(j) - v_i(j) (to i), by
 v_i(j) - v_k(j) (to k) or not at all, so by at most |v_i(j) - v_k(j)|.  A
 partial assignment whose E_ik exceeds the sum of |v_i(j') - v_k(j')| over
 the items j' not yet placed has no envy-free completion and is cut.  Items
-both buyers value equally give the pair no slack.
+both buyers value equally give the pair no slack.  The tallies apply the
+bound eagerly, as each item is placed; a complete assignment keeps no
+slack, since there the envy screen decides, and it rejects every
+assignment with a positive swap excess.
 """
 
 from __future__ import annotations
@@ -172,9 +176,7 @@ def allocation_for_prices(
     market: Market, prices: PriceVector, caps: SearchCaps = DEFAULT_CAPS
 ) -> Optional[Allocation]:
     """First allocation, in the shared deterministic assignment order, that
-    forms an equilibrium with the given prices, or None.
-    `equilibrium.allocation_for_prices` gives the search and its cuts, the
-    lex-leader rules included."""
+    forms an equilibrium with the given prices, or None."""
     _require_additive(market)
     _check_assignment_cap(market, caps)
     _check_enum_cap(market, caps)
@@ -183,15 +185,15 @@ def allocation_for_prices(
 
 class _ValueTally:
     """The placed items' values on one common integer scale, kept in step
-    with an assignment search by `place(j, owner)` and `remove(j, owner)`.
+    with `equilibrium.search` by `place(j, owner)` and `remove(j, owner)`.
 
-    `cross[i][k]` is buyer i's value for bundle k, `screen()` the envy
-    screen, and `past_slack(j)` the swap bound of the module docstring
-    while items j.. are still to place; only pairs with different rows are
-    kept, since identical buyers have a swap excess of 0.  `bound` is the
-    bound of `equilibrium.welfare_search`: the welfare of the placed items
-    plus, for each item not yet placed, the largest value any buyer puts on
-    it, or -1 once the swap bound cuts, as no completion is supportable.
+    `cross[i][k]` is buyer i's value for bundle k and `screen()` the envy
+    screen.  `place(j, owner)` sets `bound`: -1 once some pair of buyers is
+    past its slack for items j+1.. (the swap bound of the module
+    docstring), as no completion is supportable, else `_value(j + 1)`, the
+    welfare of the placed items plus, for each item not yet placed, the
+    largest value any buyer puts on it.  Only pairs with different rows are
+    kept, since identical buyers have a swap excess of 0.
     """
 
     def __init__(self, market: Market):
@@ -203,35 +205,31 @@ class _ValueTally:
         for j in reversed(range(m)):
             self.best[j] = self.best[j + 1] + max(self.columns[j])
         self.cross = [[0] * n for _ in range(n)]
-        self.next = 0  # the first item not yet placed
-        pairs = [(i, k) for i in range(n) for k in range(i + 1, n) if values[i] != values[k]]
-        self.slack = [[(i, k, 0) for i, k in pairs]]  # slack[j]: (i, k, slack left at item j)
+        pairs = [(i, k, 0) for i in range(n) for k in range(i + 1, n) if values[i] != values[k]]
+        self.slack = [[]]  # slack[j]: (i, k, slack left for items j..); none at a leaf
         for column in reversed(self.columns):
-            self.slack.append([(i, k, s + abs(column[i] - column[k])) for i, k, s in self.slack[-1]])
+            pairs = [(i, k, s + abs(column[i] - column[k])) for i, k, s in pairs]
+            self.slack.append(pairs)
         self.slack.reverse()
+        self.bound = self._value(0)
 
-    def place(self, j: int, owner: int) -> None:
-        self.next = j + 1
-        for cross, v in zip(self.cross, self.columns[j]):
+    def _value(self, j: int) -> int:
+        return sum(row[i] for i, row in enumerate(self.cross)) + self.best[j]
+
+    def place(self, j: int, owner: int) -> bool:
+        c = self.cross
+        for cross, v in zip(c, self.columns[j]):
             cross[owner] += v
+        for i, k, slack in self.slack[j + 1]:
+            if c[i][k] - c[i][i] + c[k][i] - c[k][k] > slack:
+                self.bound = -1
+                return True
+        self.bound = self._value(j + 1)
+        return True
 
     def remove(self, j: int, owner: int) -> None:
-        self.next = j
         for cross, v in zip(self.cross, self.columns[j]):
             cross[owner] -= v
-
-    def past_slack(self, j: int) -> bool:
-        c = self.cross
-        for i, k, slack in self.slack[j]:
-            if c[i][k] - c[i][i] + c[k][i] - c[k][k] > slack:
-                return True
-        return False
-
-    @property
-    def bound(self) -> int:
-        if self.past_slack(self.next):
-            return -1
-        return sum(row[i] for i, row in enumerate(self.cross)) + self.best[self.next]
 
     def screen(self) -> bool:
         for i, row in enumerate(self.cross):
@@ -240,60 +238,33 @@ class _ValueTally:
         return True
 
 
+class _EnvyTally(_ValueTally):
+    """`_ValueTally` with every answer worth 0, so `equilibrium.search`
+    ends at its first answer."""
+
+    def _value(self, j: int) -> int:
+        return 0
+
+
 def search_equilibrium(
     market: Market, caps: SearchCaps = DEFAULT_CAPS
 ) -> Optional[Tuple[Allocation, PriceVector]]:
     """First allocation in the deterministic assignment order that admits
     supporting prices, with those prices; None when no equilibrium exists.
 
-    Sound cuts only, so the first price-supportable allocation is never
-    skipped: no item stays unsold (see `ceei.equilibrium`); allocations
-    with an empty bundle can never exhaust that buyer's budget; an envious
-    buyer (one valuing another's bundle above its own) always has an
-    affordable deviation, since bundles cost exactly 1, so leaves pass the
-    envy screen and inner nodes the swap bound of `_ValueTally`; and the two
-    lex-leader rules of `equilibrium.symmetry_classes`: a buyer receives an
-    item only once its previous identical buyer holds one, and an item's
-    owner is at or after its previous identical item's owner.  The tally
-    keeps both cuts in ints, so most subtrees are cut without touching the
-    pricing system or any rational arithmetic.
+    `equilibrium.search` with `_EnvyTally`.  Its cuts are sound, so the
+    first price-supportable allocation is never skipped: an envious buyer
+    (one valuing another's bundle above its own) always has an affordable
+    deviation, since bundles cost exactly 1, so leaves pass the envy screen
+    and inner nodes the swap bound.  The tally keeps both in ints, so most
+    subtrees are cut without touching the pricing system or any rational
+    arithmetic.
     """
     _require_additive(market)
     _check_assignment_cap(market, caps)
     _check_enum_cap(market, caps)
-    n, m = market.n, market.m
-    tally = _ValueTally(market)
-    prev_buyer, prev_item = equilibrium.symmetry_classes(market.values)
-    bundles = [[] for _ in range(n)]
-    owner = [0] * m
-
-    def assign(j: int):
-        if j == m:
-            if not all(bundles) or not tally.screen():
-                return None
-            candidate = Allocation(tuple(frozenset(b) for b in bundles))
-            found = _prices_for_allocation(market, candidate)
-            if found is not None:
-                return candidate, found
-            return None
-        if tally.past_slack(j):
-            return None
-        q = prev_item[j]
-        for k in range(owner[q] if q >= 0 else 0, n):
-            b = prev_buyer[k]
-            if not bundles[k] and b >= 0 and not bundles[b]:
-                continue
-            bundles[k].append(j)
-            owner[j] = k
-            tally.place(j, k)
-            result = assign(j + 1)
-            if result is not None:
-                return result
-            bundles[k].pop()
-            tally.remove(j, k)
-        return None
-
-    return assign(0)
+    found = equilibrium.search(market, _EnvyTally(market), partial(_prices_for_allocation, market))
+    return None if found is None else found[:2]
 
 
 def optimal_welfare_equilibrium(
@@ -301,16 +272,9 @@ def optimal_welfare_equilibrium(
 ) -> Optional[Tuple[Allocation, PriceVector, object]]:
     """Exact welfare-maximal equilibrium, or None: of the maximal-welfare
     equilibria, the one whose allocation comes first in the assignment
-    order, with its prices and welfare.
-
-    `equilibrium.welfare_search` with the bound of `_ValueTally` ("welfare
-    of the placed items plus each unplaced item's largest value to any
-    buyer", or -1 once the swap bound cuts), the envy screen at leaves, and
-    the two lex-leader rules (a buyer receives an item only once its
-    previous identical buyer holds one; an item's owner is at or after its
-    previous identical item's owner).
-    """
+    order, with its prices and welfare.  `equilibrium.search` with
+    `_ValueTally`."""
     _require_additive(market)
     _check_assignment_cap(market, caps)
     _check_enum_cap(market, caps)
-    return equilibrium.welfare_search(market, _ValueTally(market), partial(_prices_for_allocation, market))
+    return equilibrium.search(market, _ValueTally(market), partial(_prices_for_allocation, market))

@@ -57,7 +57,7 @@ _ALGORITHMS = {
         "prices-for": lambda market, caps, x: leontief.prices_for_allocation(market, x),
         "alloc-for": lambda market, caps, p: leontief.allocation_for_prices(market, p, caps),
         "maxwelfare": lambda market, caps: leontief.optimal_welfare_equilibrium(market, caps),
-        "no-equilibrium": lambda market: "m < n" if market.m < market.n else "duplicate singleton demand sets",
+        "no-equilibrium": leontief.no_equilibrium_reason,
     },
     ADDITIVE: {
         "verify": lambda market, caps, x, p: additive.verify_equilibrium(market, x, p, caps),

@@ -4,9 +4,8 @@ Both classes are held to the same conditions: a feasible allocation, every
 unsold item free, every bundle costing exactly the budget 1, and no buyer
 able to afford a bundle it strictly prefers.  They differ only in which
 bundles a buyer would deviate to, so `leontief` and `additive` supply a
-best-response test and per-buyer deviators, and for the welfare search an
-admissible bound.  Every assignment search here cuts by the lex-leader
-symmetry rules of `symmetry_classes`.
+best-response test and per-buyer deviators, and for the one assignment
+search, `search`, a tally of the placed items and an acceptance test.
 
 No assignment search tries leaving an item unsold.  An unsold item is
 priced 0, so giving it to buyer 0 keeps every price, every budget and every
@@ -149,107 +148,111 @@ def symmetry_classes(rows, tags=None) -> Tuple[List[int], List[int]]:
     return prev_buyer, prev_item
 
 
+class _SpendTally:
+    """The tally of a given-prices search: each buyer's spend in ints over
+    the prices' common denominator D, so "spend <= 1" is "spend <= D".
+    Every answer is worth 0.  A leaf where every spend is exactly D is
+    feasible, clears and exhausts every budget by construction."""
+
+    bound = 0
+    scale = 1
+
+    def __init__(self, n: int, prices: List[int], den: int):
+        self.prices, self.den = prices, den
+        self.spend = [0] * n
+
+    def place(self, j: int, owner: int) -> bool:
+        spend = self.spend[owner] + self.prices[j]
+        if spend > self.den:
+            return False
+        self.spend[owner] = spend
+        return True
+
+    def remove(self, j: int, owner: int) -> None:
+        self.spend[owner] -= self.prices[j]
+
+    def screen(self) -> bool:
+        return all(s == self.den for s in self.spend)
+
+
 def allocation_for_prices(market: Market, prices: PriceVector, better_bundle: Callable) -> Optional[Allocation]:
-    """First allocation (in the deterministic assignment order) that forms an
-    equilibrium with the given prices, or None.
-
-    Assignments are enumerated lexicographically: items in index order, each
-    tried with buyers in index order; no item stays unsold (see the module
-    docstring).  Sound cuts only: a buyer's spend never exceeds 1, the two
-    lex-leader rules of `symmetry_classes` (a buyer receives an item only
-    once its previous identical buyer holds one; an item's owner is at or
-    after its previous identical item's owner; identical items must also
-    share a price), and only leaves where every spend is exactly 1 are
-    checked.  Spend is kept in ints over the prices' common denominator D,
-    so "spend <= 1" is "spend <= D".  Such a leaf is feasible, clears and
-    exhausts every budget by construction, so it is an equilibrium exactly
-    when `better_bundle(i, bundle)`, the verifier's per-buyer test, finds no
-    buyer a better bundle.
-    """
-    n, m = market.n, market.m
+    """First allocation (in the assignment order of `search`) that forms an
+    equilibrium with the given prices, or None: `search` with
+    `_SpendTally`, where identical items must also share a price, and a
+    leaf is an answer when `better_bundle(i, bundle)`, the verifier's
+    per-buyer test, finds no buyer a better bundle."""
     p, den = integer_row(prices.prices)
-    prev_buyer, prev_item = symmetry_classes(market.values, p)
-    bundles = [[] for _ in range(n)]
-    spend = [0] * n
-    owner = [0] * m
 
-    def assign(j: int) -> Optional[Allocation]:
-        if j == m:
-            if any(s != den for s in spend):
-                return None
-            candidate = Allocation(tuple(frozenset(b) for b in bundles))
-            if any(better_bundle(i, b) is not None for i, b in enumerate(candidate.bundles)):
-                return None
-            return candidate
-        q = prev_item[j]
-        for i in range(owner[q] if q >= 0 else 0, n):
-            k = prev_buyer[i]
-            if spend[i] + p[j] <= den and (bundles[i] or k < 0 or bundles[k]):
-                bundles[i].append(j)
-                spend[i] += p[j]
-                owner[j] = i
-                found = assign(j + 1)
-                if found is not None:
-                    return found
-                bundles[i].pop()
-                spend[i] -= p[j]
-        return None
+    def accept(candidate: Allocation) -> Optional[PriceVector]:
+        if any(better_bundle(i, b) is not None for i, b in enumerate(candidate.bundles)):
+            return None
+        return prices
 
-    return assign(0)
+    found = search(market, _SpendTally(market.n, p, den), accept, p)
+    return None if found is None else found[0]
 
 
-def welfare_search(market: Market, tally, prices_for: Callable) -> Optional[Tuple[Allocation, PriceVector, object]]:
-    """Welfare-maximal equilibrium, or None: of the price-supportable
-    allocations of maximal welfare, the first in the assignment order, with
-    `prices_for`'s prices and the welfare.
+def search(market: Market, tally, accept: Callable, tags=None) -> Optional[Tuple[Allocation, PriceVector, object]]:
+    """The one assignment search: of the accepted allocations of maximal
+    value, the first in the assignment order, with its prices and value;
+    None when no allocation is accepted.
 
-    One branch-and-bound pass (Land & Doig, 1960) in the assignment order of
-    `allocation_for_prices`; no item stays unsold.  The class supplies
-    `tally`, kept in step with the assignment by `tally.place(j, owner)` and
-    `tally.remove(j, owner)`: `tally.bound` is an int upper bound on the
-    welfare, over `tally.scale`, of every price-supportable completion of
-    the partial assignment, exact at a leaf that passes the screen, and
-    `tally.screen()` rejects leaves that cannot be supported.  A subtree is
-    cut once its bound is at most the best welfare found, so a leaf reaches
-    `prices_for` only when it has no empty bundle, passes the screen and
-    strictly beats the best found so far.  That is the brute-force oracle's
-    "skip unless better" rule, so ties still go to the first allocation in
-    the order.  The two lex-leader rules of `symmetry_classes` cut the rest:
-    a buyer receives an item only once its previous identical buyer holds
-    one, and an item's owner is at or after its previous identical item's
-    owner.
+    Assignments are enumerated lexicographically: items in index order,
+    each tried with buyers in index order; no item stays unsold (see the
+    module docstring).  One branch-and-bound pass (Land & Doig, 1960).  The
+    class supplies `tally`, kept in step with the assignment:
+
+    - `tally.place(j, owner)` places item j, or returns False and leaves
+      the tally unchanged when no acceptable allocation gives j to `owner`;
+      `tally.remove(j, owner)` undoes an accepted place;
+    - `tally.bound`, read at the root and right after each accepted place,
+      is an int upper bound, over `tally.scale`, on the value of every
+      acceptable completion, -1 when there is none, and exact at a leaf
+      that passes `tally.screen()`.
+
+    A subtree is cut once its bound is at most the best value found, so a
+    leaf reaches `accept(allocation) -> prices | None` only when it has no
+    empty bundle, passes the screen and strictly beats the best so far.
+    That is the brute-force oracle's "skip unless better" rule, so ties go
+    to the first allocation in the order.  The walk ends once the best
+    value reaches the root's bound, as nothing can strictly beat it; so a
+    search whose answers are all worth 0 (bound 0) ends at its first
+    answer.  The two lex-leader rules of `symmetry_classes`, with `tags`,
+    cut the rest.
     """
     n, m = market.n, market.m
-    prev_buyer, prev_item = symmetry_classes(market.values)
+    prev_buyer, prev_item = symmetry_classes(market.values, tags)
     owner = [0] * m
     held = [0] * n
-    best = [-1, None]  # welfare over tally.scale, (allocation, prices)
+    place, remove, top = tally.place, tally.remove, tally.bound
+    best = [-1, None]  # value over tally.scale, (allocation, prices)
 
-    def assign(j: int) -> None:
-        if tally.bound <= best[0]:
-            return
+    def assign(j: int) -> bool:
+        """Walk the completions of items 0..j-1; True once the best reaches `top`."""
         if j == m:
-            if 0 in held or not tally.screen():
-                return
-            candidate = Allocation(tuple(
-                frozenset(k for k in range(m) if owner[k] == i) for i in range(n)
-            ))
-            prices = prices_for(candidate)
-            if prices is not None:
-                best[:] = tally.bound, (candidate, prices)
-            return
+            if 0 not in held and tally.screen():
+                candidate = Allocation(tuple(
+                    frozenset(k for k in range(m) if owner[k] == i) for i in range(n)
+                ))
+                prices = accept(candidate)
+                if prices is not None:
+                    best[:] = tally.bound, (candidate, prices)
+            return best[0] >= top
         q = prev_item[j]
         for i in range(owner[q] if q >= 0 else 0, n):
             k = prev_buyer[i]
-            if held[i] or k < 0 or held[k]:
-                owner[j] = i
-                held[i] += 1
-                tally.place(j, i)
-                assign(j + 1)
-                tally.remove(j, i)
-                held[i] -= 1
+            if (held[i] or k < 0 or held[k]) and place(j, i):
+                if tally.bound > best[0]:
+                    owner[j] = i
+                    held[i] += 1
+                    if assign(j + 1):
+                        return True
+                    held[i] -= 1
+                remove(j, i)
+        return False
 
-    assign(0)
+    if top >= 0:
+        assign(0)
     if best[1] is None:
         return None
     return (*best[1], rational(best[0], tally.scale))

@@ -94,10 +94,9 @@ def compute_equilibrium(market: Market) -> Optional[Tuple[Allocation, PriceVecto
     absorbs all leftover items.  Every bundle is priced uniformly so it
     costs exactly 1.
     """
-    _require_leontief(market)
-    demands = [demand_items(market, i) for i in range(market.n)]
-    if not _exists(market, demands):
+    if no_equilibrium_reason(market) is not None:
         return None
+    demands = [demand_items(market, i) for i in range(market.n)]
     bundles, _ = _assignment_plan(market, demands, range(market.n))
     prices = [ZERO] * market.m
     for bundle in bundles:
@@ -107,10 +106,18 @@ def compute_equilibrium(market: Market) -> Optional[Tuple[Allocation, PriceVecto
     return Allocation(tuple(bundles)), PriceVector(tuple(prices))
 
 
-def _exists(market: Market, demands) -> bool:
-    """False exactly when m < n or two buyers share a singleton demand set."""
+def no_equilibrium_reason(market: Market) -> Optional[str]:
+    """Why the market has no equilibrium, or None when it has one: "m < n"
+    (fewer items than buyers) or "duplicate singleton demand sets" (two
+    buyers demand the same single item)."""
+    _require_leontief(market)
+    if market.m < market.n:
+        return "m < n"
+    demands = [demand_items(market, i) for i in range(market.n)]
     singletons = [d for d in demands if len(d) == 1]
-    return market.m >= market.n and len(singletons) == len(set(singletons))
+    if len(singletons) != len(set(singletons)):
+        return "duplicate singleton demand sets"
+    return None
 
 
 def _assignment_plan(market: Market, demands, buyers, taken=frozenset()) -> Tuple[list, list]:
@@ -190,10 +197,9 @@ def compute_equilibrium_apx_welfare(market: Market) -> Optional[Tuple[Allocation
     no eligible buyer, every equilibrium has zero welfare and the basic
     construction is used as-is.
     """
-    _require_leontief(market)
-    demands = [demand_items(market, i) for i in range(market.n)]
-    if not _exists(market, demands):
+    if no_equilibrium_reason(market) is not None:
         return None
+    demands = [demand_items(market, i) for i in range(market.n)]
     n, m = market.n, market.m
     eligible = []
     for k in range(n):
@@ -216,9 +222,9 @@ def compute_equilibrium_apx_welfare(market: Market) -> Optional[Tuple[Allocation
 
 
 class _ServedTally:
-    """The Leontief bound of `equilibrium.welfare_search`: the sum of the
-    gains of the buyers none of whose placed demanded items went to another
-    buyer.  Gains are ints over one common scale."""
+    """The Leontief tally of `equilibrium.search`: its bound is the sum of
+    the gains of the buyers none of whose placed demanded items went to
+    another buyer.  Gains are ints over one common scale."""
 
     def __init__(self, market: Market):
         demands = [demand_items(market, i) for i in range(market.n)]
@@ -227,12 +233,13 @@ class _ServedTally:
         self.missed = [0] * market.n  # placed demanded items that went elsewhere
         self.bound = sum(self.gains)
 
-    def place(self, j: int, owner: int) -> None:
+    def place(self, j: int, owner: int) -> bool:
         for i in self.wanted_by[j]:
             if i != owner:
                 if not self.missed[i]:
                     self.bound -= self.gains[i]
                 self.missed[i] += 1
+        return True
 
     def remove(self, j: int, owner: int) -> None:
         for i in self.wanted_by[j]:
@@ -251,13 +258,7 @@ def optimal_welfare_equilibrium(
     """Exact welfare-maximal equilibrium by exhaustive search, or None: of
     the maximal-welfare equilibria, the one whose allocation comes first in
     the assignment order, with its prices and welfare.
-
-    `equilibrium.welfare_search` with the bound "sum of the gains of the
-    buyers none of whose placed demanded items went to someone else" and
-    the two lex-leader rules (a buyer receives an item only once its
-    previous identical buyer holds one; an item's owner is at or after its
-    previous identical item's owner).
-    """
+    `equilibrium.search` with `_ServedTally`."""
     _require_leontief(market)
     _check_assignment_cap(market, caps)
-    return equilibrium.welfare_search(market, _ServedTally(market), partial(prices_for_allocation, market))
+    return equilibrium.search(market, _ServedTally(market), partial(prices_for_allocation, market))

@@ -140,15 +140,20 @@ class TestComputeEquilibrium:
         assert p.prices == (1, 1, 1, 1, 1, third, third, third)
 
     def test_fewer_items_than_buyers(self):
-        assert leontief.compute_equilibrium(demand_market([{0}, {0}], 1)) is None
+        market = demand_market([{0}, {0}], 1)
+        assert leontief.compute_equilibrium(market) is None
+        assert leontief.no_equilibrium_reason(market) == "m < n"
 
     def test_duplicate_singletons(self):
-        assert leontief.compute_equilibrium(demand_market([{0}, {0}], 2)) is None
+        market = demand_market([{0}, {0}], 2)
+        assert leontief.compute_equilibrium(market) is None
+        assert leontief.no_equilibrium_reason(market) == "duplicate singleton demand sets"
 
     def test_output_verifies_on_example1(self):
         market = example1_market()
         x, p = leontief.compute_equilibrium(market)
         assert leontief.verify_equilibrium(market, x, p).equilibrium
+        assert leontief.no_equilibrium_reason(market) is None
 
 
 class TestPrealloc:

@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -221,3 +223,18 @@ def test_optimum_matches_twelfths_grid_search(problem, expected):
             if grid_best is None or value > grid_best:
                 grid_best = value
     assert grid_best == result.value
+
+
+def test_frozen_price_support_corpus():
+    """`solve_lp` answers every system of a frozen corpus of price-support
+    systems (see its "what" field) with the recorded status, value and
+    point, so a change to the LP kernel that moves any answer shows up."""
+    corpus = json.loads((Path(__file__).parent / "data" / "lp_corpus.json").read_text())
+    for case in corpus["systems"]:
+        rows = [constraint(dict(coeffs), relation, rhs) for coeffs, relation, rhs in case["rows"]]
+        result = solve_lp(lp_problem(case["vars"], rows, dict(case["objective"])))
+        assert result.status == case["status"], case
+        if result.status == OPTIMAL:
+            assert result.value == rational(case["value"]), case
+            assert result.point == tuple(rational(v) for v in case["point"]), case
+    assert len(corpus["systems"]) == 281

@@ -8,7 +8,8 @@ then unsold) and apply only the definitions, so any cut that drops the
 answer, or changes which tie comes first, shows up as a difference.  The
 markets are drawn with repeated rows and columns, so the symmetry rules
 fire, and with three distinct buyers, so the additive swap bound weighs
-pairs whose values differ, and are summed, on different scales.
+pairs whose values differ, and are summed, on different scales.  A fake
+tally checks when `equilibrium.search` stops.
 """
 
 import itertools
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ceei import additive, leontief, oracle
+from ceei import additive, equilibrium, leontief, oracle
 from ceei.core import Allocation, make_market, make_prices, social_welfare
 
 from conftest import leontief_profile_corpus
@@ -170,3 +171,60 @@ def test_leontief_welfare_matches_oracle_on_corpus_stride():
             assert leontief.verify_equilibrium(market, x, prices).equilibrium, market.values
         checked += 1
     assert checked == 312
+
+
+class LoggingTally:
+    """A tally that bounds every inner node by `top`, values a leaf at
+    `worth[owners]` (0 when absent), accepts every place and logs it."""
+
+    scale = 1
+
+    def __init__(self, m, top, worth):
+        self.m, self.top, self.worth = m, top, worth
+        self.bound, self.owners, self.placed = top, [], []
+
+    def place(self, j, owner):
+        self.owners.append(owner)
+        self.placed.append(tuple(self.owners))
+        self.bound = self.worth.get(tuple(self.owners), 0) if j == self.m - 1 else self.top
+        return True
+
+    def remove(self, j, owner):
+        self.owners.pop()
+
+    def screen(self):
+        return True
+
+
+DISTINCT = make_market([[1, 2, 3], [4, 5, 6]], "additive")  # no identical buyers or items
+TUPLES = [t for k in (1, 2, 3) for t in itertools.product(range(2), repeat=k)]
+LEAVES = [t for t in TUPLES if len(t) == 3 and len(set(t)) == 2]  # no empty bundle
+
+
+def _owners(x):
+    return tuple(next(i for i, b in enumerate(x.bundles) if j in b) for j in range(3))
+
+
+def test_first_hit_search_places_nothing_after_its_answer():
+    tally = LoggingTally(3, 0, {})
+    answer = LEAVES[2]
+    found = equilibrium.search(DISTINCT, tally, lambda x: "p" if _owners(x) == answer else None)
+    assert _owners(found[0]) == answer and found[1:] == ("p", 0)
+    assert tally.placed[-1] == answer
+
+
+@pytest.mark.parametrize("hit", [None, 3])
+def test_welfare_search_stops_only_at_the_root_bound(hit):
+    worth = {leaf: 1 + t for t, leaf in enumerate(LEAVES)}  # each leaf beats the one before
+    top = len(LEAVES) + 1
+    if hit is not None:
+        worth[LEAVES[hit]] = top
+    tally = LoggingTally(3, top, worth)
+    accepted = []
+    found = equilibrium.search(DISTINCT, tally, lambda x: accepted.append(_owners(x)) or "p")
+    if hit is None:
+        assert tally.placed == sorted(TUPLES) and accepted == LEAVES
+        assert _owners(found[0]) == LEAVES[-1] and found[2] == len(LEAVES)
+    else:
+        assert tally.placed[-1] == LEAVES[hit] and accepted == LEAVES[:hit + 1]
+        assert _owners(found[0]) == LEAVES[hit] and found[2] == top
