@@ -123,29 +123,36 @@ def _better_bundle(market: Market, prices: PriceVector, buyer: int, bundle: froz
 
 
 def _minimal_deviating_bundles(market: Market, buyer: int, bundle: frozenset) -> List[frozenset]:
-    """Inclusion-minimal bundles worth strictly more than `bundle`.
+    """Inclusion-minimal bundles worth strictly more than `bundle`, by size,
+    then by binary mask over the positively valued items in index order.
 
     Supersets are dropped: prices are nonnegative, so once a bundle is
     priced above budget every superset is too.  Zero-value items never
-    appear in a minimal deviator.  Values are summed as the buyer's scaled
-    ints; an int exceeds `utility * scale` iff it exceeds its floor.
+    appear in a minimal deviator.  Every other item adds value, so the
+    deviators are closed upward, and one is minimal iff dropping its
+    least-valued item leaves it worth no more than `bundle`.  A subset's
+    value and least item value each take one step from the subset without
+    its lowest bit.  Values are summed as the buyer's scaled ints; an int
+    exceeds `utility * scale` iff it exceeds its floor.
     """
     row, scale = integer_row(market.values[buyer])
     limit = floor(bundle_utility(market, buyer, bundle) * scale)
     pos = [j for j, v in enumerate(row) if v > 0]
-    deviators = []
-    for mask in range(1, 1 << len(pos)):
-        value = 0
-        for t, j in enumerate(pos):
-            if mask >> t & 1:
-                value += row[j]
-        if value > limit:
-            deviators.append(mask)
-    deviators.sort(key=lambda m: bin(m).count("1"))
+    items = [row[j] for j in pos]
+    value = [0] * (1 << len(pos))
+    least = value[:]
     minimal = []
-    for mask in deviators:
-        if not any(kept & mask == kept for kept in minimal):
+    for mask in range(1, len(value)):
+        rest = mask & (mask - 1)
+        item = items[(mask ^ rest).bit_length() - 1]
+        value[mask] = total = value[rest] + item
+        drop = least[rest]
+        if item < drop or not rest:
+            drop = item
+        least[mask] = drop
+        if total > limit >= total - drop:
             minimal.append(mask)
+    minimal.sort(key=int.bit_count)
     return [frozenset(j for t, j in enumerate(pos) if mask >> t & 1) for mask in minimal]
 
 

@@ -3,9 +3,10 @@
 Exit codes: 0 for a positive answer (equilibrium found / verified / exists),
 1 for a negative answer (none / violation / a market breaking a structural
 invariant) with a JSON body naming the reason, 2 for usage, parse, or
-search-cap errors, a price vector whose length is not the item count
-included.  Standard output carries exactly one JSON document per
-invocation; diagnostics go to standard error.
+search-cap errors, a price vector whose length is not the item count and
+an allocation whose bundle count is not the buyer count included.
+Standard output carries exactly one JSON document per invocation;
+diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -81,6 +82,13 @@ def _read_solution(path: str, key: str):
     return doc[key]
 
 
+def _read_allocation(path: str, market):
+    allocation = _read_solution(path, "allocation")
+    if len(allocation.bundles) != market.n:
+        raise _UsageError(f"{path} has {len(allocation.bundles)} bundles for {market.n} buyers")
+    return allocation
+
+
 def _read_prices(path: str, market):
     prices = _read_solution(path, "prices")
     if len(prices.prices) != market.m:
@@ -89,11 +97,7 @@ def _read_prices(path: str, market):
 
 
 def _caps(args) -> SearchCaps:
-    return SearchCaps(
-        max_items=args.cap_items,
-        max_states=args.cap_states,
-        max_enum_items=max(args.cap_items, DEFAULT_CAPS.max_enum_items),
-    )
+    return SearchCaps(max_items=args.cap_items, max_states=args.cap_states, max_enum_items=args.cap_enum)
 
 
 def _parse_values(text: str):
@@ -116,7 +120,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_verify(args) -> int:
     market = _read_market(args.market)
-    allocation = _read_solution(args.alloc, "allocation")
+    allocation = _read_allocation(args.alloc, market)
     prices = _read_prices(args.prices, market)
     report = _ALGORITHMS[market.market_class]["verify"](market, DEFAULT_CAPS, allocation, prices)
     if report.equilibrium:
@@ -136,7 +140,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_prices_for(args) -> int:
     market = _read_market(args.market)
-    allocation = _read_solution(args.alloc, "allocation")
+    allocation = _read_allocation(args.alloc, market)
     prices = _ALGORITHMS[market.market_class]["prices-for"](market, _caps(args), allocation)
     return _answer(prices, "no supporting prices", "prices")
 
@@ -256,6 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="maximum item count for exhaustive searches")
             p.add_argument("--cap-states", type=int, default=DEFAULT_CAPS.max_states,
                            help="maximum assignment-space size (n+1)^m")
+            p.add_argument("--cap-enum", type=int, default=DEFAULT_CAPS.max_enum_items,
+                           help="maximum item count for per-buyer bundle enumeration")
         p.set_defaults(func=func)
 
     p = sub.add_parser("gen", help="generate a hardness-gadget instance")

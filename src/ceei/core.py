@@ -34,9 +34,11 @@ ADDITIVE = "additive"
 
 
 def rational(value: RationalLike, den: int = 1):
-    """Coerce an int, "p/q" string, or rational to the exact rational type."""
+    """Coerce an int, "p/q" string, or rational to the exact rational type;
+    with `den`, an int, the result is `value / den` for an int or rational
+    `value`, made in one step."""
     if den != 1:
-        return _rational_backend(value) / _rational_backend(den)
+        return _rational_backend(value, den)
     return _rational_backend(value)
 
 

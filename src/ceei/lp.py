@@ -1,12 +1,17 @@
 """Exact rational linear programming.
 
-Two-phase primal simplex with Bland's (least-index) pivoting rule, which
-guarantees termination on every input.  Inputs and outputs are exact
-rationals; inside, each row is scaled to integers and the tableau is held
-fraction-free (Python ints over one common denominator, updated by
-Edmonds/Bareiss integer-preserving elimination), so no rational arithmetic
-runs in the pivot loop.  Intended for the small systems this package builds
-(tens of variables and constraints), not for large-scale LP.
+Two-phase primal simplex with Bland's rule, which guarantees termination on
+every input: the entering variable is the one of least variable id with
+positive reduced cost, and ties for leaving go to the least basic id.
+Inputs and outputs are exact rationals; inside, each row is scaled to
+integers straight from its numerators and denominators, and the tableau is
+held fraction-free (Python ints over one common denominator, updated by
+Edmonds' integer-preserving elimination), so no rational arithmetic runs in
+the pivot loop.  The tableau is condensed, as in the dictionary form of lrs
+(Avis 2000): it stores one column per nonbasic variable, and a pivot hands
+the entering variable's column to the leaving variable.  Intended for the
+small systems this package builds (tens of variables and constraints), not
+for large-scale LP.
 
 Strict inequalities never appear in a problem; callers that need "p(B) > 1"
 encode it as "p(B) >= 1 + eps" with eps a distinguished maximized variable
@@ -16,9 +21,10 @@ and treat the system as strictly satisfiable iff the optimum eps is positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .core import ZERO, RationalLike, integer_row, rational
+from .core import ZERO, RationalLike, rational
 
 LE = "<="
 EQ = "=="
@@ -122,68 +128,78 @@ def check_point(problem: LPProblem, point: Sequence[RationalLike]) -> bool:
     return True
 
 
-def _eliminate(other, f, row, nonzero, p, d):
-    """One fraction-free row update: `(p * other - f * row) / d`, exactly.
-
-    When the denominator does not change (`p == d`) only the columns in
-    `nonzero`, the (column, entry) pairs where `row` is nonzero, move.
-    """
-    if p == d:
-        if f == 0:
-            return other
-        new = list(other)
-        for j, a in nonzero:
-            new[j] -= f * a // d
-        return new
-    if f == 0:
-        return [x * p // d for x in other]
-    return [(p * x - f * a) // d for x, a in zip(other, row)]
-
-
 class _Tableau:
-    """Dense simplex tableau with Bland's rule, held fraction-free.
+    """Condensed simplex tableau with Bland's rule, held fraction-free.
 
-    The exact rational tableau entry (r, j) is `rows[r][j] / den`, and the
-    basic value of row r is `rhs[r] / den`: every entry is a Python int over
-    one common positive denominator, a multiple of the absolute basis
-    determinant.  Pivots use Edmonds/Bareiss integer-preserving elimination,
-    whose division by the old denominator is always exact, so the simplex
-    loop does no rational arithmetic at all.
+    Only nonbasic variables have stored columns: `var[j]` is the variable id
+    of stored column j and `basis[r]` the basic variable of row r, whose unit
+    column is implicit.  Pivots leave the stored columns out of id order,
+    so Bland's rule picks by `var[j]`, never by j.  Each row ends with its
+    right-hand side.  The exact rational entry (r, j) is `rows[r][j] / den`
+    and the basic value of row r is `rows[r][-1] / den`: every entry is a
+    Python int over one common positive denominator, a multiple of the
+    absolute basis determinant.
+
+    A pivot exchanges the basic variable of row r with the nonbasic variable
+    of stored column c (Edmonds' integer elimination, in the dictionary form
+    of lrs).  With p the pivot entry and d the old denominator, every other
+    row k becomes `(p * row_k - f_k * row_r) // d`, where f_k is its entry in
+    column c, and the division is always exact.  Column c then holds the
+    leaving variable: d in row r and -f_k in row k, both negated when a
+    drive-out pivot on a negative entry has first negated row r.  The cost
+    row is updated the same way, so the simplex loop does no rational
+    arithmetic at all.
     """
 
-    def __init__(self, rows, rhs, basis, ncols, den):
+    def __init__(self, rows, basis, var, den):
         self.rows = rows
-        self.rhs = rhs
         self.basis = basis
-        self.ncols = ncols
+        self.var = var
         self.den = den
 
     def pivot(self, r: int, c: int, cost=None):
         """Pivot on entry (r, c); returns `cost` updated alongside, if given."""
-        row = self.rows[r]
+        rows, d = self.rows, self.den
+        row = rows[r]
         p = row[c]
+        lead = d
         if p < 0:
-            self.rows[r] = row = [-a for a in row]
-            self.rhs[r] = -self.rhs[r]
-            p = -p
-        d = self.den
-        b = self.rhs[r]
+            row = [-a for a in row]
+            p, lead = -p, -d
+        row[c] = 0
+        # When the denominator does not change only the pivot row's nonzeros move.
         nonzero = [(j, a) for j, a in enumerate(row) if a] if p == d else None
-        for k, other in enumerate(self.rows):
+        if cost is not None:
+            rows.append(cost)
+        for k, other in enumerate(rows):
             if k == r:
                 continue
             f = other[c]
-            self.rows[k] = _eliminate(other, f, row, nonzero, p, d)
-            self.rhs[k] = (p * self.rhs[k] - f * b) // d
-        self.basis[r] = c
-        self.den = p
+            if f == 0:
+                if p != d:
+                    rows[k] = [x * p // d for x in other]
+                continue
+            if nonzero is not None:
+                new = other[:]
+                for j, a in nonzero:
+                    new[j] -= f * a // d
+            else:
+                new = [(p * x - f * a) // d for x, a in zip(other, row)]
+            new[c] = -f if lead > 0 else f
+            rows[k] = new
         if cost is not None:
-            cost = _eliminate(cost, cost[c], row, nonzero, p, d)
+            cost = rows.pop()
+        row[c] = lead
+        rows[r] = row
+        self.basis[r], self.var[c] = self.var[c], self.basis[r]
+        self.den = p
         return cost
 
     def reduce_cost_row(self, cost):
-        """Scaled reduced costs `den * (cost - cost_B B^-1 A)` of an integer cost row."""
-        reduced = [self.den * x for x in cost]
+        """Scaled reduced costs `den * (cost - cost_B B^-1 A)` of the stored
+        columns, from an integer cost per variable id, then the negated
+        scaled objective value in the right-hand side's place."""
+        reduced = [self.den * cost[v] for v in self.var] + [0]
         for r, b in enumerate(self.basis):
             factor = cost[b]
             if factor != 0:
@@ -193,44 +209,54 @@ class _Tableau:
     def run(self, cost):
         """Maximize; `cost` must already be reduced w.r.t. the basis.
 
-        Returns OPTIMAL or UNBOUNDED.  Entering: least-index column with
-        positive reduced cost.  Leaving: least ratio, ties by least
-        basic-variable index (Bland; terminates on every input).  Ratios
-        `rhs[r] / rows[r][enter]` share the denominator, so they are compared
-        by cross-multiplication.
+        Returns OPTIMAL or UNBOUNDED.  Entering: the nonbasic variable of
+        least id with positive reduced cost, wherever its column is stored.
+        Leaving: least ratio, ties by least basic-variable id (Bland;
+        terminates on every input).  Ratios `rows[r][-1] / rows[r][enter]`
+        share the denominator, so they are compared by cross-multiplication.
         """
+        rows, basis, var = self.rows, self.basis, self.var
         while True:
-            enter = -1
-            for j in range(self.ncols):
-                if cost[j] > 0:
-                    enter = j
-                    break
-            if enter < 0:
+            candidates = [(v, j) for j, (v, x) in enumerate(zip(var, cost)) if x > 0]
+            if not candidates:
                 return OPTIMAL
+            enter = min(candidates)[1]
             leave = -1
-            for r, row in enumerate(self.rows):
+            for r, row in enumerate(rows):
                 a = row[enter]
                 if a <= 0:
                     continue
-                if leave < 0:
-                    leave = r
-                    continue
-                lhs = self.rhs[r] * self.rows[leave][enter]
-                rhs = self.rhs[leave] * a
-                if lhs < rhs or (lhs == rhs and self.basis[r] < self.basis[leave]):
-                    leave = r
+                if leave >= 0:
+                    lhs = row[-1] * best_a
+                    rhs = best_b * a
+                    if lhs > rhs or (lhs == rhs and basis[r] > basis[leave]):
+                        continue
+                leave, best_a, best_b = r, a, row[-1]
             if leave < 0:
                 return UNBOUNDED
             cost = self.pivot(leave, enter, cost)
+
+
+def _spread(terms, scale, col_of, neg_col_of, width):
+    """Integer entries `scale * coeff` of (variable id, coeff) terms, spread
+    over the columns of `col_of` and `neg_col_of`; `scale` must be a multiple
+    of every denominator."""
+    row = [0] * width
+    for var, c in terms:
+        x = c.numerator * (scale // c.denominator)
+        row[col_of[var]] += x
+        if var in neg_col_of:
+            row[neg_col_of[var]] -= x
+    return row
 
 
 def solve_lp(problem: LPProblem) -> LPResult:
     """Exact optimum, infeasibility, or unboundedness for the given problem."""
     _validate(problem)
 
-    # Column layout: one column per nonnegative variable, two (x+ , x-) per
-    # free variable, then one slack/surplus column per inequality row,
-    # artificials appended last so they can be truncated after phase 1.
+    # Variable ids: one column per nonnegative variable, two (x+ , x-) per
+    # free variable, then one slack/surplus per inequality row, and the
+    # artificials last, so they can be dropped after phase 1.
     col_of = []
     neg_col_of = {}
     ncols = 0
@@ -241,87 +267,69 @@ def solve_lp(problem: LPProblem) -> LPResult:
             neg_col_of[i] = ncols
             ncols += 1
 
-    # Row r is scaled to integers by its own factor s_r > 0, which makes its
-    # slack or artificial coefficient s_r.  The starting basis is then
-    # diag(s_r), so the starting denominator is its determinant, the product
-    # of the factors, and each stored entry is that product times the
-    # rational tableau entry.
-    raw = []
+    # Row r is scaled to integers by its own factor s_r > 0, the LCM of its
+    # denominators, which makes its slack or artificial coefficient s_r.  The
+    # starting basis is then diag(s_r), so the starting denominator is its
+    # determinant, the product of the factors, and each stored entry is that
+    # product times the rational tableau entry.  A row with a negative
+    # right-hand side is negated, which turns "<=" into ">=": a nonbasic
+    # surplus column (-den) and a basic artificial.
     den = 1
     for con in problem.constraints:
-        coeffs = [ZERO] * ncols
-        for var, c in con.coeffs:
-            coeffs[col_of[var]] += c
-            if var in neg_col_of:
-                coeffs[neg_col_of[var]] -= c
-        ints, scale = integer_row(coeffs + [con.rhs])
-        rel, rhs = con.relation, ints.pop()
-        if rhs < 0:
-            ints = [-c for c in ints]
-            rhs = -rhs
-            rel = {LE: ">=", EQ: EQ}[rel]
-        raw.append((ints, rel, rhs, scale))
-        den *= scale
+        den *= lcm(con.rhs.denominator, *(c.denominator for _, c in con.coeffs))
+    n_surplus = sum(1 for con in problem.constraints if con.relation == LE and con.rhs.numerator < 0)
+    first_art = ncols + sum(1 for con in problem.constraints if con.relation == LE)
 
-    n_slack = sum(1 for _, rel, _, _ in raw if rel != EQ)
-    n_art = sum(1 for _, rel, _, _ in raw if rel != LE)
-    first_slack = ncols
-    first_art = ncols + n_slack
-    total = first_art + n_art
-
-    rows, rhs_col, basis = [], [], []
-    slack_at, art_at = first_slack, first_art
-    for ints, rel, rhs, scale in raw:
-        mult = den // scale
-        row = [mult * c for c in ints] + [0] * (total - ncols)
-        if rel == LE:
-            row[slack_at] = den
+    rows, basis, var = [], [], list(range(ncols))
+    slack_at, art_at = ncols, first_art
+    for con in problem.constraints:
+        row = _spread(con.coeffs, den, col_of, neg_col_of, ncols + n_surplus)
+        row.append(con.rhs.numerator * (den // con.rhs.denominator))
+        flip = row[-1] < 0
+        if flip:
+            row = [-a for a in row]
+        if con.relation == LE and not flip:
             basis.append(slack_at)
-            slack_at += 1
-        elif rel == ">=":
-            row[slack_at] = -den
-            slack_at += 1
-            row[art_at] = den
-            basis.append(art_at)
-            art_at += 1
         else:
-            row[art_at] = den
+            if con.relation == LE:
+                row[len(var)] = -den
+                var.append(slack_at)
             basis.append(art_at)
             art_at += 1
+        slack_at += con.relation == LE
         rows.append(row)
-        rhs_col.append(mult * rhs)
 
-    tab = _Tableau(rows, rhs_col, basis, total, den)
+    tab = _Tableau(rows, basis, var, den)
 
-    if n_art:
-        cost = tab.reduce_cost_row([0] * first_art + [-1] * n_art)
-        tab.run(cost)
+    if art_at > first_art:
+        tab.run(tab.reduce_cost_row([0] * first_art + [-1] * (art_at - first_art)))
         # artificials are nonbasic (zero) or carry their row's rhs, which is >= 0
-        if any(tab.rhs[r] for r, b in enumerate(tab.basis) if b >= first_art):
+        if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b >= first_art):
             return LPResult(status=INFEASIBLE)
-        # Drive any zero-valued basic artificials out, dropping redundant rows.
+        # Drive any zero-valued basic artificials out, each by the least
+        # nonbasic non-artificial variable with a nonzero entry in its row,
+        # dropping redundant rows.
         for r in range(len(tab.rows) - 1, -1, -1):
             if tab.basis[r] < first_art:
                 continue
-            target = next((j for j in range(first_art) if tab.rows[r][j] != 0), None)
+            row = tab.rows[r]
+            target = min(((v, j) for j, v in enumerate(tab.var) if v < first_art and row[j]), default=None)
             if target is None:
-                del tab.rows[r], tab.rhs[r], tab.basis[r]
+                del tab.rows[r], tab.basis[r]
             else:
-                tab.pivot(r, target)
-        tab.rows = [row[:first_art] for row in tab.rows]
-        tab.ncols = first_art
+                tab.pivot(r, target[1])
+        keep = [j for j, v in enumerate(tab.var) if v < first_art]
+        tab.var = [tab.var[j] for j in keep]
+        keep.append(-1)
+        tab.rows = [[row[j] for j in keep] for row in tab.rows]
 
     # A positive scale of the objective leaves every simplex choice unchanged.
-    objective = [ZERO] * tab.ncols
-    for var, c in problem.objective:
-        objective[col_of[var]] += c
-        if var in neg_col_of:
-            objective[neg_col_of[var]] -= c
-    cost = tab.reduce_cost_row(integer_row(objective)[0])
+    scale = lcm(*(c.denominator for _, c in problem.objective))
+    cost = tab.reduce_cost_row(_spread(problem.objective, scale, col_of, neg_col_of, first_art))
     if tab.run(cost) == UNBOUNDED:
         return LPResult(status=UNBOUNDED)
 
-    cell = {b: tab.rhs[r] for r, b in enumerate(tab.basis)}
+    cell = {b: row[-1] for row, b in zip(tab.rows, tab.basis)}
     point = []
     for i in range(problem.num_vars):
         x = cell.get(col_of[i], 0)

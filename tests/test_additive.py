@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -245,3 +246,26 @@ def test_best_affordable_bundle_matches_fraction_reference(row, data):
     market = make_market([row], "additive")
     bundle, value = additive.best_affordable_bundle(market, 0, make_prices(prices))
     assert (bundle, value) == _best_affordable_reference(row, prices)
+
+
+def _minimal_deviators_reference(row, bundle):
+    """By definition: the strictly better subsets of the positively valued
+    items with no strictly better proper subset, by size, then by binary
+    mask over those items in index order."""
+    row = [Fraction(v) for v in row]
+    own = sum((row[j] for j in bundle), Fraction(0))
+    pos = [j for j, v in enumerate(row) if v > 0]
+    subsets = [(mask, frozenset(j for t, j in enumerate(pos) if mask >> t & 1)) for mask in range(1 << len(pos))]
+    better = [(mask, s) for mask, s in subsets if sum((row[j] for j in s), Fraction(0)) > own]
+    minimal = [(len(s), mask, s) for mask, s in better if not any(t < s for _, t in better)]
+    return [s for _, _, s in sorted(minimal, key=lambda entry: entry[:2])]
+
+
+def test_minimal_deviators_match_the_definition_in_order():
+    for m in range(1, 5):
+        for row in itertools.product([0, 1, 2, Fraction(1, 2)], repeat=m):
+            market = make_market([list(row)], "additive")
+            for mask in range(1 << m):
+                bundle = frozenset(j for j in range(m) if mask >> j & 1)
+                assert additive._minimal_deviating_bundles(market, 0, bundle) == \
+                    _minimal_deviators_reference(row, bundle), (row, bundle)

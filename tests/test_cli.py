@@ -219,6 +219,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["verify", "prices-for"])
+    @pytest.mark.parametrize("allocation", [[[1]], [[1], [2], []]], ids=["too-few", "too-many"])
+    def test_allocation_with_wrong_bundle_count_is_usage_error(self, run, tmp_path, command, allocation):
+        (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1, 1], [1, 1]], "additive")))
+        (tmp_path / "a.json").write_text(json.dumps({"allocation": allocation}))
+        (tmp_path / "p.json").write_text(io.solution_to_json(prices=make_prices([1, 1])))
+        extra = ("--prices", str(tmp_path / "p.json")) if command == "verify" else ()
+        code, out, err = run(command, "--market", str(tmp_path / "m.json"),
+                             "--alloc", str(tmp_path / "a.json"), *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path / 'a.json'} has {len(allocation)} bundles for 2 buyers\n"
+
     @pytest.mark.parametrize("market_class", ["leontief", "additive"])
     def test_out_of_range_index_is_an_infeasible_allocation(self, run, tmp_path, market_class):
         (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1, 1], [1, 1]], market_class)))
@@ -236,6 +248,23 @@ class TestExitCodes:
                            "--prices", str(tmp_path / "p.json"), "--cap-items", "2")
         assert code == 2
         assert "cap" in err
+
+    def test_cap_enum_flag_sets_the_enumeration_cap(self, run, tmp_path):
+        (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1, 2, 3]], "additive")))
+        (tmp_path / "a.json").write_text(io.solution_to_json(allocation=make_allocation([[0, 1, 2]])))
+        code, out, err = run("prices-for", "--market", str(tmp_path / "m.json"),
+                             "--alloc", str(tmp_path / "a.json"), "--cap-enum", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: bundle enumeration, m items: 3 exceeds the cap max_enum_items = 2\n"
+
+    def test_cap_items_leaves_the_enumeration_cap_alone(self, run, tmp_path):
+        m = 23
+        (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1] * m], "additive")))
+        (tmp_path / "a.json").write_text(io.solution_to_json(allocation=make_allocation([range(m)])))
+        code, out, err = run("prices-for", "--market", str(tmp_path / "m.json"),
+                             "--alloc", str(tmp_path / "a.json"), "--cap-items", "30")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"{m} exceeds the cap max_enum_items = 22\n")
 
     def test_apxwelfare_rejects_additive(self, run, tmp_path):
         (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1]], "additive")))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ceei.core import rational
+from ceei import lp
 from ceei.lp import EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, check_point, constraint, lp_problem, solve_lp
 
 from conftest import example2_market
@@ -238,3 +239,16 @@ def test_frozen_price_support_corpus():
             assert result.value == rational(case["value"]), case
             assert result.point == tuple(rational(v) for v in case["point"]), case
     assert len(corpus["systems"]) == 281
+
+
+def test_pivot_keeps_the_equations_through_a_negative_pivot():
+    # x0 + 2 x1 + x2 = 4 and 3 x0 - x1 + x3 = 5, basic x2 and x3, over den 1;
+    # the first pivot entry is negative, so row 1 is negated first
+    tab = lp._Tableau([[1, 2, 4], [3, -1, 5]], basis=[2, 3], var=[0, 1], den=1)
+    tab.pivot(1, 1)
+    tab.pivot(0, 0)
+    assert sorted(tab.basis) == [0, 1]
+    for x0, x1 in [(0, 0), (1, 2), (-3, 5)]:
+        x = {0: x0, 1: x1, 2: 4 - x0 - 2 * x1, 3: 5 - 3 * x0 + x1}
+        for row, b in zip(tab.rows, tab.basis):
+            assert tab.den * x[b] + sum(a * x[v] for a, v in zip(row, tab.var)) == row[-1]
