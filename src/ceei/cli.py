@@ -238,6 +238,14 @@ def _cmd_gen(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ceei", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # The search caps, declared once and shared by every command they apply to.
+    cap_flags = argparse.ArgumentParser(add_help=False)
+    cap_flags.add_argument("--cap-items", type=int, default=DEFAULT_CAPS.max_items,
+                           help="maximum item count for exhaustive searches")
+    cap_flags.add_argument("--cap-states", type=int, default=DEFAULT_CAPS.max_states,
+                           help="maximum assignment-space size (n+1)^m")
+    cap_flags.add_argument("--cap-enum", type=int, default=DEFAULT_CAPS.max_enum_items,
+                           help="maximum item count for per-buyer bundle enumeration")
     # name, handler, help, files read besides --market, whether search caps apply
     for name, func, text, files, caps in (
         ("validate", _cmd_validate, "check a market file against the structural invariants", (), False),
@@ -250,18 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("apxwelfare", _cmd_apxwelfare, "equilibrium within 1/n of the best equilibrium welfare", (), False),
         ("oracle", _cmd_oracle, "brute-force equilibrium search (ground truth)", (), True),
     ):
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, parents=[cap_flags] if caps else [])
         for flag in ("market", *files):
             p.add_argument(f"--{flag}", required=True)
         if name == "oracle":
             p.add_argument("--max-welfare", action="store_true")
-        if caps:
-            p.add_argument("--cap-items", type=int, default=DEFAULT_CAPS.max_items,
-                           help="maximum item count for exhaustive searches")
-            p.add_argument("--cap-states", type=int, default=DEFAULT_CAPS.max_states,
-                           help="maximum assignment-space size (n+1)^m")
-            p.add_argument("--cap-enum", type=int, default=DEFAULT_CAPS.max_enum_items,
-                           help="maximum item count for per-buyer bundle enumeration")
         p.set_defaults(func=func)
 
     p = sub.add_parser("gen", help="generate a hardness-gadget instance")
