@@ -35,9 +35,10 @@ ADDITIVE = "additive"
 
 def rational(value: RationalLike, den: int = 1):
     """Coerce an int, "p/q" string, or rational to the exact rational type;
-    with `den`, an int, the result is `value / den` for an int or rational
-    `value`, made in one step."""
+    with an int `den`, the result is `value / den`, made in one step."""
     if den != 1:
+        if isinstance(value, str):
+            value = _rational_backend(value)
         return _rational_backend(value, den)
     return _rational_backend(value)
 

@@ -320,7 +320,7 @@ def solve_lp(problem: LPProblem) -> LPResult:
                 tab.pivot(r, target[1])
         keep = [j for j, v in enumerate(tab.var) if v < first_art]
         tab.var = [tab.var[j] for j in keep]
-        keep.append(-1)
+        keep.append(-1)  # the right-hand side
         tab.rows = [[row[j] for j in keep] for row in tab.rows]
 
     # A positive scale of the objective leaves every simplex choice unchanged.

@@ -42,6 +42,7 @@ def test_rational_parses_strings_and_ints():
     assert rational("1/3") * 3 == 1
     assert rational(7) == 7
     assert rational(1, 3) + rational(2, 3) == 1
+    assert rational(6, 36) == rational("1/2", 3) == rational(rational(1, 2), 3) == rational("1/6")
 
 
 class TestValidateMarket:
