@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
+from importlib import import_module
 from pathlib import Path
 
-from . import additive, io, leontief
+from . import io
 from .core import (
     ADDITIVE,
     LEONTIEF,
@@ -49,26 +51,34 @@ def _answer(found, reason: str, *fields: str) -> int:
 
 
 # The one place a command picks its algorithm by market class.  Each entry
-# takes the market and the caps first; the polynomial Leontief algorithms
-# ignore the caps.
+# takes the class module, the market and the caps first; the polynomial
+# Leontief algorithms ignore the caps.  `_run` imports the class module on
+# first use, so a request compiles only the module its market's class needs.
 _ALGORITHMS = {
     LEONTIEF: {
-        "verify": lambda market, caps, x, p: leontief.verify_equilibrium(market, x, p),
-        "solve": lambda market, caps: leontief.compute_equilibrium(market),
-        "prices-for": lambda market, caps, x: leontief.prices_for_allocation(market, x),
-        "alloc-for": lambda market, caps, p: leontief.allocation_for_prices(market, p, caps),
-        "maxwelfare": lambda market, caps: leontief.optimal_welfare_equilibrium(market, caps),
-        "no-equilibrium": leontief.no_equilibrium_reason,
+        "module": ".leontief",
+        "verify": lambda c, market, caps, x, p: c.verify_equilibrium(market, x, p),
+        "solve": lambda c, market, caps: c.compute_equilibrium(market),
+        "prices-for": lambda c, market, caps, x: c.prices_for_allocation(market, x),
+        "alloc-for": lambda c, market, caps, p: c.allocation_for_prices(market, p, caps),
+        "maxwelfare": lambda c, market, caps: c.optimal_welfare_equilibrium(market, caps),
+        "no-equilibrium": lambda c, market, caps: c.no_equilibrium_reason(market),
     },
     ADDITIVE: {
-        "verify": lambda market, caps, x, p: additive.verify_equilibrium(market, x, p, caps),
-        "solve": lambda market, caps: additive.search_equilibrium(market, caps),
-        "prices-for": lambda market, caps, x: additive.prices_for_allocation(market, x, caps),
-        "alloc-for": lambda market, caps, p: additive.allocation_for_prices(market, p, caps),
-        "maxwelfare": lambda market, caps: additive.optimal_welfare_equilibrium(market, caps),
-        "no-equilibrium": lambda market: "no equilibrium",
+        "module": ".additive",
+        "verify": lambda c, market, caps, x, p: c.verify_equilibrium(market, x, p, caps),
+        "solve": lambda c, market, caps: c.search_equilibrium(market, caps),
+        "prices-for": lambda c, market, caps, x: c.prices_for_allocation(market, x, caps),
+        "alloc-for": lambda c, market, caps, p: c.allocation_for_prices(market, p, caps),
+        "maxwelfare": lambda c, market, caps: c.optimal_welfare_equilibrium(market, caps),
+        "no-equilibrium": lambda c, market, caps: "no equilibrium",
     },
 }
+
+
+def _run(command: str, market, caps, *args):
+    algorithms = _ALGORITHMS[market.market_class]
+    return algorithms[command](import_module(algorithms["module"], __package__), market, caps, *args)
 
 
 def _read_market(path: str):
@@ -122,7 +132,7 @@ def _cmd_verify(args) -> int:
     market = _read_market(args.market)
     allocation = _read_allocation(args.alloc, market)
     prices = _read_prices(args.prices, market)
-    report = _ALGORITHMS[market.market_class]["verify"](market, DEFAULT_CAPS, allocation, prices)
+    report = _run("verify", market, DEFAULT_CAPS, allocation, prices)
     if report.equilibrium:
         _emit({"verdict": "equilibrium"})
         return 0
@@ -132,29 +142,29 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve(args) -> int:
     market = _read_market(args.market)
-    algorithms = _ALGORITHMS[market.market_class]
-    found = algorithms["solve"](market, _caps(args))
-    reason = None if found is not None else algorithms["no-equilibrium"](market)
+    caps = _caps(args)
+    found = _run("solve", market, caps)
+    reason = None if found is not None else _run("no-equilibrium", market, caps)
     return _answer(found, reason, "allocation", "prices")
 
 
 def _cmd_prices_for(args) -> int:
     market = _read_market(args.market)
     allocation = _read_allocation(args.alloc, market)
-    prices = _ALGORITHMS[market.market_class]["prices-for"](market, _caps(args), allocation)
+    prices = _run("prices-for", market, _caps(args), allocation)
     return _answer(prices, "no supporting prices", "prices")
 
 
 def _cmd_alloc_for(args) -> int:
     market = _read_market(args.market)
     prices = _read_prices(args.prices, market)
-    allocation = _ALGORITHMS[market.market_class]["alloc-for"](market, _caps(args), prices)
+    allocation = _run("alloc-for", market, _caps(args), prices)
     return _answer(allocation, "no clearing allocation", "allocation")
 
 
 def _cmd_maxwelfare(args) -> int:
     market = _read_market(args.market)
-    found = _ALGORITHMS[market.market_class]["maxwelfare"](market, _caps(args))
+    found = _run("maxwelfare", market, _caps(args))
     return _answer(found, "no equilibrium", "allocation", "prices", "welfare")
 
 
@@ -162,6 +172,7 @@ def _cmd_apxwelfare(args) -> int:
     market = _read_market(args.market)
     if market.market_class != LEONTIEF:
         raise _UsageError("apxwelfare requires a leontief market")
+    from . import leontief
     found = leontief.compute_equilibrium_apx_welfare(market)
     if found is not None:
         found = (*found, social_welfare(market, found[0]))
@@ -235,6 +246,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@cache  # parsing leaves the parser unchanged, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ceei", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -5,8 +5,11 @@ point and no tolerance parameter anywhere.  Budgets are exactly 1 per buyer,
 so the equilibrium conditions are exact equalities and are decided by exact
 comparison.
 
-All types are immutable after construction and all operations are pure
-functions, so values can be shared freely across threads.
+The domain types are `Record`s: slotted, immutable after construction,
+compared and hashed by value, like frozen dataclasses (which this package
+does not import, to keep the command line's start-up short).  All
+operations are pure functions, so values can be shared freely across
+threads.
 
 Buyer and item indices are 0-based throughout the library; the JSON layer
 (`ceei.io`) converts to the 1-based convention used externally.
@@ -14,7 +17,6 @@ Buyer and item indices are 0-based throughout the library; the JSON layer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
@@ -82,24 +84,71 @@ class SearchCapExceeded(RuntimeError):
         self.cap, self.size, self.limit = cap, size, limit
 
 
-@dataclass(frozen=True)
-class SearchCaps:
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields, in order, in `__slots__` and stores each
+    one with `_set` in its own `__init__`, whose signature gives positional
+    and keyword construction, defaults, and the TypeError for an unknown or
+    missing field.  Records compare and hash by exact type and field values,
+    print as `Name(field=value, ...)`, refuse attribute assignment and
+    deletion, and pickle and deep-copy by calling their class again with
+    their field values.  This is the behaviour of a frozen dataclass without
+    importing `dataclasses`, which pulls in `inspect` and `ast`.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+#: Stores a field of a record in its `__init__`, past the record's refusal.
+_set = object.__setattr__
+
+
+class SearchCaps(Record):
     """Hard limits for the exhaustive searches.
 
     Exceeding a cap raises :class:`SearchCapExceeded`; searches are never
-    silently truncated.
+    silently truncated.  `max_items` bounds the item count of assignment
+    searches, `max_states` the (n+1)**m assignment space, and
+    `max_enum_items` the item count of per-buyer bundle enumeration.
     """
 
-    max_items: int = 12           # item count for assignment searches
-    max_states: int = 10_000_000  # (n+1)**m assignment-space bound
-    max_enum_items: int = 22      # item count for per-buyer bundle enumeration
+    __slots__ = ("max_items", "max_states", "max_enum_items")
+
+    def __init__(self, max_items: int = 12, max_states: int = 10_000_000, max_enum_items: int = 22):
+        _set(self, "max_items", max_items)
+        _set(self, "max_states", max_states)
+        _set(self, "max_enum_items", max_enum_items)
 
 
 DEFAULT_CAPS = SearchCaps()
 
 
-@dataclass(frozen=True)
-class Market:
+class Market(Record):
     """A market of `n` buyers and `m` indivisible items.
 
     `values[i][j]` is buyer i's value for item j (exact rational, >= 0).
@@ -107,30 +156,36 @@ class Market:
     or ADDITIVE (perfect substitutes).
     """
 
-    n: int
-    m: int
-    values: tuple
-    market_class: str
+    __slots__ = ("n", "m", "values", "market_class")
+
+    def __init__(self, n: int, m: int, values: tuple, market_class: str):
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "values", values)
+        _set(self, "market_class", market_class)
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(Record):
     """Per-buyer item bundles.  Feasibility (disjointness, index range) is a
     checked property, not a construction invariant, so that verifiers can
     report infeasible inputs instead of refusing to represent them."""
 
-    bundles: tuple
+    __slots__ = ("bundles",)
+
+    def __init__(self, bundles: tuple):
+        _set(self, "bundles", bundles)
 
 
-@dataclass(frozen=True)
-class PriceVector:
+class PriceVector(Record):
     """Nonnegative exact price per item."""
 
-    prices: tuple
+    __slots__ = ("prices",)
 
-    def __post_init__(self):
-        if any(p < 0 for p in self.prices):
-            raise ValueError("prices must be nonnegative")
+    def __init__(self, prices: tuple):
+        for p in prices:
+            if p < 0:
+                raise ValueError("prices must be nonnegative")
+        _set(self, "prices", prices)
 
 
 # Violation kinds, in the order the shared verifier checks them.
@@ -140,16 +195,18 @@ BUDGET_NOT_EXHAUSTED = "budget-not-exhausted"
 SUBOPTIMAL_BUNDLE = "suboptimal-bundle"
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    buyer: Optional[int] = None
-    item: Optional[int] = None
-    witness: Optional[frozenset] = None
+class Violation(Record):
+    __slots__ = ("kind", "buyer", "item", "witness")
+
+    def __init__(self, kind: str, buyer: Optional[int] = None, item: Optional[int] = None,
+                 witness: Optional[frozenset] = None):
+        _set(self, "kind", kind)
+        _set(self, "buyer", buyer)
+        _set(self, "item", item)
+        _set(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(Record):
     """Verdict of an equilibrium check: pass, or exactly one violation.
 
     Verifiers report the first violation found in a fixed order —
@@ -157,8 +214,11 @@ class EquilibriumReport:
     index — so reports are reproducible.
     """
 
-    equilibrium: bool
-    violation: Optional[Violation] = None
+    __slots__ = ("equilibrium", "violation")
+
+    def __init__(self, equilibrium: bool, violation: Optional[Violation] = None):
+        _set(self, "equilibrium", equilibrium)
+        _set(self, "violation", violation)
 
     @staticmethod
     def ok() -> "EquilibriumReport":

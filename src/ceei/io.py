@@ -70,6 +70,11 @@ def obj_to_market(obj: dict) -> Market:
     for key in ("class", "buyers", "items", "values"):
         if key not in obj:
             raise ValueError(f"instance document missing key {key!r}")
+    for key in ("buyers", "items"):
+        if type(obj[key]) is not int:
+            raise ValueError(f"{key!r} must be a JSON integer, not {obj[key]!r}")
+    if not isinstance(obj["values"], list) or not all(isinstance(row, list) for row in obj["values"]):
+        raise ValueError("'values' must be a list of value lists")
     values = [[parse_rational(v) for v in row] for row in obj["values"]]
     market = make_market(values, obj["class"])
     if market.n != obj["buyers"] or market.m != obj["items"]:

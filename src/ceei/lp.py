@@ -20,11 +20,10 @@ and treat the system as strictly satisfiable iff the optimum eps is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .core import ZERO, RationalLike, rational
+from .core import ZERO, RationalLike, Record, _set, rational
 
 LE = "<="
 EQ = "=="
@@ -34,38 +33,44 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(Record):
     """`sum(coeff * var) relation rhs` with relation one of LE, EQ.
 
     `coeffs` is a tuple of (variable id, coefficient) pairs sorted by id,
     with at least one nonzero coefficient.
     """
 
-    coeffs: tuple
-    relation: str
-    rhs: object
+    __slots__ = ("coeffs", "relation", "rhs")
+
+    def __init__(self, coeffs: tuple, relation: str, rhs):
+        _set(self, "coeffs", coeffs)
+        _set(self, "relation", relation)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class LPProblem:
+class LPProblem(Record):
     """Maximize a linear objective subject to LinearConstraints.
 
     `nonneg[i]` marks variable i as restricted to >= 0; other variables are
     free.  `objective` is a tuple of (variable id, coefficient) pairs.
     """
 
-    num_vars: int
-    nonneg: tuple
-    constraints: tuple
-    objective: tuple
+    __slots__ = ("num_vars", "nonneg", "constraints", "objective")
+
+    def __init__(self, num_vars: int, nonneg: tuple, constraints: tuple, objective: tuple):
+        _set(self, "num_vars", num_vars)
+        _set(self, "nonneg", nonneg)
+        _set(self, "constraints", constraints)
+        _set(self, "objective", objective)
 
 
-@dataclass(frozen=True)
-class LPResult:
-    status: str
-    point: Optional[tuple] = None
-    value: Optional[object] = None
+class LPResult(Record):
+    __slots__ = ("status", "point", "value")
+
+    def __init__(self, status: str, point: Optional[tuple] = None, value=None):
+        _set(self, "status", status)
+        _set(self, "point", point)
+        _set(self, "value", value)
 
 
 def _terms(coeffs: Mapping[int, RationalLike]) -> tuple:

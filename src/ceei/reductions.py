@@ -16,7 +16,6 @@ on).  The JSON layer shifts everything to 1-based on output.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .core import (
@@ -26,7 +25,9 @@ from .core import (
     Allocation,
     Market,
     PriceVector,
+    Record,
     SearchCapExceeded,
+    _set,
     make_market,
     rational,
 )
@@ -34,60 +35,60 @@ from .core import (
 _DECIDER_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class PartitionInstance:
+class PartitionInstance(Record):
     """Positive integers to be split into two halves of equal sum."""
 
-    values: tuple
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if not self.values or any(int(v) <= 0 for v in self.values):
+    def __init__(self, values: tuple):
+        if not values or any(int(v) <= 0 for v in values):
             raise ValueError("partition instance needs a nonempty list of positive integers")
+        _set(self, "values", values)
 
 
-@dataclass(frozen=True)
-class SubsetSumInstance:
+class SubsetSumInstance(Record):
     """Positive integers and a positive target sum."""
 
-    values: tuple
-    target: int
+    __slots__ = ("values", "target")
 
-    def __post_init__(self):
-        if not self.values or any(int(v) <= 0 for v in self.values):
+    def __init__(self, values: tuple, target: int):
+        if not values or any(int(v) <= 0 for v in values):
             raise ValueError("subset-sum instance needs a nonempty list of positive integers")
-        if int(self.target) <= 0:
+        if int(target) <= 0:
             raise ValueError("subset-sum target must be positive")
+        _set(self, "values", values)
+        _set(self, "target", target)
 
 
-@dataclass(frozen=True)
-class X3CInstance:
+class X3CInstance(Record):
     """Universe {1..3n} and a family of 3-element subsets."""
 
-    universe_size: int
-    sets: tuple
+    __slots__ = ("universe_size", "sets")
 
-    def __post_init__(self):
-        if self.universe_size < 3 or self.universe_size % 3:
+    def __init__(self, universe_size: int, sets: tuple):
+        if universe_size < 3 or universe_size % 3:
             raise ValueError("universe size must be a positive multiple of 3")
-        for s in self.sets:
-            if len(s) != 3 or not all(1 <= e <= self.universe_size for e in s):
+        for s in sets:
+            if len(s) != 3 or not all(1 <= e <= universe_size for e in s):
                 raise ValueError("every set must contain exactly 3 universe elements")
+        _set(self, "universe_size", universe_size)
+        _set(self, "sets", sets)
 
 
-@dataclass(frozen=True)
-class SetPackingInstance:
+class SetPackingInstance(Record):
     """Finite sets over a positive-integer ground set, and a threshold."""
 
-    sets: tuple
-    threshold: int
+    __slots__ = ("sets", "threshold")
 
-    def __post_init__(self):
-        if not self.sets or any(not s for s in self.sets):
+    def __init__(self, sets: tuple, threshold: int):
+        if not sets or any(not s for s in sets):
             raise ValueError("set-packing instance needs nonempty sets")
-        if not 1 <= self.threshold <= len(self.sets):
+        if not 1 <= threshold <= len(sets):
             raise ValueError("threshold must be between 1 and the number of sets")
-        if any(int(e) <= 0 for s in self.sets for e in s):
+        if any(int(e) <= 0 for s in sets for e in s):
             raise ValueError("ground elements must be positive integers")
+        _set(self, "sets", sets)
+        _set(self, "threshold", threshold)
 
 
 def partition_to_leontief(inst: PartitionInstance) -> Tuple[Market, PriceVector]:

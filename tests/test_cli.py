@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ceei import io
-from ceei.cli import main
+from ceei.cli import build_parser, main
 from ceei.core import make_allocation, make_market, make_prices
 
 from conftest import demand_market, example2_market
@@ -272,6 +280,19 @@ class TestExitCodes:
         assert code == 2
         assert "leontief" in err
 
+    @pytest.mark.parametrize("fields, named", [
+        ({"buyers": True, "items": True}, "'buyers'"),
+        ({"buyers": 1.0}, "'buyers'"),
+        ({"values": ["11"]}, "'values'"),
+        ({"values": [1, 2]}, "'values'"),
+    ], ids=["bool-counts", "float-count", "string-row", "flat-values"])
+    def test_market_document_of_the_wrong_shape_is_usage_error(self, run, tmp_path, fields, named):
+        doc = {"class": "additive", "buyers": 1, "items": 1, "values": [[1]], **fields}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        code, out, err = run("validate", "--market", str(tmp_path / "m.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err
+
     def test_unknown_subcommand(self, run):
         code, _, _ = run("frobnicate")
         assert code == 2
@@ -287,6 +308,23 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "needs --" in err
+
+
+class TestParser:
+    def test_set_does_not_carry_over_between_calls(self, run, tmp_path):
+        code, _, _ = run("gen", "x3c", "--universe", "3", "--set", "1,2,3", "--out", str(tmp_path / "a"))
+        assert code == 0
+        code, out, err = run("gen", "x3c", "--universe", "3", "--out", str(tmp_path / "b"))
+        assert (code, out) == (2, "")
+        assert err == "error: gen x3c needs --set\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["gen", "--help"]])
+    def test_help_is_that_of_a_fresh_parser(self, run, argv):
+        expected = StringIO()
+        with redirect_stdout(expected), pytest.raises(SystemExit):
+            build_parser.__wrapped__().parse_args(argv)
+        for _ in range(2):
+            assert run(*argv) == (0, expected.getvalue(), "")
 
 
 class TestOracleCommand:
@@ -337,3 +375,114 @@ class TestMaxWelfareCommand:
         assert (code, out) == (2, "")
         assert err == ("error: assignment search over 3 buyers and 11 items, (n+1)^m states: "
                        "4194304 exceeds the cap max_states = 1000\n")
+
+
+def _import_delta(argv):
+    """Modules that `main(argv)` loads in a fresh interpreter, beyond those
+    loaded before `ceei` is imported (`site` may load some by itself)."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "from ceei.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    code, loaded = json.loads(proc.stdout)
+    return code, set(loaded)
+
+
+class TestImports:
+    """A CLI request loads only the modules that its command and its
+    market's class run."""
+
+    def test_validate_loads_no_algorithm_module(self, tmp_path):
+        (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1]], "additive")))
+        code, loaded = _import_delta(["validate", "--market", str(tmp_path / "m.json")])
+        assert code == 0
+        unwanted = {"ceei.lp", "ceei.equilibrium", "ceei.additive", "ceei.leontief", "ceei.oracle",
+                    "ceei.reductions", "dataclasses"}
+        assert {"ceei.core", "ceei.io"} <= loaded
+        assert loaded.isdisjoint(unwanted)
+
+    @pytest.mark.parametrize("market_class, other", [("leontief", "additive"), ("additive", "leontief")])
+    def test_solve_loads_only_its_class_module(self, tmp_path, market_class, other):
+        (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1, 1]], market_class)))
+        code, loaded = _import_delta(["solve", "--market", str(tmp_path / "m.json")])
+        assert code == 0
+        assert f"ceei.{market_class}" in loaded
+        assert f"ceei.{other}" not in loaded
+
+
+# --- fuzzing the JSON boundary ------------------------------------------------
+
+_RATIONALS = st.one_of(
+    st.integers(0, 4), st.sampled_from(["0", "1", "2/4", "1/3", "7/2"]),  # valid
+    st.sampled_from([-1, "-1/2", "1/0", "1.5", "x", "", 0.5, True, None, [1], {"1": 1}]),  # malformed
+)
+_JUNK = st.sampled_from([True, 1.0, "2", "11", -1, None, [1], [[True]], {}])
+
+
+@st.composite
+def _maybe(draw, valid, junk=_JUNK):
+    """Mostly the valid part, now and then a malformed one in its place."""
+    return draw(junk if draw(st.integers(0, 7)) == 7 else valid)
+
+
+@st.composite
+def _documents(draw):
+    """Market, allocation and price documents for one small market, each
+    field of which may be malformed, dropped, or of the wrong size."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row = st.lists(_maybe(st.sampled_from([1, 2, 0, "1/2", 3]), _RATIONALS), min_size=m, max_size=m)
+    market = {
+        "class": draw(_maybe(st.sampled_from(["leontief", "additive"]), st.sampled_from(["other", 1, None]))),
+        "buyers": draw(_maybe(st.just(n))),
+        "items": draw(_maybe(st.just(m))),
+        "values": draw(_maybe(st.lists(_maybe(row), min_size=n, max_size=n))),
+    }
+    owners = draw(st.lists(st.integers(-1, n - 1), min_size=m, max_size=m))
+    bundles = [[j + 1 for j, o in enumerate(owners) if o == i] for i in range(n)]
+    index = _maybe(st.integers(1, m), st.sampled_from([0, m + 1, -1, 1.5, True, "1", None]))
+    allocation = {"allocation": draw(_maybe(st.just(bundles), st.lists(st.lists(index, max_size=3), max_size=4)))}
+    price = _maybe(st.sampled_from(["0", "1", "1/2", "1/3", "2/3"]), _RATIONALS)
+    prices = {"prices": draw(_maybe(st.lists(price, min_size=m, max_size=m), st.lists(price, max_size=4)))}
+    docs = {"market": market, "alloc": allocation, "prices": prices}
+    for doc in docs.values():
+        if draw(st.integers(0, 9)) == 9:
+            doc.pop(draw(st.sampled_from(sorted(doc))))
+    return {name: draw(_maybe(st.just(doc), st.sampled_from([[doc], "doc", None])))
+            for name, doc in docs.items()}
+
+
+_COMMANDS = ["validate", "verify", "solve", "prices-for", "alloc-for", "maxwelfare", "apxwelfare", "oracle"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(_COMMANDS), docs=_documents(),
+       garbled=st.sampled_from([None] * 9 + ["market", "alloc", "prices"]))
+def test_cli_boundary_fuzz(tmp_path_factory, command, docs, garbled):
+    """Every request ends in exit 0, 1 or 2, with at most one JSON line on
+    stdout, no traceback, and exactly one `error:` line for exit 2."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    for name, doc in docs.items():
+        text = json.dumps(doc) if name != garbled else json.dumps(doc)[:-1]
+        (folder / f"{name}.json").write_text(text)
+    flags = {"verify": ("alloc", "prices"), "prices-for": ("alloc",), "alloc-for": ("prices",)}
+    argv = [command, *(a for flag in ("market", *flags.get(command, ()))
+                       for a in (f"--{flag}", str(folder / f"{flag}.json")))]
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    lines, err = out.getvalue().splitlines(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert len(lines) <= 1
+    for line in lines:
+        json.loads(line)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1

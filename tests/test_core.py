@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +9,8 @@ from ceei.core import (
     InfeasibleAllocationError,
     InvalidMarketError,
     Market,
+    PriceVector,
+    Violation,
     bundle_utility,
     check_budgets,
     check_clearing,
@@ -18,6 +23,8 @@ from ceei.core import (
     social_welfare,
     validate_market,
 )
+from ceei.lp import LPResult
+from ceei.reductions import PartitionInstance, SetPackingInstance, SubsetSumInstance, X3CInstance
 
 from conftest import example1_market, example2_market, example3_market
 
@@ -80,6 +87,85 @@ class TestValidateMarket:
         with pytest.raises(InvalidMarketError):
             validate_market(Market(n=2, m=2, values=((rational(1), rational(1)), (rational(1),)),
                                    market_class="additive"))
+
+
+# One record of each module that defines records: the class, its positional
+# arguments, every field by name (defaults included), its repr, and the
+# arguments of a record that differs in one field.
+RECORDS = {
+    "core": (Violation, ("k", 1), {"kind": "k", "buyer": 1, "item": None, "witness": None},
+             "Violation(kind='k', buyer=1, item=None, witness=None)", ("k", 2)),
+    "lp": (LPResult, ("optimal",), {"status": "optimal", "point": None, "value": None},
+           "LPResult(status='optimal', point=None, value=None)", ("infeasible",)),
+    "reductions": (SubsetSumInstance, ((1, 2), 3), {"values": (1, 2), "target": 3},
+                   "SubsetSumInstance(values=(1, 2), target=3)", ((1, 2), 4)),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS.keys())
+class TestRecord:
+    def test_positional_and_keyword_construction_with_defaults(self, record):
+        cls, args, fields, *_ = record
+        for made in (cls(*args), cls(**{k: v for k, v in fields.items() if v is not None})):
+            assert {name: getattr(made, name) for name in fields} == fields
+
+    def test_unknown_or_missing_field_is_a_type_error(self, record):
+        cls, args, *_ = record
+        with pytest.raises(TypeError):
+            cls(*args, unknown=1)
+        with pytest.raises(TypeError):
+            cls()
+
+    def test_equality_and_hash_by_exact_type_and_values(self, record):
+        cls, args, fields, _, differing = record
+        same, other = cls(*args), cls(**fields)
+        assert same == other and hash(same) == hash(other) == hash(tuple(fields.values()))
+        assert cls(*args) != cls(*differing)
+        subclass = type("Sub", (cls,), {})
+        assert cls(*args) != subclass(*args)
+        assert cls(*args) != tuple(fields.values())
+
+    def test_repr(self, record):
+        cls, args, _, text, _ = record
+        assert repr(cls(*args)) == text
+
+    def test_setting_or_deleting_an_attribute_raises(self, record):
+        cls, args, fields, *_ = record
+        made = cls(*args)
+        name = next(iter(fields))
+        with pytest.raises(AttributeError):
+            setattr(made, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(made, name)
+        with pytest.raises(AttributeError):
+            made.extra = 0
+        assert getattr(made, name) == fields[name]
+
+    def test_pickle_and_deepcopy_round_trip(self, record):
+        cls, args, *_ = record
+        made = cls(*args)
+        copies = [pickle.loads(pickle.dumps(made, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in [*copies, copy.deepcopy(made), copy.copy(made)]:
+            assert type(again) is cls and again == made
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PriceVector((rational(1), rational(-1))), "nonnegative"),
+    (lambda: PartitionInstance(()), "nonempty list of positive integers"),
+    (lambda: PartitionInstance((1, 0)), "nonempty list of positive integers"),
+    (lambda: SubsetSumInstance((), 1), "nonempty list of positive integers"),
+    (lambda: SubsetSumInstance((1,), 0), "target must be positive"),
+    (lambda: X3CInstance(4, ()), "multiple of 3"),
+    (lambda: X3CInstance(3, (frozenset({1, 2}),)), "exactly 3 universe elements"),
+    (lambda: X3CInstance(3, (frozenset({1, 2, 4}),)), "exactly 3 universe elements"),
+    (lambda: SetPackingInstance((), 1), "nonempty sets"),
+    (lambda: SetPackingInstance((frozenset(),), 1), "nonempty sets"),
+    (lambda: SetPackingInstance((frozenset({1}),), 2), "threshold must be between"),
+    (lambda: SetPackingInstance((frozenset({0}),), 1), "positive integers"),
+])
+def test_record_construction_checks(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 class TestSocialWelfare:
