@@ -79,7 +79,8 @@ def best_affordable_bundle(
     change nothing but the price), and among maximizers the first bundle in
     binary subset order over ascending item indices is returned, so the
     result is deterministic.  Values and costs are summed as scaled ints
-    (budget test cost <= D); the value is made rational once, on return.
+    (budget test cost <= D), each subset's taking one step from the subset
+    without its lowest bit; the value is made rational once, on return.
     """
     _require_additive(market)
     _check_enum_cap(market, caps)
@@ -90,15 +91,17 @@ def _best_affordable_bundle(market: Market, buyer: int, prices: PriceVector) -> 
     row, scale = integer_row(market.values[buyer])
     costs, den = integer_row(prices.prices)
     pos = [j for j, v in enumerate(row) if v > 0]
+    items = [(row[j], costs[j]) for j in pos]
+    value = [0] * (1 << len(pos))
+    cost = value[:]
     best_mask, best = 0, 0
-    for mask in range(1, 1 << len(pos)):
-        value = cost = 0
-        for t, j in enumerate(pos):
-            if mask >> t & 1:
-                value += row[j]
-                cost += costs[j]
-        if cost <= den and value > best:
-            best_mask, best = mask, value
+    for mask in range(1, len(value)):
+        rest = mask & (mask - 1)
+        item, price = items[(mask ^ rest).bit_length() - 1]
+        value[mask] = total = value[rest] + item
+        cost[mask] = spend = cost[rest] + price
+        if spend <= den and total > best:
+            best_mask, best = mask, total
     bundle = frozenset(j for t, j in enumerate(pos) if best_mask >> t & 1)
     return bundle, rational(best, scale)
 
@@ -160,7 +163,7 @@ def price_support_lp(
     market: Market, allocation: Allocation, caps: SearchCaps = DEFAULT_CAPS
 ) -> lp.LPProblem:
     """The shared price-recovery system, where every minimal bundle a buyer
-    strictly prefers to its own must cost at least 1 + slack."""
+    strictly prefers to its own must cost at least e = 1 + slack."""
     _require_additive(market)
     _check_enum_cap(market, caps)
     return equilibrium.price_support_lp(market, allocation, partial(_minimal_deviating_bundles, market))

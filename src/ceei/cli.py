@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 for a positive answer (equilibrium found / verified / exists),
-1 for a negative answer (none / violation / a market breaking a structural
-invariant) with a JSON body naming the reason, 2 for usage, parse, or
-search-cap errors, a price vector whose length is not the item count and
-an allocation whose bundle count is not the buyer count included.
+1 only for the command's own negative answer (none / violation /
+`validate`'s invalid verdict) with a JSON body naming the reason, 2 for
+usage, parse, or search-cap errors, a price vector whose length is not the
+item count and an allocation whose bundle count is not the buyer count
+included.  A market breaking a structural invariant is exit 1 only from
+`validate`; every other command rejects it as an input error, exit 2.
 Standard output carries exactly one JSON document per invocation;
 diagnostics go to standard error.
 """
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     cap_flags.add_argument("--cap-items", type=int, default=DEFAULT_CAPS.max_items,
                            help="maximum item count for exhaustive searches")
     cap_flags.add_argument("--cap-states", type=int, default=DEFAULT_CAPS.max_states,
-                           help="maximum assignment-space size (n+1)^m")
+                           help="maximum assignment-space size (n^m; (n+1)^m for oracle)")
     cap_flags.add_argument("--cap-enum", type=int, default=DEFAULT_CAPS.max_enum_items,
                            help="maximum item count for per-buyer bundle enumeration")
     # name, handler, help, files read besides --market, whether search caps apply

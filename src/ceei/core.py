@@ -21,14 +21,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
-try:  # gmpy2's mpq is a drop-in exact rational, roughly 10x faster than Fraction
-    from gmpy2 import mpq as _rational_backend
-except ImportError:  # pragma: no cover
-    _rational_backend = Fraction
+_rational_backend = Fraction  # the backend name perfbench records
 
 #: Exact rational scalar: reduced numerator/denominator, denominator > 0,
-#: arbitrary precision.  Either gmpy2.mpq or fractions.Fraction; both satisfy
-#: the contract and interoperate.
+#: arbitrary precision.
 RationalLike = Union[int, str, Fraction]
 
 LEONTIEF = "leontief"
@@ -40,9 +36,9 @@ def rational(value: RationalLike, den: int = 1):
     with an int `den`, the result is `value / den`, made in one step."""
     if den != 1:
         if isinstance(value, str):
-            value = _rational_backend(value)
-        return _rational_backend(value, den)
-    return _rational_backend(value)
+            value = Fraction(value)
+        return Fraction(value, den)
+    return Fraction(value)
 
 
 ZERO = rational(0)
@@ -56,12 +52,12 @@ def integer_row(values):
     Comparisons among the values, and between their sums, are unchanged by
     the common positive scale, so exact searches can run on Python ints and
     convert back only what they return.  Reads `.numerator` and
-    `.denominator`, so ints, `fractions.Fraction` and `gmpy2.mpq` all work.
+    `.denominator`, so ints and `fractions.Fraction` both work.
     """
     scale = 1
     for v in values:
-        scale = lcm(scale, int(v.denominator))
-    return [int(v.numerator) * (scale // int(v.denominator)) for v in values], scale
+        scale = lcm(scale, v.denominator)
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 class InvalidMarketError(ValueError):
@@ -133,8 +129,10 @@ class SearchCaps(Record):
 
     Exceeding a cap raises :class:`SearchCapExceeded`; searches are never
     silently truncated.  `max_items` bounds the item count of assignment
-    searches, `max_states` the (n+1)**m assignment space, and
-    `max_enum_items` the item count of per-buyer bundle enumeration.
+    searches, `max_states` the assignment space (n**m for the searches,
+    which never leave an item unsold, and (n+1)**m for the oracle, which
+    does), and `max_enum_items` the item count of per-buyer bundle
+    enumeration.
     """
 
     __slots__ = ("max_items", "max_states", "max_enum_items")

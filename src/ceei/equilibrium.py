@@ -63,13 +63,19 @@ def verify_equilibrium(
 def price_support_lp(market: Market, allocation: Allocation, deviators: Deviators) -> lp.LPProblem:
     """The price-recovery system for a fixed feasible allocation.
 
-    Variables 0..m-1 are item prices, variable m is the strictness slack.
-    Unsold items are pinned to price zero, every bundle must cost exactly 1,
-    and every deviator must cost at least 1 + slack.  The allocation is
-    price-supportable exactly when the maximal slack is positive.
+    Variables 0..m-1 are item prices, variable m is `e = 1 + eps`, one more
+    than the strictness slack eps.  Unsold items are pinned to price zero,
+    every bundle must cost exactly 1, every deviator must cost at least e,
+    and e is capped at 2.  The allocation is price-supportable exactly when
+    the maximal e exceeds 1.
+
+    The shift keeps every deviator row `e - p(D) <= 0` feasible at the
+    origin, so its slack starts basic and phase 1 needs artificials only
+    for the bundle rows and the pinned unsold rows (Chvatal, Linear
+    Programming, 1983, ch. 3 and 8).
     """
     m = market.m
-    eps = m
+    e = m
     unsold = frozenset(range(m)).difference(*allocation.bundles)
     cons = [lp.constraint({j: 1}, lp.EQ, 0) for j in sorted(unsold)]
     for i, bundle in enumerate(allocation.bundles):
@@ -78,10 +84,10 @@ def price_support_lp(market: Market, allocation: Allocation, deviators: Deviator
         cons.append(lp.constraint({j: 1 for j in bundle}, lp.EQ, 1))
         for deviator in deviators(i, bundle):
             coeffs = {j: -1 for j in deviator}
-            coeffs[eps] = 1
-            cons.append(lp.constraint(coeffs, lp.LE, -1))
-    cons.append(lp.constraint({eps: 1}, lp.LE, 1))
-    return lp.lp_problem(m + 1, cons, {eps: 1})
+            coeffs[e] = 1
+            cons.append(lp.constraint(coeffs, lp.LE, 0))
+    cons.append(lp.constraint({e: 1}, lp.LE, 2))
+    return lp.lp_problem(m + 1, cons, {e: 1})
 
 
 def prices_for_allocation(market: Market, allocation: Allocation, deviators: Deviators) -> Optional[PriceVector]:
@@ -101,7 +107,7 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
         if any(deviator <= cover for deviator in listed[i] for cover in covers):
             return None
     result = lp.solve_lp(price_support_lp(market, allocation, lambda i, _: listed[i]))
-    if result.status != lp.OPTIMAL or result.value <= 0:
+    if result.status != lp.OPTIMAL or result.value <= 1:
         return None
     return PriceVector(result.point[: market.m])
 
@@ -110,9 +116,9 @@ def _check_assignment_cap(market: Market, caps: SearchCaps) -> None:
     search = f"assignment search over {market.n} buyers and {market.m} items"
     if market.m > caps.max_items:
         raise SearchCapExceeded(f"{search}, m items", "max_items", market.m, caps.max_items)
-    states = (market.n + 1) ** market.m
+    states = market.n ** market.m
     if states > caps.max_states:
-        raise SearchCapExceeded(f"{search}, (n+1)^m states", "max_states", states, caps.max_states)
+        raise SearchCapExceeded(f"{search}, n^m states", "max_states", states, caps.max_states)
 
 
 def symmetry_classes(rows, tags=None) -> Tuple[List[int], List[int]]:

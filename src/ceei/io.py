@@ -27,7 +27,7 @@ from .core import (
 
 def format_rational(q) -> object:
     """Bare int when the denominator is 1, else a reduced "p/q" string."""
-    num, den = int(q.numerator), int(q.denominator)
+    num, den = q.numerator, q.denominator
     return num if den == 1 else f"{num}/{den}"
 
 

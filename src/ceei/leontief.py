@@ -62,7 +62,7 @@ def _better_bundle(market: Market, prices: PriceVector, buyer: int, bundle: froz
 
 def price_support_lp(market: Market, allocation: Allocation) -> lp.LPProblem:
     """The shared price-recovery system, where a buyer missing part of its
-    demand set needs the demand set priced at least 1 + slack."""
+    demand set needs the demand set priced at least e = 1 + slack."""
     _require_leontief(market)
     return equilibrium.price_support_lp(market, allocation, partial(_deviators, market))
 

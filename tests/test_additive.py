@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +29,20 @@ from ceei.reductions import (
     subsetsum_to_additive_verify,
     x3c_to_additive,
 )
+
+
+def _run_in_child(script, timeout):
+    """The JSON that `script` prints in a fresh interpreter on this
+    checkout's `src`; a run past `timeout` seconds fails the test rather
+    than hanging the suite."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=timeout, check=True)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"not finished in {timeout} s")
+    return json.loads(proc.stdout)
 
 
 class TestUtility:
@@ -115,6 +134,20 @@ class TestPricesForAllocation:
         prices = additive.prices_for_allocation(market, make_allocation([[0]]))
         assert prices.prices == (rational(1),)
 
+    def test_many_deviator_rows_are_priced_quickly(self):
+        # rows 1..14 and 14..1, each buyer holding the half it values more:
+        # one LP with thousands of deviator rows, which took over 10 s while
+        # each deviator row carried a phase-1 artificial
+        script = (
+            "import json\n"
+            "from ceei import additive, io\n"
+            "from ceei.core import make_allocation, make_market\n"
+            "market = make_market([list(range(1, 15)), list(range(14, 0, -1))], 'additive')\n"
+            "x = make_allocation([list(range(7, 14)), list(range(7))])\n"
+            "print(json.dumps(io.prices_to_obj(additive.prices_for_allocation(market, x))))\n"
+        )
+        assert _run_in_child(script, timeout=5) == ["1/7"] * 14
+
     def test_enumeration_cap_bounds_the_first_enumeration(self):
         # buyer 1's bundle {1, 2} contains buyer 0's minimal deviator {1, 2},
         # so the allocation is rejected without an LP -- but only after an
@@ -142,6 +175,21 @@ class TestAllocationForPrices:
 
 
 class TestSearchEquilibrium:
+    def test_two_buyers_twelve_items_finishes(self):
+        # the default caps admit this search; its first priced leaf has an
+        # 839-row LP, which did not finish in minutes while each deviator
+        # row carried a phase-1 artificial
+        script = (
+            "import json\n"
+            "from ceei import additive, io\n"
+            "from ceei.core import make_market\n"
+            "x, p = additive.search_equilibrium(make_market([[1, 2, 3] * 4, [3, 2, 1] * 4], 'additive'))\n"
+            "print(json.dumps([io.allocation_to_obj(x), io.prices_to_obj(p)]))\n"
+        )
+        assert _run_in_child(script, timeout=30) == [
+            [[2, 3, 5, 6, 8, 9, 11, 12], [1, 4, 7, 10]], ["1/4", "1/6", "1/12"] * 4,
+        ]
+
     def test_solvable_cover_instance(self):
         market = x3c_to_additive(X3CInstance(3, (frozenset({1, 2, 3}), frozenset({1, 2, 3}))))
         found = additive.search_equilibrium(market)

@@ -6,8 +6,12 @@ every output, serialized through `ceei.io` and `format_rational` so the
 digest does not depend on the rational backend.  The three additive digests
 were recorded on the Fraction-arithmetic implementation, the rest on the
 implementation with separate Leontief and additive verifiers, price
-recovery and assignment searches; any change to an allocation, a price, a
-welfare, a verdict or a witness changes them.
+recovery and assignment searches.  `setpacking->leontief` and
+`corpus->leontief` were re-recorded when the price-support LP moved to
+e = 1 + eps, which starts Bland's rule from another basis: only price
+entries moved, to another optimal vertex, and every moved pair verifies.
+Any change to an allocation, a price, a welfare, a verdict or a witness
+changes the digests.
 """
 
 import hashlib
@@ -28,8 +32,8 @@ GOLDEN = {
     "partition->additive": (167, "0f82225a69d5799e2b3800184df492a5d1bcea6aa87eaa3f65ed21a89168ef9d"),
     "subsetsum->verify": (201, "a8f753a7d51104774a0808feaffa257ba5b56fd96b260c8e5b5b76e7fd4adbc9"),
     "partition->leontief": (1001, "f7d2a48907e3c61549c98a5d83a1335a97df6e15374332d29fe4c5d39f6254f9"),
-    "setpacking->leontief": (227, "6c54e79d3163613394a136555ffbeabe08b27d3f56bf8a17279ccd72e637b217"),
-    "corpus->leontief": (239, "d3705bc9371a10b1935bdf46f977a86e4b59e6aa244d243c4a50e3bb83781391"),
+    "setpacking->leontief": (227, "dfaee365584fd10e01805ce23f51ea8b3ebfcbe007004686c34602d748d31bc8"),
+    "corpus->leontief": (239, "cacc27ce757670c555ccbf02c0a12aa9e777c88cf0835f142023b9cde1875ee1"),
     "corpus->leontief-verify": (177, "ed9f214e27b7b1e790c40989e855c2d0a75d1e272e167867972f8c7c9d147064"),
     "subsetsum->alloc": (483, "dd96739e3129195059967867c4b8d097c06be78ff22d326fd6999e82c9639392"),
 }

@@ -165,6 +165,19 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["valid"] is False
 
+    @pytest.mark.parametrize("command, expected", [
+        ("validate", 1), ("solve", 2), ("maxwelfare", 2), ("apxwelfare", 2), ("oracle", 2),
+    ])
+    def test_invalid_market_is_negative_only_to_validate(self, run, tmp_path, command, expected):
+        # exit 1 is the command's own negative answer; to every other
+        # command a market breaking a structural invariant is an input error
+        (tmp_path / "bad.json").write_text(json.dumps(
+            {"class": "leontief", "buyers": 1, "items": 1, "values": [[0]]}))
+        code, out, err = run(command, "--market", str(tmp_path / "bad.json"))
+        assert code == expected
+        if expected == 2:
+            assert (out, err) == ("", "error: buyer 0 has an empty demand set\n")
+
     @pytest.mark.parametrize("command", ["validate", "verify", "alloc-for"])
     def test_zero_denominator_value_is_usage_error(self, run, tmp_path, command):
         (tmp_path / "m.json").write_text(json.dumps(
@@ -373,8 +386,8 @@ class TestMaxWelfareCommand:
         market = make_market([[1] * 11] * 3, market_class)
         code, out, err = run("maxwelfare", "--market", self._market(tmp_path, market), "--cap-states", "1000")
         assert (code, out) == (2, "")
-        assert err == ("error: assignment search over 3 buyers and 11 items, (n+1)^m states: "
-                       "4194304 exceeds the cap max_states = 1000\n")
+        assert err == ("error: assignment search over 3 buyers and 11 items, n^m states: "
+                       "177147 exceeds the cap max_states = 1000\n")
 
 
 def _import_delta(argv):

@@ -252,7 +252,7 @@ class TestOptimalWelfare:
         assert leontief.optimal_welfare_equilibrium(market) == leontief.optimal_welfare_equilibrium(market)
 
     def test_cap_exceeded(self):
-        market = demand_market([{0}], 3)
+        market = demand_market([{0}, {0}], 3)  # 2^3 = 8 states
         with pytest.raises(SearchCapExceeded):
             leontief.optimal_welfare_equilibrium(market, SearchCaps(max_states=3))
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceei import lp
-from ceei.core import rational
+from ceei import additive, leontief, lp
+from ceei.core import make_market, rational
 from ceei.lp import EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, check_point, constraint, lp_problem, solve_lp
 
 from conftest import example2_market
@@ -71,15 +71,32 @@ def test_check_point_exact():
 
 def test_check_point_on_worked_price_system():
     # The price-recovery system for the worked 6-buyer example admits its
-    # published prices with the slack at its cap.
+    # published prices with the slack at its cap: e = 1 + eps = 2.
     market = example2_market()
     x = make_allocation([[0], [1], [2], [3], [4], [5, 6, 7]])
     system = price_support_lp(market, x)
-    point = [rational(q) for q in (1, 1, 1, 1, 1, "1/3", "1/3", "1/3", 1)]
+    point = [rational(q) for q in (1, 1, 1, 1, 1, "1/3", "1/3", "1/3", 2)]
     assert check_point(system, point)
     result = solve_lp(system)
     assert result.status == OPTIMAL
-    assert result.value == 1
+    assert result.value == 2
+
+
+@pytest.mark.parametrize("build, market, x", [
+    (leontief.price_support_lp, example2_market(), make_allocation([[0], [1], [2], [3], [4], [5, 6, 7]])),
+    (additive.price_support_lp, make_market([list(range(1, 9)), list(range(8, 0, -1))], "additive"),
+     make_allocation([list(range(4, 8)), list(range(4))])),
+], ids=["leontief", "additive"])
+def test_price_support_deviator_rows_are_feasible_at_zero(build, market, x):
+    # Every deviator row is e - p(D) <= 0, so the origin satisfies it, its
+    # slack starts basic and phase 1 gives it no artificial; the cap is e <= 2.
+    system = build(market, x)
+    e = market.m
+    rows = [con for con in system.constraints if con.relation == LE]
+    assert rows[-1] == constraint({e: 1}, LE, 2)
+    assert len(rows) > 1
+    for con in rows[:-1]:
+        assert dict(con.coeffs)[e] == 1 and con.rhs == 0
 
 
 def test_redundant_equalities_are_dropped():
