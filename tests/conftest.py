@@ -1,6 +1,26 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from ceei.core import make_market
+
+
+def run_script(script, timeout):
+    """Standard output of `script` run in a fresh interpreter on this
+    checkout's `src`; a run past `timeout` seconds fails the test rather
+    than hanging the suite."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=timeout, check=True)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"not finished in {timeout} s")
+    return proc.stdout
 
 
 def demand_market(demands, m, market_class="leontief"):

@@ -1,10 +1,6 @@
 import itertools
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,19 +26,7 @@ from ceei.reductions import (
     x3c_to_additive,
 )
 
-
-def _run_in_child(script, timeout):
-    """The JSON that `script` prints in a fresh interpreter on this
-    checkout's `src`; a run past `timeout` seconds fails the test rather
-    than hanging the suite."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    try:
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                              timeout=timeout, check=True)
-    except subprocess.TimeoutExpired:
-        pytest.fail(f"not finished in {timeout} s")
-    return json.loads(proc.stdout)
+from conftest import run_script
 
 
 class TestUtility:
@@ -146,7 +130,7 @@ class TestPricesForAllocation:
             "x = make_allocation([list(range(7, 14)), list(range(7))])\n"
             "print(json.dumps(io.prices_to_obj(additive.prices_for_allocation(market, x))))\n"
         )
-        assert _run_in_child(script, timeout=5) == ["1/7"] * 14
+        assert json.loads(run_script(script, timeout=5)) == ["1/7"] * 14
 
     def test_enumeration_cap_bounds_the_first_enumeration(self):
         # buyer 1's bundle {1, 2} contains buyer 0's minimal deviator {1, 2},
@@ -186,7 +170,7 @@ class TestSearchEquilibrium:
             "x, p = additive.search_equilibrium(make_market([[1, 2, 3] * 4, [3, 2, 1] * 4], 'additive'))\n"
             "print(json.dumps([io.allocation_to_obj(x), io.prices_to_obj(p)]))\n"
         )
-        assert _run_in_child(script, timeout=30) == [
+        assert json.loads(run_script(script, timeout=30)) == [
             [[2, 3, 5, 6, 8, 9, 11, 12], [1, 4, 7, 10]], ["1/4", "1/6", "1/12"] * 4,
         ]
 

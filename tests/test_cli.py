@@ -1,10 +1,6 @@
 import json
-import os
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +10,7 @@ from ceei import io
 from ceei.cli import build_parser, main
 from ceei.core import make_allocation, make_market, make_prices
 
-from conftest import demand_market, example2_market
+from conftest import demand_market, example2_market, run_script
 
 
 @pytest.fixture
@@ -401,11 +397,7 @@ def _import_delta(argv):
         f"    code = main({argv!r})\n"
         "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                          timeout=60, check=True)
-    code, loaded = json.loads(proc.stdout)
+    code, loaded = json.loads(run_script(script, timeout=60))
     return code, set(loaded)
 
 
