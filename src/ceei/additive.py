@@ -133,30 +133,27 @@ def _minimal_deviating_bundles(market: Market, buyer: int, bundle: frozenset) ->
     priced above budget every superset is too.  Zero-value items never
     appear in a minimal deviator.  Every other item adds value, so the
     deviators are closed upward, and one is minimal iff dropping its
-    least-valued item leaves it worth no more than `bundle`.  A subset's
-    value and least item value each take one step from the subset without
-    its lowest bit.  Values are summed as the buyer's scaled ints; an int
-    exceeds `utility * scale` iff it exceeds its floor.
+    least-valued item leaves it worth no more than `bundle`.  The walk takes
+    those items in ascending value order (ties by index), so the item a
+    subset's lowest bit adds to `rest`, the subset without it, is its least
+    valued: a subset is minimal iff `value[mask] > limit >= value[rest]`.
+    Values are summed as the buyer's scaled ints; an int exceeds
+    `utility * scale` iff it exceeds its floor.
     """
     row, scale = integer_row(market.values[buyer])
     limit = floor(bundle_utility(market, buyer, bundle) * scale)
-    pos = [j for j, v in enumerate(row) if v > 0]
+    pos = sorted((j for j, v in enumerate(row) if v > 0), key=row.__getitem__)
     items = [row[j] for j in pos]
     value = [0] * (1 << len(pos))
-    least = value[:]
     minimal = []
     for mask in range(1, len(value)):
         rest = mask & (mask - 1)
-        item = items[(mask ^ rest).bit_length() - 1]
-        value[mask] = total = value[rest] + item
-        drop = least[rest]
-        if item < drop or not rest:
-            drop = item
-        least[mask] = drop
-        if total > limit >= total - drop:
-            minimal.append(mask)
-    minimal.sort(key=int.bit_count)
-    return [frozenset(j for t, j in enumerate(pos) if mask >> t & 1) for mask in minimal]
+        value[mask] = total = value[rest] + items[(mask ^ rest).bit_length() - 1]
+        if total > limit >= value[rest]:
+            minimal.append(frozenset(j for t, j in enumerate(pos) if mask >> t & 1))
+    minimal.sort(key=lambda d: sum(1 << j for j in d))
+    minimal.sort(key=len)
+    return minimal
 
 
 def price_support_lp(

@@ -218,14 +218,6 @@ class EquilibriumReport(Record):
         _set(self, "equilibrium", equilibrium)
         _set(self, "violation", violation)
 
-    @staticmethod
-    def ok() -> "EquilibriumReport":
-        return EquilibriumReport(True, None)
-
-    @staticmethod
-    def fail(violation: Violation) -> "EquilibriumReport":
-        return EquilibriumReport(False, violation)
-
 
 def make_market(values: Sequence[Sequence[RationalLike]], market_class: str) -> Market:
     """Build and validate a market from a rectangular value matrix."""

@@ -52,12 +52,12 @@ def verify_equilibrium(
     found = (check_feasible(market, allocation) or check_clearing(market, allocation, prices)
              or check_budgets(market, allocation, prices))
     if found is not None:
-        return EquilibriumReport.fail(found)
+        return EquilibriumReport(False, found)
     for i in range(market.n):
         witness = better_bundle(i, allocation.bundles[i])
         if witness is not None:
-            return EquilibriumReport.fail(Violation(SUBOPTIMAL_BUNDLE, buyer=i, witness=witness))
-    return EquilibriumReport.ok()
+            return EquilibriumReport(False, Violation(SUBOPTIMAL_BUNDLE, buyer=i, witness=witness))
+    return EquilibriumReport(True)
 
 
 def price_support_lp(market: Market, allocation: Allocation, deviators: Deviators) -> lp.LPProblem:

@@ -47,6 +47,13 @@ def parse_rational(value):
     raise ValueError(f"not an exact rational: {value!r}")
 
 
+def _load(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
@@ -83,7 +90,7 @@ def obj_to_market(obj: dict) -> Market:
 
 
 def market_from_json(text: str) -> Market:
-    return obj_to_market(json.loads(text))
+    return obj_to_market(_load(text))
 
 
 def allocation_to_obj(allocation: Allocation) -> list:
@@ -138,7 +145,7 @@ def solution_to_json(
 
 
 def solution_from_json(text: str) -> dict:
-    obj = json.loads(text)
+    obj = _load(text)
     if not isinstance(obj, dict):
         raise ValueError("solution document must be a JSON object")
     out = dict(obj)

@@ -98,12 +98,16 @@ def compute_equilibrium(market: Market) -> Optional[Tuple[Allocation, PriceVecto
         return None
     demands = [demand_items(market, i) for i in range(market.n)]
     bundles, _ = _assignment_plan(market, demands, range(market.n))
+    return Allocation(tuple(bundles)), PriceVector(tuple(_uniform_prices(market, bundles)))
+
+
+def _uniform_prices(market: Market, bundles) -> list:
+    """Each bundle's budget of 1 split evenly over its items; other items cost 0."""
     prices = [ZERO] * market.m
     for bundle in bundles:
-        share = ONE / len(bundle)
         for j in bundle:
-            prices[j] = share
-    return Allocation(tuple(bundles)), PriceVector(tuple(prices))
+            prices[j] = ONE / len(bundle)
+    return prices
 
 
 def no_equilibrium_reason(market: Market) -> Optional[str]:
@@ -146,12 +150,11 @@ def compute_equilibrium_prealloc(
     buyer its full demand set.
 
     The excluded buyer's bundle is left empty and the preallocated items are
-    priced zero (the caller owns both).  Singleton bundles are priced 1; the
-    last processed buyer's bundle splits its budget with most weight on the
-    items it actually wants: (1 - eps) spread over the wanted items and eps
-    over the unwanted ones, degenerating to a uniform split when either part
-    is empty.  eps is chosen below 1/|D| for every demand set D so that an
-    unwanted item's price can never make a missing demanded item affordable.
+    priced zero (the caller owns both).  Bundles are priced uniformly, but
+    when the last processed buyer's bundle holds both items it wants and
+    items it does not, it spreads (1 - eps) over the wanted items and eps
+    over the unwanted ones.  eps is below 1/|D| for every demand set D, so
+    an unwanted item's price never makes a missing demanded item affordable.
     """
     _require_leontief(market)
     prealloc = frozenset(preallocated_items)
@@ -164,12 +167,9 @@ def compute_equilibrium_prealloc(
     demands = [demand_items(market, i) for i in range(market.n)]
     remaining = [i for i in range(market.n) if i != excluded_buyer]
     bundles, order = _assignment_plan(market, demands, remaining, prealloc)
-    prices = [ZERO] * market.m
+    prices = _uniform_prices(market, bundles)
     if order:
         last = order[-1]
-        for i in order[:-1]:
-            for j in bundles[i]:
-                prices[j] = ONE
         wanted = bundles[last] & demands[last]
         unwanted = bundles[last] - demands[last]
         if wanted and unwanted:
@@ -178,10 +178,6 @@ def compute_equilibrium_prealloc(
                 prices[j] = (ONE - eps) / len(wanted)
             for j in unwanted:
                 prices[j] = eps / len(unwanted)
-        else:
-            share = ONE / len(bundles[last])
-            for j in bundles[last]:
-                prices[j] = share
     return Allocation(tuple(bundles)), PriceVector(tuple(prices))
 
 

@@ -200,6 +200,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("deep", ["market", "alloc", "prices"])
+    def test_deeply_nested_document_is_usage_error(self, run, ex2_files, tmp_path, deep):
+        # json.loads raises RecursionError, not ValueError, past its nesting limit
+        paths = dict(ex2_files)
+        paths[deep] = tmp_path / "deep.json"
+        paths[deep].write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run("verify", *(arg for key in ("market", "alloc", "prices")
+                                         for arg in (f"--{key}", str(paths[key]))))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["1.5", "1_000", "+1", "1/-2", "1 /2", "0x1"])
     def test_value_outside_the_rational_grammar_is_usage_error(self, run, tmp_path, value):
         (tmp_path / "m.json").write_text(json.dumps(
