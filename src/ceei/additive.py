@@ -151,6 +151,8 @@ def _minimal_deviating_bundles(market: Market, buyer: int, bundle: frozenset) ->
         value[mask] = total = value[rest] + items[(mask ^ rest).bit_length() - 1]
         if total > limit >= value[rest]:
             minimal.append(frozenset(j for t, j in enumerate(pos) if mask >> t & 1))
+    # no deviator holds a zero-value item, so its mask over all item indices
+    # orders it as the mask over the valued items does
     minimal.sort(key=lambda d: sum(1 << j for j in d))
     minimal.sort(key=len)
     return minimal
