@@ -55,7 +55,7 @@ from .core import (
     integer_row,
     rational,
 )
-from .equilibrium import _check_assignment_cap
+from .equilibrium import _check_assignment_cap, _check_prices
 
 
 def _require_additive(market: Market) -> None:
@@ -84,6 +84,7 @@ def best_affordable_bundle(
     """
     _require_additive(market)
     _check_enum_cap(market, caps)
+    _check_prices(market, prices)
     return _best_affordable_bundle(market, buyer, prices)
 
 

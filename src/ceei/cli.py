@@ -112,14 +112,6 @@ def _caps(args) -> SearchCaps:
     return SearchCaps(max_items=args.cap_items, max_states=args.cap_states, max_enum_items=args.cap_enum)
 
 
-def _parse_values(text: str):
-    return tuple(int(v) for v in text.split(","))
-
-
-def _parse_set(text: str):
-    return frozenset(int(v) for v in text.split(","))
-
-
 def _cmd_validate(args) -> int:
     try:
         market = _read_market(args.market)
@@ -192,59 +184,48 @@ def _cmd_oracle(args) -> int:
     return _answer(found, "no equilibrium", "allocation", "prices")
 
 
-def _require_args(args, *names) -> None:
-    for name in names:
-        value = getattr(args, name)
-        if value is None or value == []:
-            raise _UsageError(f"gen {args.source} needs --{name}")
+# One row per `gen` source: the `reductions` instance class, the flags it is
+# built from in constructor order, the generator, and where each of the
+# generator's outputs goes (a `market`, `alloc` or `prices` file, or the
+# `threshold` echoed on stdout).  Rows name what they use, so `reductions`
+# loads only when `gen` runs.
+_GEN_SOURCES = {
+    "partition": ("PartitionInstance", ("values",), "partition_to_leontief", ("market", "prices")),
+    "partition-prices": ("PartitionInstance", ("values",), "partition_to_additive_prices", ("market", "prices")),
+    "subsetsum-verify": ("SubsetSumInstance", ("values", "target"), "subsetsum_to_additive_verify",
+                         ("market", "alloc", "prices")),
+    "subsetsum-alloc": ("SubsetSumInstance", ("values", "target"), "subsetsum_to_additive_allocation",
+                        ("market", "alloc")),
+    "x3c": ("X3CInstance", ("universe", "set"), "x3c_to_additive", ("market",)),
+    "setpacking": ("SetPackingInstance", ("set", "threshold"), "setpacking_to_leontief", ("market", "threshold")),
+}
+# The flags given as comma-separated text; argparse has made the others ints.
+_GEN_PARSE = {
+    "values": lambda text: tuple(int(v) for v in text.split(",")),
+    "set": lambda texts: tuple(frozenset(int(v) for v in text.split(",")) for text in texts),
+}
 
 
 def _cmd_gen(args) -> int:
     from . import reductions  # loaded here only, so other commands start faster
 
+    instance, flags, generator, outputs = _GEN_SOURCES[args.source]
+    for name in flags:  # every flag is checked before any is parsed
+        if getattr(args, name) in (None, []):
+            raise _UsageError(f"gen {args.source} needs --{name}")
+    fields = [_GEN_PARSE.get(name, int)(getattr(args, name)) for name in flags]
+    found = getattr(reductions, generator)(getattr(reductions, instance)(*fields))
     prefix = Path(args.out)
-    written = {}
-
-    def write(kind: str, text: str) -> None:
+    doc = {"written": {}}
+    for kind, value in zip(outputs, found if len(outputs) > 1 else (found,)):
+        if kind == "threshold":
+            doc[kind] = value
+            continue
         path = prefix.parent / f"{prefix.name}.{kind}.json"
-        path.write_text(text)
-        written[kind] = str(path)
-
-    extra = {}
-    if args.source in ("partition", "partition-prices"):
-        _require_args(args, "values")
-        inst = reductions.PartitionInstance(_parse_values(args.values))
-        if args.source == "partition":
-            market, prices = reductions.partition_to_leontief(inst)
-        else:
-            market, prices = reductions.partition_to_additive_prices(inst)
-        write("market", io.market_to_json(market))
-        write("prices", io.solution_to_json(prices=prices))
-    elif args.source == "subsetsum-verify":
-        _require_args(args, "values", "target")
-        inst = reductions.SubsetSumInstance(_parse_values(args.values), args.target)
-        market, allocation, prices = reductions.subsetsum_to_additive_verify(inst)
-        write("market", io.market_to_json(market))
-        write("alloc", io.solution_to_json(allocation=allocation))
-        write("prices", io.solution_to_json(prices=prices))
-    elif args.source == "subsetsum-alloc":
-        _require_args(args, "values", "target")
-        inst = reductions.SubsetSumInstance(_parse_values(args.values), args.target)
-        market, allocation = reductions.subsetsum_to_additive_allocation(inst)
-        write("market", io.market_to_json(market))
-        write("alloc", io.solution_to_json(allocation=allocation))
-    elif args.source == "x3c":
-        _require_args(args, "universe", "set")
-        inst = reductions.X3CInstance(args.universe, tuple(_parse_set(s) for s in args.set))
-        market = reductions.x3c_to_additive(inst)
-        write("market", io.market_to_json(market))
-    elif args.source == "setpacking":
-        _require_args(args, "set", "threshold")
-        inst = reductions.SetPackingInstance(tuple(_parse_set(s) for s in args.set), args.threshold)
-        market, threshold = reductions.setpacking_to_leontief(inst)
-        write("market", io.market_to_json(market))
-        extra["threshold"] = threshold
-    _emit({"written": written, **extra})
+        key = "allocation" if kind == "alloc" else kind
+        path.write_text(io.market_to_json(value) if kind == "market" else io.solution_to_json(**{key: value}))
+        doc["written"][kind] = str(path)
+    _emit(doc)
     return 0
 
 
@@ -280,9 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("gen", help="generate a hardness-gadget instance")
-    p.add_argument("source", choices=[
-        "partition", "partition-prices", "subsetsum-verify", "subsetsum-alloc", "x3c", "setpacking",
-    ])
+    p.add_argument("source", choices=list(_GEN_SOURCES))
     p.add_argument("--values", help="comma-separated positive integers")
     p.add_argument("--target", type=int, help="subset-sum target")
     p.add_argument("--universe", type=int, help="universe size (multiple of 3)")

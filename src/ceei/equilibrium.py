@@ -42,6 +42,12 @@ from .core import (
 Deviators = Callable[[int, frozenset], List[frozenset]]
 
 
+def _check_prices(market: Market, prices: PriceVector) -> None:
+    """Raise ValueError unless there is one price per item."""
+    if len(prices.prices) != market.m:
+        raise ValueError(f"price vector has {len(prices.prices)} prices for {market.m} items")
+
+
 def verify_equilibrium(
     market: Market, allocation: Allocation, prices: PriceVector, better_bundle: Callable
 ) -> EquilibriumReport:
@@ -49,6 +55,7 @@ def verify_equilibrium(
     index: `better_bundle(i, bundle)` is an affordable bundle buyer i
     strictly prefers to `bundle`, its own (the violation's witness), or
     None.  A later check runs only once the earlier ones pass."""
+    _check_prices(market, prices)
     found = (check_feasible(market, allocation) or check_clearing(market, allocation, prices)
              or check_budgets(market, allocation, prices))
     if found is not None:
@@ -187,6 +194,7 @@ def allocation_for_prices(market: Market, prices: PriceVector, better_bundle: Ca
     `_SpendTally`, where identical items must also share a price, and a
     leaf is an answer when `better_bundle(i, bundle)`, the verifier's
     per-buyer test, finds no buyer a better bundle."""
+    _check_prices(market, prices)
     p, den = integer_row(prices.prices)
 
     def accept(candidate: Allocation) -> Optional[PriceVector]:

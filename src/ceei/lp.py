@@ -104,6 +104,8 @@ def _validate(problem: LPProblem) -> None:
     if len(problem.nonneg) != problem.num_vars:
         raise ValueError("nonneg flags do not match variable count")
     for con in problem.constraints:
+        if con.relation not in (LE, EQ):
+            raise ValueError(f"unknown relation {con.relation!r}")
         if not con.coeffs:
             raise ValueError("constraint without coefficients")
         for var, _ in con.coeffs:
@@ -116,6 +118,7 @@ def _validate(problem: LPProblem) -> None:
 
 def check_point(problem: LPProblem, point: Sequence[RationalLike]) -> bool:
     """Exact feasibility check of a point against every constraint and flag."""
+    _validate(problem)
     if len(point) != problem.num_vars:
         raise ValueError("point dimension mismatch")
     values = [rational(x) for x in point]
@@ -126,9 +129,7 @@ def check_point(problem: LPProblem, point: Sequence[RationalLike]) -> bool:
         lhs = ZERO
         for var, coeff in con.coeffs:
             lhs += coeff * values[var]
-        if con.relation == LE and not lhs <= con.rhs:
-            return False
-        if con.relation == EQ and lhs != con.rhs:
+        if lhs > con.rhs or (con.relation == EQ and lhs != con.rhs):
             return False
     return True
 

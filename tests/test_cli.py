@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceei import io
+from ceei import io, reductions
 from ceei.cli import build_parser, main
 from ceei.core import make_allocation, make_market, make_prices
 
@@ -112,7 +112,43 @@ class TestSolveCommand:
         assert json.loads(out)["reason"] == "duplicate singleton demand sets"
 
 
+# Per `gen` source: its flags, the same instance through its `reductions`
+# generator, and what each of the generator's outputs is, in order.
+_GEN_CASES = {
+    "partition": (["--values", "1,1"], lambda: reductions.partition_to_leontief(
+        reductions.PartitionInstance((1, 1))), ("market", "prices")),
+    "partition-prices": (["--values", "1,1"], lambda: reductions.partition_to_additive_prices(
+        reductions.PartitionInstance((1, 1))), ("market", "prices")),
+    "subsetsum-verify": (["--values", "1,2", "--target", "3"], lambda: reductions.subsetsum_to_additive_verify(
+        reductions.SubsetSumInstance((1, 2), 3)), ("market", "alloc", "prices")),
+    "subsetsum-alloc": (["--values", "1,2", "--target", "3"], lambda: reductions.subsetsum_to_additive_allocation(
+        reductions.SubsetSumInstance((1, 2), 3)), ("market", "alloc")),
+    "x3c": (["--universe", "6", "--set", "1,2,3", "--set", "4,5,6"], lambda: (reductions.x3c_to_additive(
+        reductions.X3CInstance(6, (frozenset({1, 2, 3}), frozenset({4, 5, 6})))),), ("market",)),
+    "setpacking": (["--set", "1,2", "--set", "2,3", "--threshold", "2"], lambda: reductions.setpacking_to_leontief(
+        reductions.SetPackingInstance((frozenset({1, 2}), frozenset({2, 3})), 2)), ("market", "threshold")),
+}
+
+
 class TestGenPipeline:
+    @pytest.mark.parametrize("source", list(_GEN_CASES))
+    def test_every_source_writes_its_generator_output(self, run, tmp_path, source):
+        argv, generate, kinds = _GEN_CASES[source]
+        code, out, err = run("gen", source, *argv, "--out", str(tmp_path / "g"))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        files = [kind for kind in kinds if kind != "threshold"]
+        assert list(doc) == ["written", *(["threshold"] if "threshold" in kinds else [])]
+        assert list(doc["written"].items()) == [(kind, str(tmp_path / f"g.{kind}.json")) for kind in files]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(f"g.{kind}.json" for kind in files)
+        for kind, value in zip(kinds, generate()):
+            if kind == "threshold":
+                assert doc[kind] == value
+                continue
+            key = "allocation" if kind == "alloc" else kind
+            text = io.market_to_json(value) if kind == "market" else io.solution_to_json(**{key: value})
+            assert (tmp_path / f"g.{kind}.json").read_text() == text
+
     def test_partition_then_alloc_for_none(self, run, tmp_path):
         prefix = tmp_path / "gad"
         code, out, _ = run("gen", "partition", "--values", "1,2", "--out", str(prefix))
@@ -322,6 +358,7 @@ class TestExitCodes:
         ("gen", "subsetsum-verify", "--values", "1,2"),
         ("gen", "x3c", "--set", "1,2,3"),
         ("gen", "setpacking", "--set", "1"),
+        ("gen", "subsetsum-verify", "--values", "a,b"),  # the missing flag is named before a parse error
     ])
     def test_gen_missing_arguments(self, run, argv):
         code, out, err = run(*argv)

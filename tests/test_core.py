@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ceei import additive, leontief
 from ceei.core import (
     InfeasibleAllocationError,
     InvalidMarketError,
@@ -222,6 +223,21 @@ class TestChecks:
         assert check_feasible(market, make_allocation([[0], [0]])) is not None
         assert check_feasible(market, make_allocation([[2], []])) is not None
         assert check_feasible(market, make_allocation([[0], [1]])) is None
+
+
+@pytest.mark.parametrize("market_class, module", [("leontief", leontief), ("additive", additive)],
+                         ids=["leontief", "additive"])
+@pytest.mark.parametrize("prices", [["1/2", "1/2"], ["1/2", "1/2", 1, 7]], ids=["short", "long"])
+def test_price_vector_of_the_wrong_length_is_rejected(market_class, module, prices):
+    market = make_market([[1, 1, 0], [0, 0, 1]], market_class)
+    x, p = make_allocation([[0, 1], [2]]), make_prices(prices)
+    assert module.verify_equilibrium(market, x, make_prices(["1/2", "1/2", 1])).equilibrium
+    calls = [lambda: module.verify_equilibrium(market, x, p), lambda: module.allocation_for_prices(market, p)]
+    if module is additive:
+        calls.append(lambda: additive.best_affordable_bundle(market, 0, p))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"has {len(prices)} prices for 3 items"):
+            call()
 
 
 @given(st.lists(st.lists(st.integers(0, 5), min_size=3, max_size=3), min_size=1, max_size=3))

@@ -59,6 +59,12 @@ def test_malformed_problem_rejected():
         constraint({}, LE, 1)
     with pytest.raises(ValueError):
         solve_lp(lp_problem(1, [constraint({3: 1}, LE, 1)], {0: 1}))
+    # "x >= 1" while maximizing x is unbounded, not an equality at x = 1
+    at_least = lp_problem(1, [lp.LinearConstraint(((0, rational(1)),), ">=", rational(1))], {0: 1})
+    with pytest.raises(ValueError, match="unknown relation"):
+        solve_lp(at_least)
+    with pytest.raises(ValueError, match="unknown relation"):
+        check_point(at_least, [0])
 
 
 def test_check_point_exact():
