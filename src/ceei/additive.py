@@ -30,16 +30,29 @@ v_i(j) - v_k(j) (to k) or not at all, so by at most |v_i(j) - v_k(j)|.  A
 partial assignment whose E_ik exceeds the sum of |v_i(j') - v_k(j')| over
 the items j' not yet placed has no envy-free completion and is cut.  Items
 both buyers value equally give the pair no slack.  The tallies apply the
-bound eagerly, as each item is placed; a complete assignment keeps no
-slack, since there the envy screen decides, and it rejects every
-assignment with a positive swap excess.
+bound eagerly, as each item is placed.  A complete assignment has no slack
+left, so there the bound cuts every positive swap excess, which the envy
+screen would reject anyway.
+
+The tallies pack their int fields into one Python int (SIMD within a
+register, after Fisher & Dietz, LCPC 1998), so each node of a search costs
+one add and one mask test however many buyers there are.  Every field has
+the same width w and holds `value + 2^(w-1) - 1`, so its top bit is set
+iff its value is positive.  With T the market's total scaled value, each
+field's value stays in [-T, T]: an envy field is at most one buyer's
+whole row in size, and a swap field starts at minus the pair's slack S and
+each item adds between 0 and 2 |v_i(j) - v_k(j)| to it, so it stays in
+[-S, S], and S <= T.  So w = bitlength(T) + 1 keeps every biased field in
+[0, 2^w), and adding a packed increment, a sum of per-field changes
+shifted into place, changes each field by its own change: no carry or
+borrow crosses into the next field.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from math import floor
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import equilibrium, lp
 from .core import (
@@ -117,12 +130,14 @@ def verify_equilibrium(
     rechecked independently."""
     _require_additive(market)
     _check_enum_cap(market, caps)
-    return equilibrium.verify_equilibrium(market, allocation, prices, partial(_better_bundle, market, prices))
+    best = partial(_best_affordable_bundle, market, prices=prices)
+    return equilibrium.verify_equilibrium(market, allocation, prices, partial(_better_bundle, market, best))
 
 
-def _better_bundle(market: Market, prices: PriceVector, buyer: int, bundle: frozenset) -> Optional[frozenset]:
-    """The buyer's best affordable bundle when it is worth more than `bundle`."""
-    best, value = _best_affordable_bundle(market, buyer, prices)
+def _better_bundle(market: Market, best_response: Callable, buyer: int, bundle: frozenset) -> Optional[frozenset]:
+    """The buyer's best affordable bundle, `best_response(buyer)`, when it
+    is worth more than `bundle`."""
+    best, value = best_response(buyer)
     return best if value > bundle_utility(market, buyer, bundle) else None
 
 
@@ -186,24 +201,33 @@ def allocation_for_prices(
     market: Market, prices: PriceVector, caps: SearchCaps = DEFAULT_CAPS
 ) -> Optional[Allocation]:
     """First allocation, in the shared deterministic assignment order, that
-    forms an equilibrium with the given prices, or None."""
+    forms an equilibrium with the given prices, or None.  A buyer's best
+    response depends only on the prices, so each is enumerated at most
+    once per call, however many leaves the search tests."""
     _require_additive(market)
     _check_assignment_cap(market, caps)
     _check_enum_cap(market, caps)
-    return equilibrium.allocation_for_prices(market, prices, partial(_better_bundle, market, prices))
+    best = cache(partial(_best_affordable_bundle, market, prices=prices))
+    return equilibrium.allocation_for_prices(market, prices, partial(_better_bundle, market, best))
 
 
 class _ValueTally:
     """The placed items' values on one common integer scale, kept in step
-    with `equilibrium.search` by `place(j, owner)` and `remove(j, owner)`.
+    with `equilibrium.search` by `place(j, owner)` and `remove(j, owner)`,
+    each one add of a precomputed increment (see the module docstring).
 
-    `cross[i][k]` is buyer i's value for bundle k and `screen()` the envy
-    screen.  `place(j, owner)` sets `bound`: -1 once some pair of buyers is
-    past its slack for items j+1.. (the swap bound of the module
-    docstring), as no completion is supportable, else `_value(j + 1)`, the
+    `state` packs the fields of width `w`, swap fields first: for each pair
+    i < k with different rows, E_ik minus the slack left for the items not
+    yet placed, which starts at minus the pair's whole slack; then for each
+    ordered pair i != k the envy v_i(B_k) - v_i(B_i).  `inc[j][owner]` is
+    the packed change of every field when item j goes to `owner`.  A swap
+    field grows by |v_i(j) - v_k(j)| plus E_ik's change, so it never falls.
+    `screen()` is the envy screen: no envy field is positive.
+    `place(j, owner)` sets `bound`: -1 once some swap field is positive,
+    as no completion is supportable, else `welfare + best[j + 1]`, the
     welfare of the placed items plus, for each item not yet placed, the
-    largest value any buyer puts on it.  Only pairs with different rows are
-    kept, since identical buyers have a swap excess of 0.
+    largest value any buyer puts on it.  Only pairs with different rows
+    get a swap field, since identical buyers have a swap excess of 0.
     """
 
     def __init__(self, market: Market):
@@ -214,46 +238,57 @@ class _ValueTally:
         self.best = [0] * (m + 1)  # best[j]: sum of the largest values of items j..
         for j in reversed(range(m)):
             self.best[j] = self.best[j + 1] + max(self.columns[j])
-        self.cross = [[0] * n for _ in range(n)]
-        pairs = [(i, k, 0) for i in range(n) for k in range(i + 1, n) if values[i] != values[k]]
-        self.slack = [[]]  # slack[j]: (i, k, slack left for items j..); none at a leaf
-        for column in reversed(self.columns):
-            pairs = [(i, k, s + abs(column[i] - column[k])) for i, k, s in pairs]
-            self.slack.append(pairs)
-        self.slack.reverse()
-        self.bound = self._value(0)
+        w = sum(flat).bit_length() + 1  # every field's value lies in [-total, total]
+        swaps = [(i, k) for i in range(n) for k in range(i + 1, n) if values[i] != values[k]]
+        envies = [(i, k) for i in range(n) for k in range(n) if i != k]
 
-    def _value(self, j: int) -> int:
-        return sum(row[i] for i, row in enumerate(self.cross)) + self.best[j]
+        def pack(fields):
+            return sum(v << t * w for t, v in enumerate(fields))
+
+        def change(j, o):  # every field's change when item j goes to buyer o
+            v = self.columns[j]
+            swap = [abs(v[i] - v[k]) + (v[k] - v[i]) * ((o == i) - (o == k)) for i, k in swaps]
+            return pack(swap + [v[i] * ((o == k) - (o == i)) for i, k in envies])
+
+        bias = (1 << w - 1) - 1  # a field's top bit is set iff its value is positive
+        slack = [sum(abs(a - b) for a, b in zip(values[i], values[k])) for i, k in swaps]
+        self.state = pack([bias - s for s in slack] + [bias] * len(envies))
+        self.inc = [[change(j, o) for o in range(n)] for j in range(m)]
+        tops = [1 << w - 1] * (len(swaps) + len(envies))
+        self.swap_tops = pack(tops[:len(swaps)])
+        self.envy_tops = pack(tops) - self.swap_tops
+        self.welfare = 0
+        self.bound = self.best[0]
 
     def place(self, j: int, owner: int) -> bool:
-        c = self.cross
-        for cross, v in zip(c, self.columns[j]):
-            cross[owner] += v
-        for i, k, slack in self.slack[j + 1]:
-            if c[i][k] - c[i][i] + c[k][i] - c[k][k] > slack:
-                self.bound = -1
-                return True
-        self.bound = self._value(j + 1)
+        self.state = state = self.state + self.inc[j][owner]
+        self.welfare += self.columns[j][owner]
+        self.bound = -1 if state & self.swap_tops else self.welfare + self.best[j + 1]
         return True
 
     def remove(self, j: int, owner: int) -> None:
-        for cross, v in zip(self.cross, self.columns[j]):
-            cross[owner] -= v
+        self.state -= self.inc[j][owner]
+        self.welfare -= self.columns[j][owner]
 
     def screen(self) -> bool:
-        for i, row in enumerate(self.cross):
-            if max(row) != row[i]:
-                return False
-        return True
+        return not self.state & self.envy_tops
 
 
 class _EnvyTally(_ValueTally):
     """`_ValueTally` with every answer worth 0, so `equilibrium.search`
-    ends at its first answer."""
+    ends at its first answer; it keeps no welfare."""
 
-    def _value(self, j: int) -> int:
-        return 0
+    def __init__(self, market: Market):
+        super().__init__(market)
+        self.bound = 0
+
+    def place(self, j: int, owner: int) -> bool:
+        self.state = state = self.state + self.inc[j][owner]
+        self.bound = -1 if state & self.swap_tops else 0
+        return True
+
+    def remove(self, j: int, owner: int) -> None:
+        self.state -= self.inc[j][owner]
 
 
 def search_equilibrium(

@@ -199,10 +199,21 @@ _GEN_SOURCES = {
     "x3c": ("X3CInstance", ("universe", "set"), "x3c_to_additive", ("market",)),
     "setpacking": ("SetPackingInstance", ("set", "threshold"), "setpacking_to_leontief", ("market", "threshold")),
 }
+# Every flag some source takes, in the order they are checked.
+_GEN_FLAGS = tuple(dict.fromkeys(name for row in _GEN_SOURCES.values() for name in row[1]))
+
+
+def _gen_set(text: str) -> frozenset:
+    elements = [int(v) for v in text.split(",")]
+    if len(set(elements)) < len(elements):
+        raise _UsageError(f"--set {text} repeats an element")
+    return frozenset(elements)
+
+
 # The flags given as comma-separated text; argparse has made the others ints.
 _GEN_PARSE = {
     "values": lambda text: tuple(int(v) for v in text.split(",")),
-    "set": lambda texts: tuple(frozenset(int(v) for v in text.split(",")) for text in texts),
+    "set": lambda texts: tuple(map(_gen_set, texts)),
 }
 
 
@@ -210,9 +221,10 @@ def _cmd_gen(args) -> int:
     from . import reductions  # loaded here only, so other commands start faster
 
     instance, flags, generator, outputs = _GEN_SOURCES[args.source]
-    for name in flags:  # every flag is checked before any is parsed
-        if getattr(args, name) in (None, []):
-            raise _UsageError(f"gen {args.source} needs --{name}")
+    for name in _GEN_FLAGS:  # every flag is checked before any is parsed
+        given = getattr(args, name) not in (None, [])
+        if given != (name in flags):
+            raise _UsageError(f"gen {args.source} {'does not take' if given else 'needs'} --{name}")
     fields = [_GEN_PARSE.get(name, int)(getattr(args, name)) for name in flags]
     found = getattr(reductions, generator)(getattr(reductions, instance)(*fields))
     prefix = Path(args.out)

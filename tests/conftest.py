@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ceei.core import make_market
+from ceei.reductions import X3CInstance
 
 
 def run_script(script, timeout):
@@ -45,6 +46,19 @@ def multisets(max_len=5, max_value=9):
     source-problem instances of the additive reduction families."""
     for k in range(1, max_len + 1):
         yield from itertools.combinations_with_replacement(range(1, max_value + 1), k)
+
+
+def x3c_family():
+    """Every X3C instance of 1..3 triples, repeats allowed, over a universe
+    of 3 or 6: the source-problem instances of the x3c->additive family."""
+    cases = []
+    for cover_size in (1, 2):
+        universe = 3 * cover_size
+        triples = [frozenset(c) for c in itertools.combinations(range(1, universe + 1), 3)]
+        for k in (1, 2, 3):
+            for family in itertools.combinations_with_replacement(triples, k):
+                cases.append(X3CInstance(universe, family))
+    return cases
 
 
 def example1_market():

@@ -23,6 +23,7 @@ from conftest import (
     example4_market,
     leontief_profile_corpus,
     multisets,
+    x3c_family,
 )
 
 
@@ -189,16 +190,10 @@ def test_criterion_5_reduction_soundness(announce):
     done("partition->additive", n)
 
     n = 0
-    for cover_size in (1, 2):
-        universe = 3 * cover_size
-        triples = [frozenset(c) for c in itertools.combinations(range(1, universe + 1), 3)]
-        for k in (1, 2, 3):
-            for family in itertools.combinations_with_replacement(triples, k):
-                inst = rd.X3CInstance(universe, family)
-                market = rd.x3c_to_additive(inst)
-                found = additive.search_equilibrium(market) is not None
-                assert rd.decide_x3c(inst)[0] == found, family
-                n += 1
+    for inst in x3c_family():
+        found = additive.search_equilibrium(rd.x3c_to_additive(inst)) is not None
+        assert rd.decide_x3c(inst)[0] == found, inst.sets
+        n += 1
     done("x3c->additive", n)
 
     elapsed = time.perf_counter() - start

@@ -157,6 +157,20 @@ class TestAllocationForPrices:
         found = additive.allocation_for_prices(market, make_prices([1]))
         assert found.bundles == (frozenset({0}),)
 
+    @pytest.mark.parametrize("values, bundles", [
+        ((1, 2, 3), None),  # an even split: 8 best responses without the memo
+        ((2,), (frozenset({1, 2}), frozenset({0}))),  # 3 without the memo
+    ])
+    def test_each_best_response_is_enumerated_once(self, monkeypatch, values, bundles):
+        calls = []
+        enumerate_best = additive._best_affordable_bundle
+        monkeypatch.setattr(additive, "_best_affordable_bundle",
+                            lambda market, buyer, prices: calls.append(buyer) or enumerate_best(market, buyer, prices))
+        market, prices = partition_to_additive_prices(PartitionInstance(values))
+        found = additive.allocation_for_prices(market, prices)
+        assert (None if found is None else found.bundles) == bundles
+        assert sorted(calls) == sorted(set(calls)) and len(calls) <= market.n
+
 
 class TestSearchEquilibrium:
     def test_two_buyers_twelve_items_finishes(self):

@@ -24,7 +24,7 @@ from ceei import additive, io, leontief, oracle
 from ceei import reductions as rd
 from ceei.core import make_prices
 
-from conftest import leontief_profile_corpus, multisets
+from conftest import leontief_profile_corpus, multisets, x3c_family
 
 # family -> (outputs checked, SHA-256 of the serialized outputs)
 GOLDEN = {
@@ -40,14 +40,7 @@ GOLDEN = {
 
 
 def _x3c_searches():
-    cases = []
-    for cover_size in (1, 2):
-        universe = 3 * cover_size
-        triples = [frozenset(c) for c in itertools.combinations(range(1, universe + 1), 3)]
-        for k in (1, 2, 3):
-            for family in itertools.combinations_with_replacement(triples, k):
-                cases.append(rd.X3CInstance(universe, family))
-    for inst in cases[::12]:
+    for inst in x3c_family()[::12]:
         market = rd.x3c_to_additive(inst)
         found = additive.search_equilibrium(market)
         if found is None:

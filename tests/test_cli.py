@@ -366,6 +366,19 @@ class TestExitCodes:
         assert out == ""
         assert "needs --" in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (("x3c", "--universe", "3", "--set", "1,2,3", "--target", "5"), "does not take --target"),
+        (("setpacking", "--set", "1,2", "--set", "2,3", "--threshold", "2", "--values", "9"),
+         "does not take --values"),
+        (("setpacking", "--set", "1,1", "--set", "1,1", "--set", "1", "--threshold", "1"),
+         "--set 1,1 repeats an element"),
+    ], ids=["foreign-target", "foreign-values", "repeated-element"])
+    def test_gen_rejects_input_it_would_drop(self, run, tmp_path, argv, named):
+        code, out, err = run("gen", *argv, "--out", str(tmp_path / "g"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestParser:
     def test_set_does_not_carry_over_between_calls(self, run, tmp_path):

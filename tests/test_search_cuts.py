@@ -9,19 +9,25 @@ answer, or changes which tie comes first, shows up as a difference.  The
 markets are drawn with repeated rows and columns, so the symmetry rules
 fire, and with three distinct buyers, so the additive swap bound weighs
 pairs whose values differ, and are summed, on different scales.  A fake
-tally checks when `equilibrium.search` stops.
+tally checks when `equilibrium.search` stops.  The additive tallies' packed
+fields are checked step by step against the same quantities recomputed
+from their definitions, and the x3c family's place, leaf and LP counts pin
+which subtrees the swap bound cuts.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ceei import additive, equilibrium, leontief, oracle
+from ceei import additive, equilibrium, leontief, lp, oracle
 from ceei.core import Allocation, make_market, make_prices, social_welfare
 
-from conftest import leontief_profile_corpus
+from ceei.reductions import x3c_to_additive
+
+from conftest import leontief_profile_corpus, x3c_family
 
 MODULES = {"additive": additive, "leontief": leontief}
 VALUES = [0, 1, 2, 3, "1/2"]
@@ -228,3 +234,95 @@ def test_welfare_search_stops_only_at_the_root_bound(hit):
     else:
         assert tally.placed[-1] == LEAVES[hit] and accepted == LEAVES[:hit + 1]
         assert _owners(found[0]) == LEAVES[hit] and found[2] == top
+
+
+# Denominators 7 and 9 and values of 10^12 give a common scale of 63 and
+# fields over 40 bits wide.
+WIDE_VALUES = [0, 1, 3, "1/7", "1/9", "5/9", 10**12, "1000000000000/7"]
+
+
+@st.composite
+def wide_markets(draw):
+    """An additive market of up to 4 buyers, some of them identical, with
+    zero-value items and mixed denominators."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(st.sampled_from(WIDE_VALUES), min_size=m, max_size=m), min_size=1, max_size=n))
+    rows = draw(st.lists(st.sampled_from(base), min_size=n, max_size=n))
+    return make_market(rows, "additive")
+
+
+def tally_reference(market, owners):
+    """From the definitions, for items 0..len(owners)-1 placed with item j
+    owned by owners[j]: whether some buyer pair's swap excess exceeds its
+    slack for the items not yet placed, whether the envy screen passes,
+    and the placed items' welfare plus each remaining item's best value."""
+    n, m, v = market.n, market.m, market.values
+    placed = len(owners)
+    cross = [[sum((v[i][j] for j in range(placed) if owners[j] == k), Fraction(0)) for k in range(n)]
+             for i in range(n)]
+    cut = any(cross[i][k] - cross[i][i] + cross[k][i] - cross[k][k]
+              > sum(abs(v[i][j] - v[k][j]) for j in range(placed, m))
+              for i in range(n) for k in range(i + 1, n))
+    envy_free = all(cross[i][k] <= cross[i][i] for i in range(n) for k in range(n))
+    welfare = sum(cross[i][i] for i in range(n)) + sum(max(v[i][j] for i in range(n)) for j in range(placed, m))
+    return cut, envy_free, welfare
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_packed_tallies_match_the_definitions(data):
+    """Random place/remove walks in the search's item order.  The screen is
+    compared after every step, the bound at the root and after each place
+    (where the search reads it).  At a leaf no slack is left, so the swap
+    test also cuts; a cut leaf must fail the envy screen, and an uncut one
+    has the exact welfare as its bound."""
+    market = data.draw(wide_markets())
+    steps = data.draw(st.lists(st.integers(-1, market.n - 1), max_size=4 * market.m))
+    value, envy = tallies = additive._ValueTally(market), additive._EnvyTally(market)
+    owners = []
+    cut, envy_free, welfare = tally_reference(market, owners)
+    assert not cut and Fraction(value.bound, value.scale) == welfare and envy.bound == 0
+    for step in steps:
+        if step < 0 and owners:
+            j, owner = len(owners) - 1, owners.pop()
+            for tally in tallies:
+                tally.remove(j, owner)
+        elif step >= 0 and len(owners) < market.m:
+            owners.append(step)
+            for tally in tallies:
+                assert tally.place(len(owners) - 1, step)
+        cut, envy_free, welfare = tally_reference(market, owners)
+        for tally, worth in ((value, welfare), (envy, 0)):
+            assert tally.screen() == envy_free, owners
+            if step < 0:
+                continue
+            if len(owners) < market.m:
+                assert tally.bound == (-1 if cut else worth * tally.scale), owners
+            elif tally.bound == -1:
+                assert not envy_free, owners
+            else:
+                assert tally.bound == worth * tally.scale, owners
+
+
+def test_x3c_family_cuts_are_pinned_by_count(monkeypatch):
+    """Over the whole x3c->additive family the packed swap bound places the
+    same items and solves the same LPs as the per-pair loop it replaced
+    (1,395,754 places, 213 LPs); it may only cut more leaves, which the
+    envy screen rejects anyway: the loop screened 557,649."""
+    counts = dict.fromkeys(("place", "screen", "lp"), 0)
+    place, screen, solve_lp = additive._EnvyTally.place, additive._EnvyTally.screen, lp.solve_lp
+
+    def counted(key, f):
+        def call(*args):
+            counts[key] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(additive._EnvyTally, "place", counted("place", place))
+    monkeypatch.setattr(additive._EnvyTally, "screen", counted("screen", screen))
+    monkeypatch.setattr(lp, "solve_lp", counted("lp", solve_lp))
+    for inst in x3c_family():
+        additive.search_equilibrium(x3c_to_additive(inst))
+    assert counts["place"] == 1_395_754 and counts["lp"] == 213
+    assert counts["screen"] <= 557_649
