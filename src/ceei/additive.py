@@ -51,7 +51,6 @@ borrow crosses into the next field.
 from __future__ import annotations
 
 from functools import cache, partial
-from math import floor
 from typing import Callable, List, Optional, Tuple
 
 from . import equilibrium, lp
@@ -153,11 +152,11 @@ def _minimal_deviating_bundles(market: Market, buyer: int, bundle: frozenset) ->
     those items in ascending value order (ties by index), so the item a
     subset's lowest bit adds to `rest`, the subset without it, is its least
     valued: a subset is minimal iff `value[mask] > limit >= value[rest]`.
-    Values are summed as the buyer's scaled ints; an int exceeds
-    `utility * scale` iff it exceeds its floor.
+    Values are summed as the buyer's scaled ints, and so is `limit`, the
+    bundle's own value on that scale.
     """
-    row, scale = integer_row(market.values[buyer])
-    limit = floor(bundle_utility(market, buyer, bundle) * scale)
+    row, _ = integer_row(market.values[buyer])
+    limit = sum([row[j] for j in bundle])
     pos = sorted((j for j, v in enumerate(row) if v > 0), key=row.__getitem__)
     items = [row[j] for j in pos]
     value = [0] * (1 << len(pos))

@@ -33,7 +33,13 @@ ADDITIVE = "additive"
 
 def rational(value: RationalLike, den: int = 1):
     """Coerce an int, "p/q" string, or rational to the exact rational type;
-    with an int `den`, the result is `value / den`, made in one step."""
+    with an int `den`, the result is `value / den`, made in one step.
+
+    Raises TypeError for anything else, floats and bools included: a float
+    is already rounded, and a bool is not a quantity.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
+        raise TypeError(f"not an exact rational: {value!r}")
     if den != 1:
         if isinstance(value, str):
             value = Fraction(value)

@@ -19,6 +19,7 @@ first of the maximal-welfare answers.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, List, Optional, Tuple
 
 from . import lp
@@ -80,20 +81,25 @@ def price_support_lp(market: Market, allocation: Allocation, deviators: Deviator
     origin, so its slack starts basic and phase 1 needs artificials only
     for the bundle rows and the pinned unsold rows (Chvatal, Linear
     Programming, 1983, ch. 3 and 8).
+
+    Every coefficient is +-1 and every right-hand side 0, 1 or 2, so each
+    row is built directly as its sorted tuple of (variable, int) pairs with
+    an int right-hand side, equal to the row `lp.constraint` makes from the
+    same numbers; no rational is made until `lp.solve_lp` returns.
     """
     m = market.m
     e = m
+    row = lp.LinearConstraint
     unsold = frozenset(range(m)).difference(*allocation.bundles)
-    cons = [lp.constraint({j: 1}, lp.EQ, 0) for j in sorted(unsold)]
+    cons = [row(((j, 1),), lp.EQ, 0) for j in sorted(unsold)]
     for i, bundle in enumerate(allocation.bundles):
         if not bundle:
             raise ValueError(f"buyer {i} has an empty bundle; no prices can exhaust its budget")
-        cons.append(lp.constraint({j: 1 for j in bundle}, lp.EQ, 1))
+        cons.append(row(tuple([(j, 1) for j in sorted(bundle)]), lp.EQ, 1))
         for deviator in deviators(i, bundle):
-            coeffs = {j: -1 for j in deviator}
-            coeffs[e] = 1
-            cons.append(lp.constraint(coeffs, lp.LE, 0))
-    cons.append(lp.constraint({e: 1}, lp.LE, 2))
+            # e, the last variable, sorts after every item
+            cons.append(row(tuple([(j, -1) for j in sorted(deviator)] + [(e, 1)]), lp.LE, 0))
+    cons.append(row(((e, 1),), lp.LE, 2))
     return lp.lp_problem(m + 1, cons, {e: 1})
 
 
@@ -119,10 +125,19 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
     return PriceVector(result.point[: market.m])
 
 
+#: Stack frames kept free for the search's caller and for pricing at a leaf.
+_STACK_RESERVE = 100
+
+
 def _check_assignment_cap(market: Market, caps: SearchCaps) -> None:
+    """Refuse a search past `caps`, or deeper than the interpreter's
+    recursion limit lets `search`'s walk, one frame per item, go."""
     search = f"assignment search over {market.n} buyers and {market.m} items"
     if market.m > caps.max_items:
         raise SearchCapExceeded(f"{search}, m items", "max_items", market.m, caps.max_items)
+    depth = sys.getrecursionlimit() - _STACK_RESERVE
+    if market.m > depth:
+        raise SearchCapExceeded(f"{search}, one stack frame per item", "recursion depth", market.m, depth)
     states = market.n ** market.m
     if states > caps.max_states:
         raise SearchCapExceeded(f"{search}, n^m states", "max_states", states, caps.max_states)

@@ -3,15 +3,18 @@
 Two-phase primal simplex with Bland's rule, which guarantees termination on
 every input: the entering variable is the one of least variable id with
 positive reduced cost, and ties for leaving go to the least basic id.
-Inputs and outputs are exact rationals; inside, each row is scaled to
-integers straight from its numerators and denominators, and the tableau is
-held fraction-free (Python ints over one common denominator, updated by
-Edmonds' integer-preserving elimination), so no rational arithmetic runs in
-the pivot loop.  The tableau is condensed, as in the dictionary form of lrs
-(Avis 2000): it stores one column per nonbasic variable, and a pivot hands
-the entering variable's column to the leaving variable.  Intended for the
-small systems this package builds (tens of variables and constraints), not
-for large-scale LP.
+Coefficients and right-hand sides are exact: ints, kept as Python ints, or
+rationals (a "p/q" string becomes one; floats and bools are refused).
+Rationals are made only for the returned point and value.  Inside, each row
+is scaled to integers straight from its numerators and denominators (an int
+is its own numerator over 1), and the tableau is held fraction-free (Python
+ints over one common denominator, updated by Edmonds' integer-preserving
+elimination), so no rational arithmetic runs in the pivot loop.  The
+tableau is condensed, as in the dictionary form of lrs (Avis 2000): it
+stores one column per nonbasic variable, and a pivot hands the entering
+variable's column to the leaving variable.  Intended for the small systems
+this package builds (tens of variables and constraints), not for
+large-scale LP.
 
 Strict inequalities never appear in a problem; callers that need "p(B) > 1"
 encode it as "p(B) >= 1 + eps" with eps a distinguished maximized variable
@@ -73,8 +76,13 @@ class LPResult(Record):
         _set(self, "value", value)
 
 
+def _exact(value: RationalLike):
+    """An int as it is, anything else through `rational`."""
+    return value if type(value) is int else rational(value)
+
+
 def _terms(coeffs: Mapping[int, RationalLike]) -> tuple:
-    terms = ((int(v), rational(c)) for v, c in coeffs.items())
+    terms = ((int(v), _exact(c)) for v, c in coeffs.items())
     return tuple(sorted(term for term in terms if term[1] != 0))
 
 
@@ -84,7 +92,7 @@ def constraint(coeffs: Mapping[int, RationalLike], relation: str, rhs: RationalL
     items = _terms(coeffs)
     if not items:
         raise ValueError("constraint needs at least one nonzero coefficient")
-    return LinearConstraint(items, relation, rational(rhs))
+    return LinearConstraint(items, relation, _exact(rhs))
 
 
 def lp_problem(
@@ -281,10 +289,13 @@ def solve_lp(problem: LPProblem) -> LPResult:
     # right-hand side is negated, which turns "<=" into ">=": a nonbasic
     # surplus column (-den) and a basic artificial.
     den = 1
+    n_le = n_surplus = 0
     for con in problem.constraints:
-        den *= lcm(con.rhs.denominator, *(c.denominator for _, c in con.coeffs))
-    n_surplus = sum(1 for con in problem.constraints if con.relation == LE and con.rhs.numerator < 0)
-    first_art = ncols + sum(1 for con in problem.constraints if con.relation == LE)
+        den *= lcm(con.rhs.denominator, *[c.denominator for _, c in con.coeffs])
+        if con.relation == LE:
+            n_le += 1
+            n_surplus += con.rhs < 0
+    first_art = ncols + n_le
 
     rows, basis, var = [], [], list(range(ncols))
     slack_at, art_at = ncols, first_art

@@ -1,4 +1,5 @@
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -312,6 +313,17 @@ class TestExitCodes:
                            "--prices", str(tmp_path / "p.json"), "--cap-items", "2")
         assert code == 2
         assert "cap" in err
+
+    def test_search_deeper_than_the_recursion_limit_is_a_cap_error(self, run, tmp_path):
+        # one buyer, so n^m = 1 state, but the walk takes one frame per item
+        m = 1500
+        market = {"class": "leontief", "buyers": 1, "items": m, "values": [[1] * m]}
+        (tmp_path / "m.json").write_text(json.dumps(market))
+        code, out, err = run("maxwelfare", "--cap-items", "2000", "--market", str(tmp_path / "m.json"))
+        assert (code, out) == (2, "")
+        depth = sys.getrecursionlimit() - 100
+        assert err == (f"error: assignment search over 1 buyers and {m} items, one stack frame per item: "
+                       f"{m} exceeds the cap recursion depth = {depth}\n")
 
     def test_cap_enum_flag_sets_the_enumeration_cap(self, run, tmp_path):
         (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1, 2, 3]], "additive")))

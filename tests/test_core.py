@@ -53,6 +53,25 @@ def test_rational_parses_strings_and_ints():
     assert rational(6, 36) == rational("1/2", 3) == rational(rational(1, 2), 3) == rational("1/6")
 
 
+@pytest.mark.parametrize("value", [0.1, 0.5, 1.0, True, False, None, [1]])
+def test_rational_rejects_floats_bools_and_other_types(value):
+    # 0.1 would otherwise be stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="not an exact rational"):
+        rational(value)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        rational(value, 3)
+
+
+@pytest.mark.parametrize("value", [0.1, True])
+def test_market_and_prices_reject_floats_and_bools(value):
+    with pytest.raises(TypeError, match="not an exact rational"):
+        make_market([[value]], "additive")
+    with pytest.raises(TypeError, match="not an exact rational"):
+        make_market([[1, value]], "leontief")
+    with pytest.raises(TypeError, match="not an exact rational"):
+        make_prices([1, value])
+
+
 class TestValidateMarket:
     def test_minimal_market(self):
         market = make_market([[1]], "leontief")

@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,33 @@ def test_price_support_deviator_rows_are_feasible_at_zero(build, market, x):
     assert len(rows) > 1
     for con in rows[:-1]:
         assert dict(con.coeffs)[e] == 1 and con.rhs == 0
+
+
+@pytest.mark.parametrize("build, market, x", [
+    (leontief.price_support_lp, example2_market(), make_allocation([[0], [1], [2], [3], [4], [5, 6, 7]])),
+    (leontief.price_support_lp, example2_market(), make_allocation([[0], [1], [2], [3], [4, 5], [6]])),
+    (additive.price_support_lp, make_market([list(range(1, 9)), list(range(8, 0, -1))], "additive"),
+     make_allocation([list(range(4, 8)), list(range(4))])),
+    (additive.price_support_lp, make_market([[1, "1/2", 3, 0], ["2/3", 1, 1, 1]], "additive"),
+     make_allocation([[0, 1], [3]])),
+], ids=["leontief", "leontief-unsold", "additive", "additive-unsold"])
+def test_price_support_rows_hold_ints(build, market, x):
+    # Every row is built as its sorted (var, +-1) tuple with an int rhs, and
+    # equals the row `constraint` builds from Fractions.
+    system = build(market, x)
+    e = market.m
+    unsold = frozenset(range(e)).difference(*x.bundles)
+    assert len(system.constraints) > len(unsold) + market.n + 1
+    for con in system.constraints:
+        assert all(type(v) is int and type(c) is int for v, c in con.coeffs)
+        assert type(con.rhs) is int
+        rebuilt = constraint({v: Fraction(c) for v, c in con.coeffs}, con.relation, Fraction(con.rhs))
+        assert con == rebuilt
+        assert [v for v, _ in con.coeffs] == sorted({v for v, _ in con.coeffs})
+    assert system.objective == ((e, 1),) and type(system.objective[0][1]) is int
+    expected = [constraint({j: Fraction(1)}, EQ, Fraction(0)) for j in sorted(unsold)]
+    assert list(system.constraints[:len(unsold)]) == expected
+    assert system.constraints[-1] == constraint({e: Fraction(1)}, LE, Fraction(2))
 
 
 def test_redundant_equalities_are_dropped():
@@ -249,19 +277,68 @@ def test_optimum_matches_twelfths_grid_search(problem, expected):
     assert grid_best == result.value
 
 
+def _corpus():
+    return json.loads((Path(__file__).parent / "data" / "lp_corpus.json").read_text())["systems"]
+
+
 def test_frozen_price_support_corpus():
     """`solve_lp` answers every system of a frozen corpus of price-support
     systems (see its "what" field) with the recorded status, value and
     point, so a change to the LP kernel that moves any answer shows up."""
-    corpus = json.loads((Path(__file__).parent / "data" / "lp_corpus.json").read_text())
-    for case in corpus["systems"]:
+    corpus = _corpus()
+    for case in corpus:
         rows = [constraint(dict(coeffs), relation, rhs) for coeffs, relation, rhs in case["rows"]]
-        result = solve_lp(lp_problem(case["vars"], rows, dict(case["objective"])))
-        assert result.status == case["status"], case
-        if result.status == OPTIMAL:
-            assert result.value == rational(case["value"]), case
-            assert result.point == tuple(rational(v) for v in case["point"]), case
-    assert len(corpus["systems"]) == 281
+        _assert_recorded(solve_lp(lp_problem(case["vars"], rows, dict(case["objective"]))), case)
+    assert len(corpus) == 281
+
+
+def _corpus_problem(case, number):
+    """The case's system with every number passed through `number`."""
+    rows = [constraint({v: number(c) for v, c in coeffs}, relation, number(rhs))
+            for coeffs, relation, rhs in case["rows"]]
+    return lp_problem(case["vars"], rows, {v: number(c) for v, c in case["objective"]})
+
+
+def _assert_recorded(result, case):
+    assert result.status == case["status"], case
+    if result.status == OPTIMAL:
+        assert result.value == rational(case["value"]), case
+        assert result.point == tuple(rational(v) for v in case["point"]), case
+        assert all(type(x) is Fraction for x in (result.value, *result.point)), case
+
+
+def test_corpus_answers_match_from_int_and_fraction_coefficients():
+    # Int coefficients stay Python ints in the problem, Fraction ones stay
+    # Fractions, and both must give the recorded answer, as rationals.
+    for case in _corpus():
+        ints = _corpus_problem(case, int)
+        fractions = _corpus_problem(case, Fraction)
+        assert ints == fractions
+        numbers = [c for con in ints.constraints for _, c in con.coeffs] + [con.rhs for con in ints.constraints]
+        assert {type(x) for x in numbers} == {int}
+        assert {type(c) for con in fractions.constraints for _, c in con.coeffs} == {Fraction}
+        _assert_recorded(solve_lp(ints), case)
+        _assert_recorded(solve_lp(fractions), case)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: constraint({0: 0.5}, LE, 1),
+    lambda: constraint({0: 1}, LE, 0.5),
+    lambda: constraint({0: True}, LE, 1),
+    lambda: constraint({0: 1}, LE, True),
+    lambda: lp_problem(1, [constraint({0: 1}, LE, 1)], {0: 1.0}),
+], ids=["float-coeff", "float-rhs", "bool-coeff", "bool-rhs", "float-objective"])
+def test_constraint_rejects_floats_and_bools(build):
+    with pytest.raises(TypeError, match="not an exact rational"):
+        build()
+
+
+def test_constraint_keeps_ints_and_coerces_the_rest():
+    con = constraint({1: 2, 0: "1/2", 2: 0}, EQ, 3)
+    assert con.coeffs == ((0, rational(1, 2)), (1, 2))
+    assert [type(c) for _, c in con.coeffs] == [Fraction, int]
+    assert type(con.rhs) is int
+    assert con == constraint({0: rational(1, 2), 1: rational(2)}, EQ, rational(3))
 
 
 def test_pivot_keeps_the_equations_through_a_negative_pivot():
