@@ -3,7 +3,12 @@
 Every quantity in this package is an exact rational; there is no floating
 point and no tolerance parameter anywhere.  Budgets are exactly 1 per buyer,
 so the equilibrium conditions are exact equalities and are decided by exact
-comparison.
+comparison.  A market stores each integral value as a Python int and every
+other value as a reduced `fractions.Fraction`, so the solvers' and the
+oracle's comparisons on whole values skip the Fraction slow path.  An int
+and the Fraction of equal value compare and hash equal, so the stored type
+changes no result.  Utilities, welfare, prices and LP points are returned
+as Fractions.
 
 The domain types are `Record`s: slotted, immutable after construction,
 compared and hashed by value, like frozen dataclasses (which this package
@@ -157,7 +162,9 @@ class Market(Record):
 
     `values[i][j]` is buyer i's value for item j (exact rational, >= 0).
     `market_class` selects the utility model: LEONTIEF (perfect complements)
-    or ADDITIVE (perfect substitutes).
+    or ADDITIVE (perfect substitutes).  `make_market` stores a value with
+    denominator 1 as an int and any other as a reduced Fraction; a market
+    built directly with Fraction values compares and hashes equal to it.
     """
 
     __slots__ = ("n", "m", "values", "market_class")
@@ -225,9 +232,20 @@ class EquilibriumReport(Record):
         _set(self, "violation", violation)
 
 
+def _stored(value: RationalLike):
+    """A market value in its stored form: an int as it is, any other exact
+    rational reduced, as its numerator when its denominator is 1."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = rational(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def make_market(values: Sequence[Sequence[RationalLike]], market_class: str) -> Market:
-    """Build and validate a market from a rectangular value matrix."""
-    rows = tuple(tuple(rational(v) for v in row) for row in values)
+    """Build and validate a market from a rectangular value matrix, each
+    value stored as an int when integral and as a Fraction otherwise."""
+    rows = tuple(tuple(_stored(v) for v in row) for row in values)
     n = len(rows)
     m = len(rows[0]) if rows else 0
     return validate_market(Market(n=n, m=m, values=rows, market_class=market_class))

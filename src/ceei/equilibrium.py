@@ -27,6 +27,7 @@ from .core import (
     SUBOPTIMAL_BUNDLE,
     Allocation,
     EquilibriumReport,
+    InfeasibleAllocationError,
     Market,
     PriceVector,
     SearchCapExceeded,
@@ -86,7 +87,12 @@ def price_support_lp(market: Market, allocation: Allocation, deviators: Deviator
     row is built directly as its sorted tuple of (variable, int) pairs with
     an int right-hand side, equal to the row `lp.constraint` makes from the
     same numbers; no rational is made until `lp.solve_lp` returns.
+
+    Raises InfeasibleAllocationError (a ValueError) for an infeasible
+    allocation, whose item index m would otherwise be read as e.
     """
+    if check_feasible(market, allocation) is not None:
+        raise InfeasibleAllocationError("allocation is not feasible")
     m = market.m
     e = m
     row = lp.LinearConstraint

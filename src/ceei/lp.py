@@ -24,6 +24,7 @@ and treat the system as strictly satisfiable iff the optimum eps is positive.
 from __future__ import annotations
 
 from math import lcm
+from operator import index
 from typing import Mapping, Optional, Sequence
 
 from .core import ZERO, RationalLike, Record, _set, rational
@@ -81,8 +82,19 @@ def _exact(value: RationalLike):
     return value if type(value) is int else rational(value)
 
 
+def _var(v) -> int:
+    """A variable id given as some other type than int, through
+    `operator.index`; TypeError for a bool, a float or anything else."""
+    if not isinstance(v, bool):
+        try:
+            return index(v)
+        except TypeError:
+            pass
+    raise TypeError(f"not a variable id: {v!r}")
+
+
 def _terms(coeffs: Mapping[int, RationalLike]) -> tuple:
-    terms = ((int(v), _exact(c)) for v, c in coeffs.items())
+    terms = ((v if type(v) is int else _var(v), _exact(c)) for v, c in coeffs.items())
     return tuple(sorted(term for term in terms if term[1] != 0))
 
 

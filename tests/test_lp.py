@@ -133,6 +133,16 @@ def test_price_support_rows_hold_ints(build, market, x):
     assert system.constraints[-1] == constraint({e: Fraction(1)}, LE, Fraction(2))
 
 
+@pytest.mark.parametrize("module", [leontief, additive], ids=["leontief", "additive"])
+def test_price_support_refuses_an_infeasible_allocation(module):
+    # Item index 2 equals m, the variable e; the system would price it.
+    market = make_market([[1, 0], [0, 1]], module.__name__.rsplit(".", 1)[-1])
+    x = make_allocation([[0, 2], [1]])
+    with pytest.raises(ValueError, match="allocation is not feasible"):
+        module.price_support_lp(market, x)
+    assert module.prices_for_allocation(market, x) is None
+
+
 def test_redundant_equalities_are_dropped():
     # the dependent row leaves a zero-valued artificial in the basis after
     # phase 1; it must be pivoted out or discarded, not poison phase 2
@@ -321,15 +331,20 @@ def test_corpus_answers_match_from_int_and_fraction_coefficients():
         _assert_recorded(solve_lp(fractions), case)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: constraint({0: 0.5}, LE, 1),
-    lambda: constraint({0: 1}, LE, 0.5),
-    lambda: constraint({0: True}, LE, 1),
-    lambda: constraint({0: 1}, LE, True),
-    lambda: lp_problem(1, [constraint({0: 1}, LE, 1)], {0: 1.0}),
-], ids=["float-coeff", "float-rhs", "bool-coeff", "bool-rhs", "float-objective"])
-def test_constraint_rejects_floats_and_bools(build):
-    with pytest.raises(TypeError, match="not an exact rational"):
+@pytest.mark.parametrize("build, message", [
+    (lambda: constraint({0: 0.5}, LE, 1), "not an exact rational"),
+    (lambda: constraint({0: 1}, LE, 0.5), "not an exact rational"),
+    (lambda: constraint({0: True}, LE, 1), "not an exact rational"),
+    (lambda: constraint({0: 1}, LE, True), "not an exact rational"),
+    (lambda: lp_problem(1, [constraint({0: 1}, LE, 1)], {0: 1.0}), "not an exact rational"),
+    # int(v) would read each of these ids as variable 1
+    (lambda: constraint({1.5: 1}, LE, 1), "not a variable id: 1.5"),
+    (lambda: lp_problem(2, [constraint({0: 1}, LE, 1)], {1.0: 1}), "not a variable id: 1.0"),
+    (lambda: constraint({True: 1}, LE, 1), "not a variable id: True"),
+], ids=["float-coeff", "float-rhs", "bool-coeff", "bool-rhs", "float-objective",
+        "float-var", "float-objective-var", "bool-var"])
+def test_constraint_rejects_floats_and_bools(build, message):
+    with pytest.raises(TypeError, match=message):
         build()
 
 
