@@ -95,6 +95,8 @@ def best_affordable_bundle(
     without its lowest bit; the value is made rational once, on return.
     """
     _require_additive(market)
+    if not 0 <= buyer < market.n:
+        raise ValueError("buyer out of range")
     _check_enum_cap(market, caps)
     _check_prices(market, prices)
     return _best_affordable_bundle(market, buyer, prices)

@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import io
 from .core import (
-    ADDITIVE,
     LEONTIEF,
     DEFAULT_CAPS,
     InvalidMarketError,
@@ -52,35 +51,10 @@ def _answer(found, reason: str, *fields: str) -> int:
     return 0
 
 
-# The one place a command picks its algorithm by market class.  Each entry
-# takes the class module, the market and the caps first; the polynomial
-# Leontief algorithms ignore the caps.  `_run` imports the class module on
-# first use, so a request compiles only the module its market's class needs.
-_ALGORITHMS = {
-    LEONTIEF: {
-        "module": ".leontief",
-        "verify": lambda c, market, caps, x, p: c.verify_equilibrium(market, x, p),
-        "solve": lambda c, market, caps: c.compute_equilibrium(market),
-        "prices-for": lambda c, market, caps, x: c.prices_for_allocation(market, x),
-        "alloc-for": lambda c, market, caps, p: c.allocation_for_prices(market, p, caps),
-        "maxwelfare": lambda c, market, caps: c.optimal_welfare_equilibrium(market, caps),
-        "no-equilibrium": lambda c, market, caps: c.no_equilibrium_reason(market),
-    },
-    ADDITIVE: {
-        "module": ".additive",
-        "verify": lambda c, market, caps, x, p: c.verify_equilibrium(market, x, p, caps),
-        "solve": lambda c, market, caps: c.search_equilibrium(market, caps),
-        "prices-for": lambda c, market, caps, x: c.prices_for_allocation(market, x, caps),
-        "alloc-for": lambda c, market, caps, p: c.allocation_for_prices(market, p, caps),
-        "maxwelfare": lambda c, market, caps: c.optimal_welfare_equilibrium(market, caps),
-        "no-equilibrium": lambda c, market, caps: "no equilibrium",
-    },
-}
-
-
-def _run(command: str, market, caps, *args):
-    algorithms = _ALGORITHMS[market.market_class]
-    return algorithms[command](import_module(algorithms["module"], __package__), market, caps, *args)
+def _class_module(market):
+    """The market's class module, imported on first use, so a request
+    compiles only the module its market's class needs."""
+    return import_module(".leontief" if market.market_class == LEONTIEF else ".additive", __package__)
 
 
 def _read_market(path: str):
@@ -126,7 +100,7 @@ def _cmd_verify(args) -> int:
     market = _read_market(args.market)
     allocation = _read_allocation(args.alloc, market)
     prices = _read_prices(args.prices, market)
-    report = _run("verify", market, DEFAULT_CAPS, allocation, prices)
+    report = _class_module(market).verify_equilibrium(market, allocation, prices)
     if report.equilibrium:
         _emit({"verdict": "equilibrium"})
         return 0
@@ -136,29 +110,33 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve(args) -> int:
     market = _read_market(args.market)
-    caps = _caps(args)
-    found = _run("solve", market, caps)
-    reason = None if found is not None else _run("no-equilibrium", market, caps)
+    algorithms = _class_module(market)
+    if market.market_class == LEONTIEF:  # constructive and polynomial: no caps
+        found = algorithms.compute_equilibrium(market)
+        reason = None if found is not None else algorithms.no_equilibrium_reason(market)
+    else:
+        found, reason = algorithms.search_equilibrium(market, _caps(args)), "no equilibrium"
     return _answer(found, reason, "allocation", "prices")
 
 
 def _cmd_prices_for(args) -> int:
     market = _read_market(args.market)
     allocation = _read_allocation(args.alloc, market)
-    prices = _run("prices-for", market, _caps(args), allocation)
+    caps = () if market.market_class == LEONTIEF else (_caps(args),)  # Leontief recovery is polynomial
+    prices = _class_module(market).prices_for_allocation(market, allocation, *caps)
     return _answer(prices, "no supporting prices", "prices")
 
 
 def _cmd_alloc_for(args) -> int:
     market = _read_market(args.market)
     prices = _read_prices(args.prices, market)
-    allocation = _run("alloc-for", market, _caps(args), prices)
+    allocation = _class_module(market).allocation_for_prices(market, prices, _caps(args))
     return _answer(allocation, "no clearing allocation", "allocation")
 
 
 def _cmd_maxwelfare(args) -> int:
     market = _read_market(args.market)
-    found = _run("maxwelfare", market, _caps(args))
+    found = _class_module(market).optimal_welfare_equilibrium(market, _caps(args))
     return _answer(found, "no equilibrium", "allocation", "prices", "welfare")
 
 

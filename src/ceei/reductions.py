@@ -35,13 +35,22 @@ from .core import (
 _DECIDER_CAP = 1 << 20
 
 
+def _require_ints(values) -> None:
+    """TypeError unless every value is an int; floats and bools are refused,
+    as `core.rational` refuses them."""
+    for v in values:
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
+            raise TypeError(f"not an integer: {v!r}")
+
+
 class PartitionInstance(Record):
     """Positive integers to be split into two halves of equal sum."""
 
     __slots__ = ("values",)
 
     def __init__(self, values: tuple):
-        if not values or any(int(v) <= 0 for v in values):
+        _require_ints(values)
+        if not values or min(values) <= 0:
             raise ValueError("partition instance needs a nonempty list of positive integers")
         _set(self, "values", values)
 
@@ -52,9 +61,11 @@ class SubsetSumInstance(Record):
     __slots__ = ("values", "target")
 
     def __init__(self, values: tuple, target: int):
-        if not values or any(int(v) <= 0 for v in values):
+        _require_ints(values)
+        _require_ints((target,))
+        if not values or min(values) <= 0:
             raise ValueError("subset-sum instance needs a nonempty list of positive integers")
-        if int(target) <= 0:
+        if target <= 0:
             raise ValueError("subset-sum target must be positive")
         _set(self, "values", values)
         _set(self, "target", target)
@@ -66,10 +77,12 @@ class X3CInstance(Record):
     __slots__ = ("universe_size", "sets")
 
     def __init__(self, universe_size: int, sets: tuple):
+        _require_ints((universe_size,))
         if universe_size < 3 or universe_size % 3:
             raise ValueError("universe size must be a positive multiple of 3")
         for s in sets:
-            if len(s) != 3 or not all(1 <= e <= universe_size for e in s):
+            _require_ints(s)
+            if len(s) != 3 or min(s) < 1 or max(s) > universe_size:
                 raise ValueError("every set must contain exactly 3 universe elements")
         _set(self, "universe_size", universe_size)
         _set(self, "sets", sets)
@@ -83,10 +96,13 @@ class SetPackingInstance(Record):
     def __init__(self, sets: tuple, threshold: int):
         if not sets or any(not s for s in sets):
             raise ValueError("set-packing instance needs nonempty sets")
+        _require_ints((threshold,))
         if not 1 <= threshold <= len(sets):
             raise ValueError("threshold must be between 1 and the number of sets")
-        if any(int(e) <= 0 for s in sets for e in s):
-            raise ValueError("ground elements must be positive integers")
+        for s in sets:
+            _require_ints(s)
+            if min(s) <= 0:
+                raise ValueError("ground elements must be positive integers")
         _set(self, "sets", sets)
         _set(self, "threshold", threshold)
 
@@ -100,7 +116,7 @@ def partition_to_leontief(inst: PartitionInstance) -> Tuple[Market, PriceVector]
     value items, whose prices are scaled to total exactly 2, so their
     budgets can be exhausted only by an equal split of the values.
     """
-    s = [int(v) for v in inst.values]
+    s = inst.values
     m = len(s)
     total = sum(s)
     share = rational(1, m + 1)
@@ -139,8 +155,8 @@ def subsetsum_to_additive_verify(inst: SubsetSumInstance) -> Tuple[Market, Alloc
     affordable strictly better bundle for buyer 0.  Every other buyer owns
     its only valuable item plus a filler priced to finish its budget.
     """
-    k = int(inst.target)
-    kept = [int(w) for w in inst.values if int(w) <= k]
+    k = inst.target
+    kept = [w for w in inst.values if w <= k]
     n = len(kept)
     m = 2 * n + 1
     rows = [[k - 1] + kept + [0] * n]
@@ -203,7 +219,7 @@ def partition_to_additive_prices(inst: PartitionInstance) -> Tuple[Market, Price
     exists.  Requires an even total (the construction needs an integer
     half-sum).
     """
-    s = [int(v) for v in inst.values]
+    s = list(inst.values)
     total = sum(s)
     if total % 2:
         raise ValueError("partition gadget needs an even total")
@@ -225,8 +241,8 @@ def subsetsum_to_additive_allocation(inst: SubsetSumInstance) -> Tuple[Market, A
     Requires every value at most the target and a total at least the
     target, as the construction presumes.
     """
-    w = [int(v) for v in inst.values]
-    k = int(inst.target)
+    w = list(inst.values)
+    k = inst.target
     if sum(w) < k:
         raise ValueError("subset-sum gadget needs a total at least the target")
     if any(v > k for v in w):
@@ -247,7 +263,7 @@ def _check_decider_cap(count: int) -> None:
 
 def decide_partition(inst: PartitionInstance) -> Tuple[bool, Optional[tuple]]:
     """(yes, (half, half)) with the two value-lists as certificate, or (no, None)."""
-    s = [int(v) for v in inst.values]
+    s = inst.values
     _check_decider_cap(len(s))
     total = sum(s)
     if total % 2:
@@ -262,60 +278,41 @@ def decide_partition(inst: PartitionInstance) -> Tuple[bool, Optional[tuple]]:
 
 def decide_subset_sum(inst: SubsetSumInstance) -> Tuple[bool, Optional[tuple]]:
     """(yes, chosen values) or (no, None)."""
-    s = [int(v) for v in inst.values]
+    s = inst.values
     _check_decider_cap(len(s))
-    target = int(inst.target)
     for mask in range(1, 1 << len(s)):
         chosen = [v for t, v in enumerate(s) if mask >> t & 1]
-        if sum(chosen) == target:
+        if sum(chosen) == inst.target:
             return True, tuple(chosen)
     return False, None
 
 
-def decide_x3c(inst: X3CInstance) -> Tuple[bool, Optional[tuple]]:
-    """(yes, covering sets) or (no, None)."""
-    n = inst.universe_size // 3
-    _check_decider_cap(len(inst.sets))
-    universe = frozenset(range(1, inst.universe_size + 1))
-    for combo in itertools.combinations(range(len(inst.sets)), n):
+def _disjoint_combinations(sets: tuple, size: int):
+    """Each pairwise-disjoint `size`-combination of `sets`, as a tuple of
+    frozensets in `itertools.combinations` order, with its union."""
+    for combo in itertools.combinations(map(frozenset, sets), size):
         union = set()
-        ok = True
-        for idx in combo:
-            s = frozenset(inst.sets[idx])
+        for s in combo:
             if union & s:
-                ok = False
                 break
             union |= s
-        if ok and union == universe:
-            return True, tuple(frozenset(inst.sets[idx]) for idx in combo)
+        else:
+            yield combo, union
+
+
+def decide_x3c(inst: X3CInstance) -> Tuple[bool, Optional[tuple]]:
+    """(yes, covering sets) or (no, None)."""
+    _check_decider_cap(len(inst.sets))
+    universe = frozenset(range(1, inst.universe_size + 1))
+    for combo, union in _disjoint_combinations(inst.sets, inst.universe_size // 3):
+        if union == universe:
+            return True, combo
     return False, None
 
 
 def decide_setpacking(inst: SetPackingInstance) -> Tuple[bool, Optional[tuple]]:
     """(yes, pairwise-disjoint sets meeting the threshold) or (no, None)."""
     _check_decider_cap(len(inst.sets))
-    for combo in itertools.combinations(range(len(inst.sets)), inst.threshold):
-        union = set()
-        ok = True
-        for idx in combo:
-            s = frozenset(inst.sets[idx])
-            if union & s:
-                ok = False
-                break
-            union |= s
-        if ok:
-            return True, tuple(frozenset(inst.sets[idx]) for idx in combo)
+    for combo, _ in _disjoint_combinations(inst.sets, inst.threshold):
+        return True, combo
     return False, None
-
-
-def decide_source(instance) -> Tuple[bool, Optional[tuple]]:
-    """Exact decision (with certificate on yes) for any source instance."""
-    if isinstance(instance, PartitionInstance):
-        return decide_partition(instance)
-    if isinstance(instance, SubsetSumInstance):
-        return decide_subset_sum(instance)
-    if isinstance(instance, X3CInstance):
-        return decide_x3c(instance)
-    if isinstance(instance, SetPackingInstance):
-        return decide_setpacking(instance)
-    raise TypeError(f"not a source-problem instance: {type(instance).__name__}")

@@ -61,6 +61,12 @@ class TestBestAffordableBundle:
         assert bundle == {1, 2}
         assert value == 3  # beats the assigned item worth 2
 
+    @pytest.mark.parametrize("buyer", [-1, 2])
+    def test_buyer_out_of_range(self, buyer):
+        market = make_market([[1, 0], [0, 5]], "additive")
+        with pytest.raises(ValueError, match="buyer out of range"):
+            additive.best_affordable_bundle(market, buyer, make_prices([1, 1]))
+
     def test_enumeration_cap(self):
         market = make_market([[1] * 4], "additive")
         with pytest.raises(SearchCapExceeded):

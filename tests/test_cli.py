@@ -113,6 +113,26 @@ class TestSolveCommand:
         assert json.loads(out)["reason"] == "duplicate singleton demand sets"
 
 
+class TestCapArity:
+    """The perfect-complements `solve` and `prices-for` are polynomial and
+    take no caps; the perfect-substitutes searches do."""
+
+    def test_leontief_ignores_the_caps(self, run, tmp_path):
+        (tmp_path / "m.json").write_text(io.market_to_json(demand_market([{0, 1}, {2}], 3)))
+        (tmp_path / "a.json").write_text(io.solution_to_json(allocation=make_allocation([[0, 1], [2]])))
+        for argv, caps in ((["solve"], ["--cap-items", "1", "--cap-states", "1"]),
+                           (["prices-for", "--alloc", str(tmp_path / "a.json")], ["--cap-enum", "1"])):
+            plain = run(*argv, "--market", str(tmp_path / "m.json"))
+            assert plain[0] == 0
+            assert run(*argv, "--market", str(tmp_path / "m.json"), *caps) == plain
+
+    def test_additive_solve_obeys_the_caps(self, run, tmp_path):
+        (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1, 1], [1, 1]], "additive")))
+        code, out, err = run("solve", "--market", str(tmp_path / "m.json"), "--cap-items", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "max_items = 1" in err
+
+
 # Per `gen` source: its flags, the same instance through its `reductions`
 # generator, and what each of the generator's outputs is, in order.
 _GEN_CASES = {
@@ -489,11 +509,17 @@ class TestImports:
 
     @pytest.mark.parametrize("market_class, other", [("leontief", "additive"), ("additive", "leontief")])
     def test_solve_loads_only_its_class_module(self, tmp_path, market_class, other):
+        """Every command that runs a class algorithm, not `solve` alone."""
         (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1, 1]], market_class)))
-        code, loaded = _import_delta(["solve", "--market", str(tmp_path / "m.json")])
-        assert code == 0
-        assert f"ceei.{market_class}" in loaded
-        assert f"ceei.{other}" not in loaded
+        solution = str(tmp_path / "s.json")
+        (tmp_path / "s.json").write_text(io.solution_to_json(
+            allocation=make_allocation([[0, 1]]), prices=make_prices(["1/2", "1/2"])))
+        for argv in (["solve"], ["verify", "--alloc", solution, "--prices", solution],
+                     ["prices-for", "--alloc", solution], ["alloc-for", "--prices", solution], ["maxwelfare"]):
+            code, loaded = _import_delta([*argv, "--market", str(tmp_path / "m.json")])
+            assert code == 0, argv
+            assert f"ceei.{market_class}" in loaded, argv
+            assert loaded.isdisjoint({f"ceei.{other}", "ceei.oracle", "ceei.reductions"}), argv
 
 
 # --- fuzzing the JSON boundary ------------------------------------------------

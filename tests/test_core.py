@@ -188,6 +188,28 @@ def test_record_construction_checks(make, message):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PartitionInstance((1.5, 2.5)),
+    lambda: PartitionInstance((True, True)),
+    lambda: SubsetSumInstance((2.7, 1), 3.9),
+    lambda: SubsetSumInstance((2, 1), 3.0),
+    lambda: SubsetSumInstance((2, 1), True),
+    lambda: X3CInstance(3.0, ((1, 2, 3),)),
+    lambda: X3CInstance(3, ((1.0, 2, 3),)),
+    lambda: X3CInstance(3, ((True, 2, 3),)),
+    lambda: SetPackingInstance(((1,),), True),
+    lambda: SetPackingInstance(((1.5,),), 1),
+    lambda: SetPackingInstance((frozenset({1}), frozenset({False})), 1),
+], ids=["partition-float", "partition-bool", "subsetsum-floats", "subsetsum-float-target",
+        "subsetsum-bool-target", "x3c-float-universe", "x3c-float-element", "x3c-bool-element",
+        "setpacking-bool-threshold", "setpacking-float-element", "setpacking-bool-element"])
+def test_record_construction_refuses_non_ints(make):
+    """Values, targets, universe sizes, thresholds and set elements are ints;
+    a float or a bool is a TypeError, as in `rational`, not coerced."""
+    with pytest.raises(TypeError, match="not an integer"):
+        make()
+
+
 class TestSocialWelfare:
     def test_pair_demands_baseline_allocation(self):
         market = example3_market(2)

@@ -9,7 +9,6 @@ from ceei.reductions import (
     X3CInstance,
     decide_partition,
     decide_setpacking,
-    decide_source,
     decide_subset_sum,
     decide_x3c,
     partition_to_additive_prices,
@@ -191,14 +190,6 @@ class TestDeciders:
             decide_subset_sum(SubsetSumInstance(tuple(range(1, 22)), 5))
         assert (info.value.cap, info.value.size, info.value.limit) == ("max_subsets", 1 << 21, 1 << 20)
         assert "2097152 exceeds the cap max_subsets = 1048576" in str(info.value)
-
-    def test_dispatch(self):
-        assert decide_source(PartitionInstance((1, 1)))[0]
-        assert decide_source(SubsetSumInstance((1, 2), 3))[0]
-        assert not decide_source(X3CInstance(6, (T123, T124)))[0]
-        assert decide_source(SetPackingInstance((T123,), 1))[0]
-        with pytest.raises(TypeError):
-            decide_source(42)
 
 
 class TestGeneratorHygiene:
