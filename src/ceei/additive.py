@@ -63,6 +63,7 @@ from .core import (
     PriceVector,
     SearchCapExceeded,
     SearchCaps,
+    _require_ints,
     bundle_utility,
     integer_row,
     rational,
@@ -93,8 +94,10 @@ def best_affordable_bundle(
     result is deterministic.  Values and costs are summed as scaled ints
     (budget test cost <= D), each subset's taking one step from the subset
     without its lowest bit; the value is made rational once, on return.
+    A buyer that is not an int is a TypeError, one out of range a ValueError.
     """
     _require_additive(market)
+    _require_ints((buyer,))
     if not 0 <= buyer < market.n:
         raise ValueError("buyer out of range")
     _check_enum_cap(market, caps)

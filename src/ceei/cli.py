@@ -82,6 +82,10 @@ def _read_prices(path: str, market):
     return prices
 
 
+# The reader of each document a command takes besides --market, by flag.
+_READERS = {"alloc": _read_allocation, "prices": _read_prices}
+
+
 def _caps(args) -> SearchCaps:
     return SearchCaps(max_items=args.cap_items, max_states=args.cap_states, max_enum_items=args.cap_enum)
 
@@ -96,10 +100,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    market = _read_market(args.market)
-    allocation = _read_allocation(args.alloc, market)
-    prices = _read_prices(args.prices, market)
+def _cmd_verify(args, market, allocation, prices) -> int:
     report = _class_module(market).verify_equilibrium(market, allocation, prices)
     if report.equilibrium:
         _emit({"verdict": "equilibrium"})
@@ -108,8 +109,7 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _cmd_solve(args) -> int:
-    market = _read_market(args.market)
+def _cmd_solve(args, market) -> int:
     algorithms = _class_module(market)
     if market.market_class == LEONTIEF:  # constructive and polynomial: no caps
         found = algorithms.compute_equilibrium(market)
@@ -119,42 +119,34 @@ def _cmd_solve(args) -> int:
     return _answer(found, reason, "allocation", "prices")
 
 
-def _cmd_prices_for(args) -> int:
-    market = _read_market(args.market)
-    allocation = _read_allocation(args.alloc, market)
+def _cmd_prices_for(args, market, allocation) -> int:
     caps = () if market.market_class == LEONTIEF else (_caps(args),)  # Leontief recovery is polynomial
     prices = _class_module(market).prices_for_allocation(market, allocation, *caps)
     return _answer(prices, "no supporting prices", "prices")
 
 
-def _cmd_alloc_for(args) -> int:
-    market = _read_market(args.market)
-    prices = _read_prices(args.prices, market)
+def _cmd_alloc_for(args, market, prices) -> int:
     allocation = _class_module(market).allocation_for_prices(market, prices, _caps(args))
     return _answer(allocation, "no clearing allocation", "allocation")
 
 
-def _cmd_maxwelfare(args) -> int:
-    market = _read_market(args.market)
+def _cmd_maxwelfare(args, market) -> int:
     found = _class_module(market).optimal_welfare_equilibrium(market, _caps(args))
     return _answer(found, "no equilibrium", "allocation", "prices", "welfare")
 
 
-def _cmd_apxwelfare(args) -> int:
-    market = _read_market(args.market)
+def _cmd_apxwelfare(args, market) -> int:
     if market.market_class != LEONTIEF:
         raise _UsageError("apxwelfare requires a leontief market")
-    from . import leontief
-    found = leontief.compute_equilibrium_apx_welfare(market)
+    found = _class_module(market).compute_equilibrium_apx_welfare(market)
     if found is not None:
         found = (*found, social_welfare(market, found[0]))
     return _answer(found, "no equilibrium", "allocation", "prices", "welfare")
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, market) -> int:
     from . import oracle  # loaded here only, so other commands start faster
 
-    market = _read_market(args.market)
     if args.max_welfare:
         found = oracle.max_welfare_equilibrium_bruteforce(market, _caps(args))
         return _answer(found, "no equilibrium", "allocation", "prices", "welfare")
@@ -231,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="maximum assignment-space size (n^m; (n+1)^m for oracle)")
     cap_flags.add_argument("--cap-enum", type=int, default=DEFAULT_CAPS.max_enum_items,
                            help="maximum item count for per-buyer bundle enumeration")
-    # name, handler, help, files read besides --market, whether search caps apply
+    # name, handler, help, files `main` reads besides --market, whether search caps apply
     for name, func, text, files, caps in (
         ("validate", _cmd_validate, "check a market file against the structural invariants", (), False),
         ("verify", _cmd_verify, "decide whether (allocation, prices) is an equilibrium",
@@ -248,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{flag}", required=True)
         if name == "oracle":
             p.add_argument("--max-welfare", action="store_true")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, files=files)
 
     p = sub.add_parser("gen", help="generate a hardness-gadget instance")
     p.add_argument("source", choices=list(_GEN_SOURCES))
@@ -270,7 +262,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.func(args)
+        if args.func in (_cmd_validate, _cmd_gen):  # an invalid market is validate's answer; gen has none
+            return args.func(args)
+        market = _read_market(args.market)  # then each listed document, in the table's order
+        return args.func(args, market, *[_READERS[flag](getattr(args, flag), market) for flag in args.files])
     except (_UsageError, SearchCapExceeded, ValueError, OSError, TypeError) as exc:  # ValueError: bad JSON too
         print(f"error: {exc}", file=sys.stderr)
         return 2

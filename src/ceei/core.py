@@ -56,6 +56,16 @@ ZERO = rational(0)
 ONE = rational(1)
 
 
+def _require_ints(values: Iterable) -> tuple:
+    """`values` as a tuple, read once; TypeError unless every value is an
+    int, so floats and bools are refused, as `rational` refuses them."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
+            raise TypeError(f"not an integer: {v!r}")
+    return values
+
+
 def integer_row(values):
     """Scale rationals to integers by the LCM of their denominators.
 
@@ -312,13 +322,14 @@ def bundle_utility(market: Market, buyer: int, bundle: Iterable[int]):
 
 
 def check_feasible(market: Market, allocation: Allocation) -> Optional[Violation]:
-    """None iff bundles are pairwise disjoint, in range, and one per buyer."""
+    """None iff bundles are pairwise disjoint, one per buyer, and hold only
+    items of type int in range (a float or a bool is no item index)."""
     if len(allocation.bundles) != market.n:
         return Violation(INFEASIBLE_ALLOCATION)
     seen = set()
     for bundle in allocation.bundles:
         for j in bundle:
-            if not 0 <= j < market.m or j in seen:
+            if type(j) is not int or not 0 <= j < market.m or j in seen:
                 return Violation(INFEASIBLE_ALLOCATION)
             seen.add(j)
     return None

@@ -25,6 +25,7 @@ from .core import (
     Market,
     PriceVector,
     SearchCaps,
+    _require_ints,
     bundle_utility,
     demand_items,
     integer_row,
@@ -155,9 +156,11 @@ def compute_equilibrium_prealloc(
     items it does not, it spreads (1 - eps) over the wanted items and eps
     over the unwanted ones.  eps is below 1/|D| for every demand set D, so
     an unwanted item's price never makes a missing demanded item affordable.
+    A buyer or preallocated item that is not an int is a TypeError.
     """
     _require_leontief(market)
-    prealloc = frozenset(preallocated_items)
+    prealloc = frozenset(_require_ints(preallocated_items))
+    _require_ints((excluded_buyer,))
     if not prealloc <= frozenset(range(market.m)):
         raise ValueError("preallocated items out of range")
     if not 0 <= excluded_buyer < market.n:

@@ -11,12 +11,15 @@ Source-problem elements are 1-based as conventionally written; generated
 markets use this package's 0-based buyer/item indices (the forced item of
 the partition gadget is item 0, ground element e becomes item e-1, and so
 on).  The JSON layer shifts everything to 1-based on output.
+
+The instance records read their input once and keep tuples of ints or of
+frozensets (elements checked as ints first), so they are immutable and hashable.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .core import (
     ADDITIVE,
@@ -27,6 +30,7 @@ from .core import (
     PriceVector,
     Record,
     SearchCapExceeded,
+    _require_ints,
     _set,
     make_market,
     rational,
@@ -35,21 +39,13 @@ from .core import (
 _DECIDER_CAP = 1 << 20
 
 
-def _require_ints(values) -> None:
-    """TypeError unless every value is an int; floats and bools are refused,
-    as `core.rational` refuses them."""
-    for v in values:
-        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
-            raise TypeError(f"not an integer: {v!r}")
-
-
 class PartitionInstance(Record):
     """Positive integers to be split into two halves of equal sum."""
 
     __slots__ = ("values",)
 
-    def __init__(self, values: tuple):
-        _require_ints(values)
+    def __init__(self, values: Iterable[int]):
+        values = _require_ints(values)
         if not values or min(values) <= 0:
             raise ValueError("partition instance needs a nonempty list of positive integers")
         _set(self, "values", values)
@@ -60,8 +56,8 @@ class SubsetSumInstance(Record):
 
     __slots__ = ("values", "target")
 
-    def __init__(self, values: tuple, target: int):
-        _require_ints(values)
+    def __init__(self, values: Iterable[int], target: int):
+        values = _require_ints(values)
         _require_ints((target,))
         if not values or min(values) <= 0:
             raise ValueError("subset-sum instance needs a nonempty list of positive integers")
@@ -76,14 +72,13 @@ class X3CInstance(Record):
 
     __slots__ = ("universe_size", "sets")
 
-    def __init__(self, universe_size: int, sets: tuple):
+    def __init__(self, universe_size: int, sets: Iterable[Iterable[int]]):
+        sets = tuple(frozenset(_require_ints(s)) for s in sets)  # elements checked before repeats merge
         _require_ints((universe_size,))
         if universe_size < 3 or universe_size % 3:
             raise ValueError("universe size must be a positive multiple of 3")
-        for s in sets:
-            _require_ints(s)
-            if len(s) != 3 or min(s) < 1 or max(s) > universe_size:
-                raise ValueError("every set must contain exactly 3 universe elements")
+        if any(len(s) != 3 or min(s) < 1 or max(s) > universe_size for s in sets):
+            raise ValueError("every set must contain exactly 3 universe elements")
         _set(self, "universe_size", universe_size)
         _set(self, "sets", sets)
 
@@ -93,16 +88,15 @@ class SetPackingInstance(Record):
 
     __slots__ = ("sets", "threshold")
 
-    def __init__(self, sets: tuple, threshold: int):
+    def __init__(self, sets: Iterable[Iterable[int]], threshold: int):
+        sets = tuple(frozenset(_require_ints(s)) for s in sets)
         if not sets or any(not s for s in sets):
             raise ValueError("set-packing instance needs nonempty sets")
         _require_ints((threshold,))
         if not 1 <= threshold <= len(sets):
             raise ValueError("threshold must be between 1 and the number of sets")
-        for s in sets:
-            _require_ints(s)
-            if min(s) <= 0:
-                raise ValueError("ground elements must be positive integers")
+        if any(min(s) <= 0 for s in sets):
+            raise ValueError("ground elements must be positive integers")
         _set(self, "sets", sets)
         _set(self, "threshold", threshold)
 
@@ -185,21 +179,14 @@ def x3c_to_additive(inst: X3CInstance) -> Market:
     cover needs there is no bonus item and the pin-to-1 argument breaks
     down (markets built from uncoverable families can still clear at lower
     utilities); solvability in that regime is just "all sets pairwise
-    disjoint and covering", so the gadget is emitted when that check passes
+    disjoint and covering", which for k triples over 3k elements is "their
+    union has 3k elements", so the gadget is emitted when that check passes
     and the equilibrium-free marker otherwise.
     """
     n = inst.universe_size // 3
     k = len(inst.sets)
-    if k < n:
+    if k < n or k == n and len(frozenset().union(*inst.sets)) != inst.universe_size:
         return make_market([[1], [1]], ADDITIVE)
-    if k == n:
-        covered = set()
-        for s in inst.sets:
-            if covered & set(s):
-                return make_market([[1], [1]], ADDITIVE)
-            covered |= set(s)
-        if len(covered) != inst.universe_size:
-            return make_market([[1], [1]], ADDITIVE)
     third = rational(1, 3)
     m = inst.universe_size + (k - n)
     rows = []
@@ -219,13 +206,13 @@ def partition_to_additive_prices(inst: PartitionInstance) -> Tuple[Market, Price
     exists.  Requires an even total (the construction needs an integer
     half-sum).
     """
-    s = list(inst.values)
+    s = inst.values
     total = sum(s)
     if total % 2:
         raise ValueError("partition gadget needs an even total")
     v_half = total // 2
     m = len(s)
-    rows = [s + [3 * v_half, v_half - 1], [1] * m + [0, 0]]
+    rows = [[*s, 3 * v_half, v_half - 1], [1] * m + [0, 0]]
     market = make_market(rows, ADDITIVE)
     half = rational(1, 2)
     prices = [rational(v, total) for v in s] + [half, half]
@@ -241,7 +228,7 @@ def subsetsum_to_additive_allocation(inst: SubsetSumInstance) -> Tuple[Market, A
     Requires every value at most the target and a total at least the
     target, as the construction presumes.
     """
-    w = list(inst.values)
+    w = inst.values
     k = inst.target
     if sum(w) < k:
         raise ValueError("subset-sum gadget needs a total at least the target")
@@ -249,7 +236,7 @@ def subsetsum_to_additive_allocation(inst: SubsetSumInstance) -> Tuple[Market, A
         raise ValueError("subset-sum gadget needs every value at most the target")
     m = len(w)
     big = 4 * sum(w) ** 2
-    rows = [w + [k - 1, big], w + [k + 1, 0]]
+    rows = [[*w, k - 1, big], [*w, k + 1, 0]]
     market = make_market(rows, ADDITIVE)
     bundles = (frozenset([m, m + 1]), frozenset(range(m)))
     return market, Allocation(bundles)
@@ -287,32 +274,28 @@ def decide_subset_sum(inst: SubsetSumInstance) -> Tuple[bool, Optional[tuple]]:
     return False, None
 
 
-def _disjoint_combinations(sets: tuple, size: int):
-    """Each pairwise-disjoint `size`-combination of `sets`, as a tuple of
-    frozensets in `itertools.combinations` order, with its union."""
-    for combo in itertools.combinations(map(frozenset, sets), size):
+def _disjoint_combination(sets: tuple, size: int) -> Tuple[bool, Optional[tuple]]:
+    """(yes, the first pairwise-disjoint `size`-combination of `sets` in
+    `itertools.combinations` order) or (no, None)."""
+    for combo in itertools.combinations(sets, size):
         union = set()
         for s in combo:
             if union & s:
                 break
             union |= s
         else:
-            yield combo, union
+            return True, combo
+    return False, None
 
 
 def decide_x3c(inst: X3CInstance) -> Tuple[bool, Optional[tuple]]:
-    """(yes, covering sets) or (no, None)."""
+    """(yes, covering sets) or (no, None).  Every set holds 3 of the 3n
+    universe elements, so n pairwise-disjoint sets are a cover."""
     _check_decider_cap(len(inst.sets))
-    universe = frozenset(range(1, inst.universe_size + 1))
-    for combo, union in _disjoint_combinations(inst.sets, inst.universe_size // 3):
-        if union == universe:
-            return True, combo
-    return False, None
+    return _disjoint_combination(inst.sets, inst.universe_size // 3)
 
 
 def decide_setpacking(inst: SetPackingInstance) -> Tuple[bool, Optional[tuple]]:
     """(yes, pairwise-disjoint sets meeting the threshold) or (no, None)."""
     _check_decider_cap(len(inst.sets))
-    for combo, _ in _disjoint_combinations(inst.sets, inst.threshold):
-        return True, combo
-    return False, None
+    return _disjoint_combination(inst.sets, inst.threshold)

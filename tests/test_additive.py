@@ -67,6 +67,12 @@ class TestBestAffordableBundle:
         with pytest.raises(ValueError, match="buyer out of range"):
             additive.best_affordable_bundle(market, buyer, make_prices([1, 1]))
 
+    @pytest.mark.parametrize("buyer", [True, 1.0])
+    def test_buyer_that_is_not_an_int(self, buyer):
+        market = make_market([[1, 0], [0, 5]], "additive")
+        with pytest.raises(TypeError, match="not an integer"):
+            additive.best_affordable_bundle(market, buyer, make_prices([1, 1]))
+
     def test_enumeration_cap(self):
         market = make_market([[1] * 4], "additive")
         with pytest.raises(SearchCapExceeded):

@@ -178,6 +178,7 @@ class TestRecord:
     (lambda: X3CInstance(4, ()), "multiple of 3"),
     (lambda: X3CInstance(3, (frozenset({1, 2}),)), "exactly 3 universe elements"),
     (lambda: X3CInstance(3, (frozenset({1, 2, 4}),)), "exactly 3 universe elements"),
+    (lambda: X3CInstance(3, ((1, 1, 2),)), "exactly 3 universe elements"),
     (lambda: SetPackingInstance((), 1), "nonempty sets"),
     (lambda: SetPackingInstance((frozenset(),), 1), "nonempty sets"),
     (lambda: SetPackingInstance((frozenset({1}),), 2), "threshold must be between"),
@@ -200,9 +201,12 @@ def test_record_construction_checks(make, message):
     lambda: SetPackingInstance(((1,),), True),
     lambda: SetPackingInstance(((1.5,),), 1),
     lambda: SetPackingInstance((frozenset({1}), frozenset({False})), 1),
+    lambda: SetPackingInstance(((1, True),), 1),
+    lambda: X3CInstance(3, ((1, 2, 3, 1.0),)),
 ], ids=["partition-float", "partition-bool", "subsetsum-floats", "subsetsum-float-target",
         "subsetsum-bool-target", "x3c-float-universe", "x3c-float-element", "x3c-bool-element",
-        "setpacking-bool-threshold", "setpacking-float-element", "setpacking-bool-element"])
+        "setpacking-bool-threshold", "setpacking-float-element", "setpacking-bool-element",
+        "setpacking-bool-repeat", "x3c-float-repeat"])
 def test_record_construction_refuses_non_ints(make):
     """Values, targets, universe sizes, thresholds and set elements are ints;
     a float or a bool is a TypeError, as in `rational`, not coerced."""
@@ -264,6 +268,23 @@ class TestChecks:
         assert check_feasible(market, make_allocation([[0], [0]])) is not None
         assert check_feasible(market, make_allocation([[2], []])) is not None
         assert check_feasible(market, make_allocation([[0], [1]])) is None
+
+    @pytest.mark.parametrize("item", [1.0, 1.5, True], ids=["float-1", "float-1.5", "bool"])
+    def test_feasibility_refuses_an_item_that_is_not_an_int(self, item):
+        market = make_market([[1, 1], [1, 1]], "additive")
+        assert check_feasible(market, make_allocation([[0], [item]])) == Violation("infeasible-allocation")
+
+
+@pytest.mark.parametrize("market_class, module", [("leontief", leontief), ("additive", additive)],
+                         ids=["leontief", "additive"])
+@pytest.mark.parametrize("bundles", [[[0], [1, 2.0]], [[0], [1.5]], [[0], [True, 2]]],
+                         ids=["float-2", "float-1.5", "bool-1"])
+def test_an_item_that_is_not_an_int_makes_the_allocation_infeasible(market_class, module, bundles):
+    market = make_market([[1, 0, 0], [0, 1, 1]], market_class)
+    x = make_allocation(bundles)
+    report = module.verify_equilibrium(market, x, make_prices([1, "1/2", "1/2"]))
+    assert report.violation == Violation("infeasible-allocation")
+    assert module.prices_for_allocation(market, x) is None
 
 
 @pytest.mark.parametrize("market_class, module", [("leontief", leontief), ("additive", additive)],

@@ -174,6 +174,13 @@ class TestPrealloc:
         with pytest.raises(ValueError):
             leontief.compute_equilibrium_prealloc(market, 0, {0, 1, 2})
 
+    @pytest.mark.parametrize("buyer, items", [(1.0, [1.0, 2]), (1, [1.0, 2]), (True, [0]), (1, [0, True])],
+                             ids=["float-buyer", "float-item", "bool-buyer", "bool-item"])
+    def test_ids_that_are_not_ints_are_refused(self, buyer, items):
+        market = make_market([[1, 0, 0], [0, 1, 1]], "leontief")
+        with pytest.raises(TypeError, match="not an integer"):
+            leontief.compute_equilibrium_prealloc(market, buyer, items)
+
     def test_exhausted_demand_falls_back_to_free_item(self):
         market = demand_market([{0, 1}, {1}], 3)
         x, p = leontief.compute_equilibrium_prealloc(market, 0, {0, 1})

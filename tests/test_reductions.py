@@ -212,3 +212,52 @@ class TestGeneratorHygiene:
         c = io.market_to_json(partition_to_leontief(PartitionInstance((3, 1, 2)))[0])
         d = io.market_to_json(partition_to_leontief(PartitionInstance((3, 1, 2)))[0])
         assert c == d
+
+
+class TestNormalForm:
+    """Each record reads its input once and keeps a tuple of ints or a tuple
+    of frozensets, whatever sequence the caller passed."""
+
+    def test_changing_the_callers_list_changes_nothing(self):
+        vals = [1, 1]
+        inst = PartitionInstance(vals)
+        vals.append(-2)
+        assert inst.values == (1, 1)
+        assert decide_partition(inst) == (True, ((1,), (1,)))
+        triple, family = [1, 2, 3], [[1, 2]]
+        x3c, packing = X3CInstance(3, [triple]), SetPackingInstance(family, 1)
+        triple.append(4)
+        family[0].append(3)
+        family.append([9])
+        assert x3c.sets == (T123,) and packing.sets == (frozenset({1, 2}),)
+
+    def test_every_record_hashes(self):
+        records = [PartitionInstance([1, 2]), SubsetSumInstance([1, 2], 3),
+                   X3CInstance(3, [[1, 2, 3]]), SetPackingInstance([[1, 2], [3]], 2)]
+        assert len({hash(r) for r in records}) == len(set(records)) == 4
+
+    def test_generators_are_read_once(self):
+        assert PartitionInstance(x for x in [1, 2]).values == (1, 2)
+        assert SubsetSumInstance((x for x in [1, 2]), 3).values == (1, 2)
+        inst = X3CInstance(3, (s for s in [(1, 2, 3)]))
+        assert inst.sets == (T123,)
+        assert x3c_to_additive(inst).m == 3
+        packing = SetPackingInstance(((x for x in s) for s in [(1, 2), (3,)]), 2)
+        assert decide_setpacking(packing) == (True, (frozenset({1, 2}), frozenset({3})))
+
+    @pytest.mark.parametrize("make", [
+        lambda sets: X3CInstance(6, sets(([1, 2, 3], [4, 5, 6]))),
+        lambda sets: SetPackingInstance(sets(([1, 2, 3], [4, 5, 6])), 1),
+    ], ids=["x3c", "setpacking"])
+    def test_lists_tuples_and_frozensets_give_one_record(self, make):
+        shapes = [lambda f: [list(s) for s in f], lambda f: tuple(tuple(reversed(s)) for s in f),
+                  lambda f: tuple(frozenset(s) for s in f)]
+        made = [make(shape) for shape in shapes]
+        assert made[0] == made[1] == made[2]
+        assert hash(made[0]) == hash(made[1]) == hash(made[2])
+        assert all(type(s) is frozenset for s in made[0].sets) and type(made[0].sets) is tuple
+
+    def test_value_lists_and_tuples_give_one_record(self):
+        assert PartitionInstance([3, 1]) == PartitionInstance((3, 1))
+        assert hash(SubsetSumInstance([3, 1], 2)) == hash(SubsetSumInstance((3, 1), 2))
+        assert type(PartitionInstance([3, 1]).values) is tuple
