@@ -63,7 +63,7 @@ from .core import (
     PriceVector,
     SearchCapExceeded,
     SearchCaps,
-    _require_ints,
+    _check_buyer,
     bundle_utility,
     integer_row,
     rational,
@@ -97,9 +97,7 @@ def best_affordable_bundle(
     A buyer that is not an int is a TypeError, one out of range a ValueError.
     """
     _require_additive(market)
-    _require_ints((buyer,))
-    if not 0 <= buyer < market.n:
-        raise ValueError("buyer out of range")
+    _check_buyer(market, buyer)
     _check_enum_cap(market, caps)
     _check_prices(market, prices)
     return _best_affordable_bundle(market, buyer, prices)
@@ -145,9 +143,9 @@ def _better_bundle(market: Market, best_response: Callable, buyer: int, bundle: 
     return best if value > bundle_utility(market, buyer, bundle) else None
 
 
-def _minimal_deviating_bundles(market: Market, buyer: int, bundle: frozenset) -> List[frozenset]:
-    """Inclusion-minimal bundles worth strictly more than `bundle`, by size,
-    then by binary mask over the positively valued items in index order.
+def _minimal_deviating_bundles(market: Market, buyer: int, bundle: frozenset) -> List[int]:
+    """Inclusion-minimal bundles worth strictly more than `bundle`, as int
+    masks over item indices, ordered by size, then by mask.
 
     Supersets are dropped: prices are nonnegative, so once a bundle is
     priced above budget every superset is too.  Zero-value items never
@@ -158,24 +156,35 @@ def _minimal_deviating_bundles(market: Market, buyer: int, bundle: frozenset) ->
     subset's lowest bit adds to `rest`, the subset without it, is its least
     valued: a subset is minimal iff `value[mask] > limit >= value[rest]`.
     Values are summed as the buyer's scaled ints, and so is `limit`, the
-    bundle's own value on that scale.
+    bundle's own value on that scale.  A found subset's walk mask becomes
+    its item mask in two lookups, one per half of the walk's bits, so the
+    only table of 2^k entries is `value`.
     """
     row, _ = integer_row(market.values[buyer])
     limit = sum([row[j] for j in bundle])
     pos = sorted((j for j, v in enumerate(row) if v > 0), key=row.__getitem__)
     items = [row[j] for j in pos]
+    half = len(pos) // 2
+    low, high, cut = _item_masks(pos[:half]), _item_masks(pos[half:]), (1 << half) - 1
     value = [0] * (1 << len(pos))
     minimal = []
     for mask in range(1, len(value)):
         rest = mask & (mask - 1)
         value[mask] = total = value[rest] + items[(mask ^ rest).bit_length() - 1]
         if total > limit >= value[rest]:
-            minimal.append(frozenset(j for t, j in enumerate(pos) if mask >> t & 1))
-    # no deviator holds a zero-value item, so its mask over all item indices
-    # orders it as the mask over the valued items does
-    minimal.sort(key=lambda d: sum(1 << j for j in d))
-    minimal.sort(key=len)
+            minimal.append(low[mask & cut] | high[mask >> half])
+    minimal.sort()
+    minimal.sort(key=int.bit_count)  # stable: by size, then by mask
     return minimal
+
+
+def _item_masks(items: List[int]) -> List[int]:
+    """The item mask of every subset of `items`, indexed by its walk mask."""
+    masks = [0] * (1 << len(items))
+    for mask in range(1, len(masks)):
+        rest = mask & (mask - 1)
+        masks[mask] = masks[rest] | 1 << items[(mask ^ rest).bit_length() - 1]
+    return masks
 
 
 def price_support_lp(

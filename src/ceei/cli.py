@@ -100,8 +100,14 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _enum_caps(args, market) -> tuple:
+    """The caps argument of a command whose Leontief function takes none:
+    Leontief verification and price recovery are polynomial."""
+    return () if market.market_class == LEONTIEF else (_caps(args),)
+
+
 def _cmd_verify(args, market, allocation, prices) -> int:
-    report = _class_module(market).verify_equilibrium(market, allocation, prices)
+    report = _class_module(market).verify_equilibrium(market, allocation, prices, *_enum_caps(args, market))
     if report.equilibrium:
         _emit({"verdict": "equilibrium"})
         return 0
@@ -120,8 +126,7 @@ def _cmd_solve(args, market) -> int:
 
 
 def _cmd_prices_for(args, market, allocation) -> int:
-    caps = () if market.market_class == LEONTIEF else (_caps(args),)  # Leontief recovery is polynomial
-    prices = _class_module(market).prices_for_allocation(market, allocation, *caps)
+    prices = _class_module(market).prices_for_allocation(market, allocation, *_enum_caps(args, market))
     return _answer(prices, "no supporting prices", "prices")
 
 
@@ -227,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, text, files, caps in (
         ("validate", _cmd_validate, "check a market file against the structural invariants", (), False),
         ("verify", _cmd_verify, "decide whether (allocation, prices) is an equilibrium",
-         ("alloc", "prices"), False),
+         ("alloc", "prices"), True),
         ("solve", _cmd_solve, "compute an equilibrium if one exists", (), True),
         ("prices-for", _cmd_prices_for, "find prices supporting a given allocation", ("alloc",), True),
         ("alloc-for", _cmd_alloc_for, "find an allocation clearing given prices", ("prices",), True),

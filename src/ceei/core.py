@@ -262,7 +262,11 @@ def make_market(values: Sequence[Sequence[RationalLike]], market_class: str) -> 
 
 
 def make_allocation(bundles: Iterable[Iterable[int]]) -> Allocation:
-    return Allocation(tuple(frozenset(b) for b in bundles))
+    """An allocation of the given bundles; TypeError for an item that is not
+    an int, checked before the bundle is frozen, since a frozenset would
+    merge a float or a bool into an equal int and the order of the items
+    would decide which one is kept."""
+    return Allocation(tuple(frozenset(_require_ints(b)) for b in bundles))
 
 
 def make_prices(prices: Iterable[RationalLike]) -> PriceVector:
@@ -296,8 +300,19 @@ def validate_market(market: Market) -> Market:
     return market
 
 
+def _check_buyer(market: Market, buyer: int) -> None:
+    """TypeError unless `buyer` is an int (a bool or a float is not a buyer
+    id), ValueError unless it is a buyer of the market."""
+    if type(buyer) is not int:
+        _require_ints((buyer,))
+    if not 0 <= buyer < market.n:
+        raise ValueError("buyer out of range")
+
+
 def demand_items(market: Market, buyer: int) -> frozenset:
-    """Items the buyer values strictly positively."""
+    """Items the buyer values strictly positively.  A buyer that is not an
+    int is a TypeError, one out of range a ValueError."""
+    _check_buyer(market, buyer)
     return frozenset(j for j, v in enumerate(market.values[buyer]) if v > 0)
 
 
@@ -306,8 +321,10 @@ def bundle_utility(market: Market, buyer: int, bundle: Iterable[int]):
 
     Perfect complements: min over demanded items j of 1/values[buyer][j] if
     the bundle contains every demanded item, else 0.  Perfect substitutes:
-    sum of values over the bundle.
+    sum of values over the bundle.  A buyer that is not an int is a
+    TypeError, one out of range a ValueError.
     """
+    _check_buyer(market, buyer)
     row = market.values[buyer]
     if market.market_class == ADDITIVE:
         total = ZERO

@@ -40,8 +40,9 @@ from .core import (
     rational,
 )
 
-#: deviators(buyer, bundle): the bundles the buyer strictly prefers to `bundle`.
-Deviators = Callable[[int, frozenset], List[frozenset]]
+#: deviators(buyer, bundle): the bundles the buyer strictly prefers to
+#: `bundle`, each as an int mask over item indices (bit j set for item j).
+Deviators = Callable[[int, frozenset], List[int]]
 
 
 def _check_prices(market: Market, prices: PriceVector) -> None:
@@ -86,7 +87,9 @@ def price_support_lp(market: Market, allocation: Allocation, deviators: Deviator
     Every coefficient is +-1 and every right-hand side 0, 1 or 2, so each
     row is built directly as its sorted tuple of (variable, int) pairs with
     an int right-hand side, equal to the row `lp.constraint` makes from the
-    same numbers; no rational is made until `lp.solve_lp` returns.
+    same numbers; no rational is made until `lp.solve_lp` returns.  A
+    deviator row is one walk over its mask's set bits, lowest first, and
+    the deviator rows share one `(j, -1)` pair per item.
 
     Raises InfeasibleAllocationError (a ValueError) for an infeasible
     allocation, whose item index m would otherwise be read as e.
@@ -98,13 +101,20 @@ def price_support_lp(market: Market, allocation: Allocation, deviators: Deviator
     row = lp.LinearConstraint
     unsold = frozenset(range(m)).difference(*allocation.bundles)
     cons = [row(((j, 1),), lp.EQ, 0) for j in sorted(unsold)]
+    minus = [(j, -1) for j in range(m)]
+    plus_e = (e, 1)  # e, the last variable, sorts after every item
     for i, bundle in enumerate(allocation.bundles):
         if not bundle:
             raise ValueError(f"buyer {i} has an empty bundle; no prices can exhaust its budget")
         cons.append(row(tuple([(j, 1) for j in sorted(bundle)]), lp.EQ, 1))
         for deviator in deviators(i, bundle):
-            # e, the last variable, sorts after every item
-            cons.append(row(tuple([(j, -1) for j in sorted(deviator)] + [(e, 1)]), lp.LE, 0))
+            terms = []
+            while deviator:
+                low = deviator & -deviator
+                terms.append(minus[low.bit_length() - 1])
+                deviator ^= low
+            terms.append(plus_e)
+            cons.append(row(tuple(terms), lp.LE, 0))
     cons.append(row(((e, 1),), lp.LE, 2))
     return lp.lp_problem(m + 1, cons, {e: 1})
 
@@ -115,15 +125,17 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
     Each buyer's deviators are listed once.  A deviator inside some bundle
     plus the unsold items costs at most 1 under the system's own
     constraints, so then the strict system is unsatisfiable without an LP.
+    On masks, deviator d lies inside cover c iff `not d & ~c`.
     """
     if check_feasible(market, allocation) is not None or not all(allocation.bundles):
         return None
-    unsold = frozenset(range(market.m)).difference(*allocation.bundles)
-    covers = [bundle | unsold for bundle in allocation.bundles]
+    masks = [sum([1 << j for j in bundle]) for bundle in allocation.bundles]
+    unsold = (1 << market.m) - 1 - sum(masks)  # the bundles are disjoint
+    outside = [~(mask | unsold) for mask in masks]
     listed = []
     for i, bundle in enumerate(allocation.bundles):
         listed.append(deviators(i, bundle))
-        if any(deviator <= cover for deviator in listed[i] for cover in covers):
+        if any(not deviator & beyond for deviator in listed[i] for beyond in outside):
             return None
     result = lp.solve_lp(price_support_lp(market, allocation, lambda i, _: listed[i]))
     if result.status != lp.OPTIMAL or result.value <= 1:

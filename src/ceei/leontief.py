@@ -3,10 +3,10 @@
 A buyer's utility is positive only when its whole demand set (the items it
 values strictly positively) is received, so to the skeleton in
 `ceei.equilibrium` this module adds one deviator per unserved buyer, its
-demand set.  Verification, equilibrium computation and price recovery run
-in polynomial time.  The given-prices allocation search and the
-welfare-optimal search are exact exponential enumerations guarded by hard
-caps.
+demand set as an item mask.  Verification, equilibrium computation and
+price recovery run in polynomial time.  The given-prices allocation search
+and the welfare-optimal search are exact exponential enumerations guarded
+by hard caps.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ def _require_leontief(market: Market) -> None:
 
 
 def _deviators(market: Market, buyer: int, bundle: frozenset) -> list:
-    """The demand set, unless the bundle already contains it."""
+    """The demand set as an item mask, unless the bundle already contains it."""
     demand = demand_items(market, buyer)
-    return [] if demand <= bundle else [demand]
+    return [] if demand <= bundle else [sum([1 << j for j in demand])]
 
 
 def verify_equilibrium(market: Market, allocation: Allocation, prices: PriceVector) -> EquilibriumReport:
@@ -55,9 +55,9 @@ def verify_equilibrium(market: Market, allocation: Allocation, prices: PriceVect
 
 def _better_bundle(market: Market, prices: PriceVector, buyer: int, bundle: frozenset) -> Optional[frozenset]:
     """The buyer's demand set when `bundle` misses part of it and it costs at most 1."""
-    for demand in _deviators(market, buyer, bundle):
-        if sum((prices.prices[j] for j in demand), ZERO) <= 1:
-            return demand
+    demand = demand_items(market, buyer)
+    if not demand <= bundle and sum((prices.prices[j] for j in demand), ZERO) <= 1:
+        return demand
     return None
 
 

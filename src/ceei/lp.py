@@ -5,16 +5,17 @@ every input: the entering variable is the one of least variable id with
 positive reduced cost, and ties for leaving go to the least basic id.
 Coefficients and right-hand sides are exact: ints, kept as Python ints, or
 rationals (a "p/q" string becomes one; floats and bools are refused).
-Rationals are made only for the returned point and value.  Inside, each row
-is scaled to integers straight from its numerators and denominators (an int
-is its own numerator over 1), and the tableau is held fraction-free (Python
-ints over one common denominator, updated by Edmonds' integer-preserving
-elimination), so no rational arithmetic runs in the pivot loop.  The
-tableau is condensed, as in the dictionary form of lrs (Avis 2000): it
-stores one column per nonbasic variable, and a pivot hands the entering
-variable's column to the leaving variable.  Intended for the small systems
-this package builds (tens of variables and constraints), not for
-large-scale LP.
+Rationals are made only for the returned point and value, and a zero
+coordinate is returned as `ZERO`.  Inside, each row is scaled to integers
+straight from its numerators and denominators (a row of ints needs no
+scaling, so a problem of int rows is taken as it is), and the tableau is
+held fraction-free (Python ints over one common denominator, updated by
+Edmonds' integer-preserving elimination), so no rational arithmetic runs in
+the pivot loop.  The tableau is condensed, as in the dictionary form of lrs
+(Avis 2000): it stores one column per nonbasic variable, and a pivot hands
+the entering variable's column to the leaving variable.  Intended for the
+small systems this package builds (tens of variables and constraints), not
+for large-scale LP.
 
 Strict inequalities never appear in a problem; callers that need "p(B) > 1"
 encode it as "p(B) >= 1 + eps" with eps a distinguished maximized variable
@@ -94,8 +95,12 @@ def _var(v) -> int:
 
 
 def _terms(coeffs: Mapping[int, RationalLike]) -> tuple:
-    terms = ((v if type(v) is int else _var(v), _exact(c)) for v, c in coeffs.items())
-    return tuple(sorted(term for term in terms if term[1] != 0))
+    terms = list(coeffs.items())
+    for v, c in terms:  # int ids and int coefficients are taken as they are
+        if type(v) is not int or type(c) is not int:
+            terms = [(v if type(v) is int else _var(v), _exact(c)) for v, c in terms]
+            break
+    return tuple(sorted([term for term in terms if term[1] != 0]))
 
 
 def constraint(coeffs: Mapping[int, RationalLike], relation: str, rhs: RationalLike) -> LinearConstraint:
@@ -193,7 +198,8 @@ class _Tableau:
             row = [-a for a in row]
             p, lead = -p, -d
         row[c] = 0
-        # When the denominator does not change only the pivot row's nonzeros move.
+        # When the denominator does not change only the pivot row's nonzeros
+        # move, so the other rows are updated in place.
         nonzero = [(j, a) for j, a in enumerate(row) if a] if p == d else None
         if cost is not None:
             rows.append(cost)
@@ -206,7 +212,7 @@ class _Tableau:
                     rows[k] = [x * p // d for x in other]
                 continue
             if nonzero is not None:
-                new = other[:]
+                new = other
                 for j, a in nonzero:
                     new[j] -= f * a // d
             else:
@@ -276,6 +282,16 @@ def _spread(terms, scale, col_of, neg_col_of, width):
     return row
 
 
+def _spread_ints(terms, col_of, neg_col_of, width):
+    """`_spread` at scale 1 of terms whose coefficients are all ints."""
+    row = [0] * width
+    for var, c in terms:
+        row[col_of[var]] += c
+        if var in neg_col_of:
+            row[neg_col_of[var]] -= c
+    return row
+
+
 def solve_lp(problem: LPProblem) -> LPResult:
     """Exact optimum, infeasibility, or unboundedness for the given problem."""
     _validate(problem)
@@ -297,23 +313,33 @@ def solve_lp(problem: LPProblem) -> LPResult:
     # denominators, which makes its slack or artificial coefficient s_r.  The
     # starting basis is then diag(s_r), so the starting denominator is its
     # determinant, the product of the factors, and each stored entry is that
-    # product times the rational tableau entry.  A row with a negative
+    # product times the rational tableau entry.  A row of ints has s_r = 1,
+    # so a problem of int rows starts over denominator 1 with its own
+    # coefficients as entries, and no LCM is taken.  A row with a negative
     # right-hand side is negated, which turns "<=" into ">=": a nonbasic
     # surplus column (-den) and a basic artificial.
     den = 1
     n_le = n_surplus = 0
+    whole = []
     for con in problem.constraints:
-        den *= lcm(con.rhs.denominator, *[c.denominator for _, c in con.coeffs])
+        ints = type(con.rhs) is int and all([type(c) is int for _, c in con.coeffs])
+        whole.append(ints)
+        if not ints:
+            den *= lcm(con.rhs.denominator, *[c.denominator for _, c in con.coeffs])
         if con.relation == LE:
             n_le += 1
             n_surplus += con.rhs < 0
     first_art = ncols + n_le
 
-    rows, basis, var = [], [], list(range(ncols))
+    rows, basis, var, arts = [], [], list(range(ncols)), []
     slack_at, art_at = ncols, first_art
-    for con in problem.constraints:
-        row = _spread(con.coeffs, den, col_of, neg_col_of, ncols + n_surplus)
-        row.append(con.rhs.numerator * (den // con.rhs.denominator))
+    for con, ints in zip(problem.constraints, whole):
+        if ints and den == 1:
+            row = _spread_ints(con.coeffs, col_of, neg_col_of, ncols + n_surplus)
+            row.append(con.rhs)
+        else:
+            row = _spread(con.coeffs, den, col_of, neg_col_of, ncols + n_surplus)
+            row.append(con.rhs.numerator * (den // con.rhs.denominator))
         flip = row[-1] < 0
         if flip:
             row = [-a for a in row]
@@ -325,13 +351,16 @@ def solve_lp(problem: LPProblem) -> LPResult:
                 var.append(slack_at)
             basis.append(art_at)
             art_at += 1
+            arts.append(row)
         slack_at += con.relation == LE
         rows.append(row)
 
     tab = _Tableau(rows, basis, var, den)
 
-    if art_at > first_art:
-        tab.run(tab.reduce_cost_row([0] * first_art + [-1] * (art_at - first_art)))
+    if arts:
+        # Phase 1 maximizes minus the sum of the artificials, each basic in
+        # its own row, so its reduced-cost row is the sum of those rows.
+        tab.run([sum(column) for column in zip(*arts)])
         # artificials are nonbasic (zero) or carry their row's rhs, which is >= 0
         if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b >= first_art):
             return LPResult(status=INFEASIBLE)
@@ -348,9 +377,10 @@ def solve_lp(problem: LPProblem) -> LPResult:
             else:
                 tab.pivot(r, target[1])
         keep = [j for j, v in enumerate(tab.var) if v < first_art]
-        tab.var = [tab.var[j] for j in keep]
-        keep.append(-1)  # the right-hand side
-        tab.rows = [[row[j] for j in keep] for row in tab.rows]
+        if len(keep) < len(tab.var):  # some artificial column is stored
+            tab.var = [tab.var[j] for j in keep]
+            keep.append(-1)  # the right-hand side
+            tab.rows = [[row[j] for j in keep] for row in tab.rows]
 
     # A positive scale of the objective leaves every simplex choice unchanged.
     scale = lcm(*(c.denominator for _, c in problem.objective))
@@ -358,14 +388,16 @@ def solve_lp(problem: LPProblem) -> LPResult:
     if tab.run(cost) == UNBOUNDED:
         return LPResult(status=UNBOUNDED)
 
+    # Each coordinate is an int over tab.den, and the value is the objective
+    # of those ints over tab.den; a zero is returned as ZERO.
     cell = {b: row[-1] for row, b in zip(tab.rows, tab.basis)}
-    point = []
+    scaled = []
     for i in range(problem.num_vars):
         x = cell.get(col_of[i], 0)
         if i in neg_col_of:
             x -= cell.get(neg_col_of[i], 0)
-        point.append(rational(x, tab.den))
-    value = ZERO
-    for var, c in problem.objective:
-        value += c * point[var]
-    return LPResult(status=OPTIMAL, point=tuple(point), value=value)
+        scaled.append(x)
+    point = tuple([rational(x, tab.den) if x else ZERO for x in scaled])
+    total = sum([c * scaled[var] for var, c in problem.objective])
+    value = rational(total, tab.den) if total else ZERO
+    return LPResult(status=OPTIMAL, point=point, value=value)

@@ -114,14 +114,18 @@ class TestSolveCommand:
 
 
 class TestCapArity:
-    """The perfect-complements `solve` and `prices-for` are polynomial and
-    take no caps; the perfect-substitutes searches do."""
+    """The perfect-complements `solve`, `prices-for` and `verify` are
+    polynomial and take no caps; the perfect-substitutes searches and
+    enumerations do."""
 
     def test_leontief_ignores_the_caps(self, run, tmp_path):
         (tmp_path / "m.json").write_text(io.market_to_json(demand_market([{0, 1}, {2}], 3)))
         (tmp_path / "a.json").write_text(io.solution_to_json(allocation=make_allocation([[0, 1], [2]])))
+        (tmp_path / "p.json").write_text(io.solution_to_json(prices=make_prices(["1/2", "1/2", 1])))
+        verify = ["verify", "--alloc", str(tmp_path / "a.json"), "--prices", str(tmp_path / "p.json")]
         for argv, caps in ((["solve"], ["--cap-items", "1", "--cap-states", "1"]),
-                           (["prices-for", "--alloc", str(tmp_path / "a.json")], ["--cap-enum", "1"])):
+                           (["prices-for", "--alloc", str(tmp_path / "a.json")], ["--cap-enum", "1"]),
+                           (verify, ["--cap-enum", "1"])):
             plain = run(*argv, "--market", str(tmp_path / "m.json"))
             assert plain[0] == 0
             assert run(*argv, "--market", str(tmp_path / "m.json"), *caps) == plain
@@ -352,6 +356,18 @@ class TestExitCodes:
                              "--alloc", str(tmp_path / "a.json"), "--cap-enum", "2")
         assert (code, out) == (2, "")
         assert err == "error: bundle enumeration, m items: 3 exceeds the cap max_enum_items = 2\n"
+
+    def test_verify_takes_the_enumeration_cap(self, run, tmp_path):
+        (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1, 2, 3]], "additive")))
+        (tmp_path / "a.json").write_text(io.solution_to_json(allocation=make_allocation([[0, 1, 2]])))
+        (tmp_path / "p.json").write_text(io.solution_to_json(prices=make_prices(["1/3"] * 3)))
+        argv = ["verify", "--market", str(tmp_path / "m.json"), "--alloc", str(tmp_path / "a.json"),
+                "--prices", str(tmp_path / "p.json")]
+        code, out, err = run(*argv, "--cap-enum", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: bundle enumeration, m items: 3 exceeds the cap max_enum_items = 2\n"
+        code, out, _ = run(*argv, "--cap-enum", "3")
+        assert (code, json.loads(out)) == (0, {"verdict": "equilibrium"})
 
     def test_cap_items_leaves_the_enumeration_cap_alone(self, run, tmp_path):
         m = 23

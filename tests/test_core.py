@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ceei import additive, leontief
 from ceei.core import (
+    Allocation,
     InfeasibleAllocationError,
     InvalidMarketError,
     Market,
@@ -271,8 +272,34 @@ class TestChecks:
 
     @pytest.mark.parametrize("item", [1.0, 1.5, True], ids=["float-1", "float-1.5", "bool"])
     def test_feasibility_refuses_an_item_that_is_not_an_int(self, item):
+        # built directly: make_allocation refuses such an item itself
         market = make_market([[1, 1], [1, 1]], "additive")
-        assert check_feasible(market, make_allocation([[0], [item]])) == Violation("infeasible-allocation")
+        x = Allocation((frozenset([0]), frozenset([item])))
+        assert check_feasible(market, x) == Violation("infeasible-allocation")
+
+
+@pytest.mark.parametrize("bundles", [[[0], [1, 1.0]], [[0], [1.0, 1]], [[0], [1, True]], [[True], [1]],
+                                     [[0], [1.5]]],
+                         ids=["int-then-float", "float-then-int", "int-then-bool", "bool", "float-1.5"])
+def test_make_allocation_refuses_an_item_that_is_not_an_int(bundles):
+    # frozenset([1, 1.0]) would keep 1 and frozenset([1.0, 1]) would keep
+    # 1.0, so the order of the items would decide the verdict
+    with pytest.raises(TypeError, match="not an integer"):
+        make_allocation(bundles)
+
+
+@pytest.mark.parametrize("market_class", ["leontief", "additive"])
+@pytest.mark.parametrize("buyer, error", [(True, TypeError), (1.0, TypeError), ("1", TypeError),
+                                          (-1, ValueError), (2, ValueError)],
+                         ids=["bool", "float", "string", "negative", "past-the-end"])
+def test_buyer_helpers_refuse_a_buyer_that_is_not_one(market_class, buyer, error):
+    # a bool would read as buyer 1 and -1 as the last buyer
+    market = make_market([[1, 2], [3, 4]], market_class)
+    match = "not an integer" if error is TypeError else "buyer out of range"
+    with pytest.raises(error, match=match):
+        bundle_utility(market, buyer, [0])
+    with pytest.raises(error, match=match):
+        demand_items(market, buyer)
 
 
 @pytest.mark.parametrize("market_class, module", [("leontief", leontief), ("additive", additive)],
@@ -281,7 +308,7 @@ class TestChecks:
                          ids=["float-2", "float-1.5", "bool-1"])
 def test_an_item_that_is_not_an_int_makes_the_allocation_infeasible(market_class, module, bundles):
     market = make_market([[1, 0, 0], [0, 1, 1]], market_class)
-    x = make_allocation(bundles)
+    x = Allocation(tuple(frozenset(b) for b in bundles))  # make_allocation refuses such an item itself
     report = module.verify_equilibrium(market, x, make_prices([1, "1/2", "1/2"]))
     assert report.violation == Violation("infeasible-allocation")
     assert module.prices_for_allocation(market, x) is None

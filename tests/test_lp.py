@@ -143,6 +143,72 @@ def test_price_support_refuses_an_infeasible_allocation(module):
     assert module.prices_for_allocation(market, x) is None
 
 
+def _reference_support_system(market, x, deviators):
+    """The price-support system built through `constraint` from each buyer's
+    deviators given as frozensets, in the order listed."""
+    e = market.m
+    unsold = frozenset(range(e)).difference(*x.bundles)
+    rows = [constraint({j: 1}, EQ, 0) for j in sorted(unsold)]
+    for bundle, listed in zip(x.bundles, deviators):
+        rows.append(constraint({j: 1 for j in bundle}, EQ, 1))
+        rows.extend(constraint({**{j: -1 for j in d}, e: 1}, LE, 0) for d in listed)
+    rows.append(constraint({e: 1}, LE, 2))
+    return lp_problem(e + 1, rows, {e: 1})
+
+
+def _leontief_deviators(market, x):
+    """By definition: a buyer missing part of its demand set deviates to it."""
+    demands = [frozenset(j for j, v in enumerate(row) if v > 0) for row in market.values]
+    return [[] if d <= b else [d] for d, b in zip(demands, x.bundles)]
+
+
+def _additive_deviators(market, x):
+    """By definition: the bundles worth strictly more than the buyer's own
+    with no strictly better proper subset, by size, then by binary mask."""
+    m = market.m
+    masks = sorted(range(1 << m), key=lambda mask: (mask.bit_count(), mask))
+    subsets = [frozenset(j for j in range(m) if mask >> j & 1) for mask in masks]
+    out = []
+    for row, bundle in zip(market.values, x.bundles):
+        own = sum(row[j] for j in bundle)
+        better = [s for s in subsets if sum(row[j] for j in s) > own]
+        out.append([s for s in better if not any(t < s for t in better)])
+    return out
+
+
+def _every_allocation_with_no_empty_bundle(market):
+    for owners in itertools.product(range(market.n + 1), repeat=market.m):
+        bundles = [frozenset(j for j, o in enumerate(owners) if o == i) for i in range(market.n)]
+        if all(bundles):
+            yield make_allocation(bundles)
+
+
+def _support_corpus():
+    for m in range(1, 5):  # Leontief: every unit demand profile of one or two buyers
+        subsets = [[1 if mask >> j & 1 else 0 for j in range(m)] for mask in range(1, 1 << m)]
+        for n in (1, 2):
+            for rows in itertools.product(subsets, repeat=n):
+                yield leontief, make_market(rows, "leontief"), _leontief_deviators
+    for m in range(1, 5):  # additive: every row of one buyer, and pairs of rows
+        rows = list(itertools.product([0, 1, 2, "1/2"], repeat=m))
+        for row in rows:
+            yield additive, make_market([row], "additive"), _additive_deviators
+        for pair in list(itertools.product(rows, repeat=2))[::(1, 1, 13, 1499)[m - 1]]:
+            yield additive, make_market(pair, "additive"), _additive_deviators
+
+
+def test_price_support_systems_match_the_frozenset_definition():
+    # Deviators travel as item masks from the walk to the rows; every system
+    # must equal the one built from the deviators as frozensets.
+    systems = 0
+    for module, market, deviators in _support_corpus():
+        for x in _every_allocation_with_no_empty_bundle(market):
+            expected = _reference_support_system(market, x, deviators(market, x))
+            assert module.price_support_lp(market, x) == expected, (market, x)
+            systems += 1
+    assert systems == 22_984
+
+
 def test_redundant_equalities_are_dropped():
     # the dependent row leaves a zero-valued artificial in the basis after
     # phase 1; it must be pivoted out or discarded, not poison phase 2
@@ -329,6 +395,52 @@ def test_corpus_answers_match_from_int_and_fraction_coefficients():
         assert {type(c) for con in fractions.constraints for _, c in con.coeffs} == {Fraction}
         _assert_recorded(solve_lp(ints), case)
         _assert_recorded(solve_lp(fractions), case)
+
+
+small = st.integers(-3, 3)
+share = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))  # some are whole Fractions
+
+
+@st.composite
+def mixed_problems(draw):
+    """Problems whose coefficients and right-hand sides are ints or
+    Fractions, with free variables and negative right-hand sides, unbounded
+    and infeasible ones included."""
+    n = draw(st.integers(1, 3))
+    flags = [draw(st.booleans()) for _ in range(n)]
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = {i: draw(small | share) for i in range(n)}
+        if all(c == 0 for c in coeffs.values()):
+            coeffs[0] = 1
+        rows.append(constraint(coeffs, draw(st.sampled_from([LE, EQ])), draw(st.integers(-6, 6) | share)))
+    return lp_problem(n, rows, {i: draw(small | share) for i in range(n)}, nonneg=flags)
+
+
+def _all_fractions(problem):
+    rows = [constraint({v: Fraction(c) for v, c in con.coeffs}, con.relation, Fraction(con.rhs))
+            for con in problem.constraints]
+    objective = {v: Fraction(c) for v, c in problem.objective}
+    return lp_problem(problem.num_vars, rows, objective, nonneg=problem.nonneg)
+
+
+def _typed(result):
+    numbers = (*(result.point or ()), result.value)
+    return result.status, [(type(x), x) for x in numbers]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_problems())
+def test_int_rows_and_their_fraction_twins_solve_identically(problem):
+    # Int rows skip the LCM scaling; the answer, types included, must be
+    # the one the all-Fraction twin gets.
+    twin = _all_fractions(problem)
+    assert {type(c) for con in twin.constraints for _, c in con.coeffs} == {Fraction}
+    result = solve_lp(problem)
+    assert _typed(result) == _typed(solve_lp(twin))
+    if result.status == OPTIMAL:
+        assert check_point(problem, result.point)
+        assert all(type(x) is Fraction for x in (*result.point, result.value))
 
 
 @pytest.mark.parametrize("build, message", [
