@@ -5,9 +5,9 @@ one-side searches enumerate bundles exhaustively; every operation is exact
 and guarded by hard caps.  To the skeleton in `ceei.equilibrium` this module
 adds the knapsack best response (its maximizer is the violation witness),
 the inclusion-minimal strictly better bundles as deviators, and the tallies
-`equilibrium.search` runs on, `_ValueTally` and `_EnvyTally`.  Each public
-entry point checks the enumeration cap once; the helpers it calls do not
-check it again.
+`equilibrium.search` runs on, `_ValueTally` and `_EnvyTally`.  The verifier
+and the searches call the best response and the price recovery through
+their public entry points, so each call repeats their constant-time checks.
 
 The enumerations run on Python ints.  In the bundle enumerations each
 buyer's value row is scaled by the LCM of its denominators (comparisons
@@ -100,10 +100,6 @@ def best_affordable_bundle(
     _check_buyer(market, buyer)
     _check_enum_cap(market, caps)
     _check_prices(market, prices)
-    return _best_affordable_bundle(market, buyer, prices)
-
-
-def _best_affordable_bundle(market: Market, buyer: int, prices: PriceVector) -> Tuple[frozenset, object]:
     row, scale = integer_row(market.values[buyer])
     costs, den = integer_row(prices.prices)
     pos = [j for j, v in enumerate(row) if v > 0]
@@ -132,7 +128,7 @@ def verify_equilibrium(
     rechecked independently."""
     _require_additive(market)
     _check_enum_cap(market, caps)
-    best = partial(_best_affordable_bundle, market, prices=prices)
+    best = partial(best_affordable_bundle, market, prices=prices, caps=caps)
     return equilibrium.verify_equilibrium(market, allocation, prices, partial(_better_bundle, market, best))
 
 
@@ -203,10 +199,6 @@ def prices_for_allocation(
     """Prices making the given allocation an equilibrium, or None."""
     _require_additive(market)
     _check_enum_cap(market, caps)
-    return _prices_for_allocation(market, allocation)
-
-
-def _prices_for_allocation(market: Market, allocation: Allocation) -> Optional[PriceVector]:
     return equilibrium.prices_for_allocation(market, allocation, partial(_minimal_deviating_bundles, market))
 
 
@@ -220,7 +212,7 @@ def allocation_for_prices(
     _require_additive(market)
     _check_assignment_cap(market, caps)
     _check_enum_cap(market, caps)
-    best = cache(partial(_best_affordable_bundle, market, prices=prices))
+    best = cache(partial(best_affordable_bundle, market, prices=prices, caps=caps))
     return equilibrium.allocation_for_prices(market, prices, partial(_better_bundle, market, best))
 
 
@@ -321,7 +313,7 @@ def search_equilibrium(
     _require_additive(market)
     _check_assignment_cap(market, caps)
     _check_enum_cap(market, caps)
-    found = equilibrium.search(market, _EnvyTally(market), partial(_prices_for_allocation, market))
+    found = equilibrium.search(market, _EnvyTally(market), partial(prices_for_allocation, market, caps=caps))
     return None if found is None else found[:2]
 
 
@@ -335,4 +327,4 @@ def optimal_welfare_equilibrium(
     _require_additive(market)
     _check_assignment_cap(market, caps)
     _check_enum_cap(market, caps)
-    return equilibrium.search(market, _ValueTally(market), partial(_prices_for_allocation, market))
+    return equilibrium.search(market, _ValueTally(market), partial(prices_for_allocation, market, caps=caps))

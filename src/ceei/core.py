@@ -198,12 +198,14 @@ class Allocation(Record):
 
 
 class PriceVector(Record):
-    """Nonnegative exact price per item."""
+    """Nonnegative exact price per item; a float or a bool is a TypeError."""
 
     __slots__ = ("prices",)
 
     def __init__(self, prices: tuple):
         for p in prices:
+            if type(p) is not int and type(p) is not Fraction:
+                rational(p)  # a TypeError for a float or a bool
             if p < 0:
                 raise ValueError("prices must be nonnegative")
         _set(self, "prices", prices)
@@ -280,6 +282,7 @@ def validate_market(market: Market) -> Market:
     inconsistent value matrix, negative values, unknown class, or a
     perfect-complements buyer with an all-zero row (such a buyer demands
     nothing and its utility is undefined, so it is rejected outright).
+    A float or bool value is a TypeError, as in `make_market`.
     """
     if market.market_class not in (LEONTIEF, ADDITIVE):
         raise InvalidMarketError(f"unknown market class {market.market_class!r}")
@@ -293,6 +296,8 @@ def validate_market(market: Market) -> Market:
         if len(row) != market.m:
             raise InvalidMarketError(f"value row {i} has wrong length")
         for j, v in enumerate(row):
+            if type(v) is not int and type(v) is not Fraction:
+                rational(v)  # a TypeError for a float or a bool
             if v < 0:
                 raise InvalidMarketError(f"negative value at buyer {i}, item {j}")
         if market.market_class == LEONTIEF and all(v == 0 for v in row):
@@ -319,19 +324,23 @@ def demand_items(market: Market, buyer: int) -> frozenset:
 def bundle_utility(market: Market, buyer: int, bundle: Iterable[int]):
     """Utility of `buyer` for `bundle` under the market's class.
 
-    Perfect complements: min over demanded items j of 1/values[buyer][j] if
-    the bundle contains every demanded item, else 0.  Perfect substitutes:
-    sum of values over the bundle.  A buyer that is not an int is a
-    TypeError, one out of range a ValueError.
+    The bundle is read as a set of items.  Perfect complements: min over
+    demanded items j of 1/values[buyer][j] if the bundle contains every
+    demanded item, else 0.  Perfect substitutes: sum of values over the
+    bundle.  A buyer or an item that is not an int is a TypeError, one out
+    of range a ValueError.
     """
     _check_buyer(market, buyer)
+    if type(bundle) is not frozenset:
+        bundle = frozenset(_require_ints(bundle))  # items checked before repeats merge
+    for j in bundle:
+        if type(j) is not int:
+            _require_ints((j,))  # a TypeError for a float or a bool
+        if not 0 <= j < market.m:
+            raise ValueError("bundle item out of range")
     row = market.values[buyer]
     if market.market_class == ADDITIVE:
-        total = ZERO
-        for j in bundle:
-            total += row[j]
-        return total
-    bundle = frozenset(bundle)
+        return rational(sum([row[j] for j in bundle]))  # int values add as ints
     demanded = [j for j, v in enumerate(row) if v > 0]
     if not all(j in bundle for j in demanded):
         return ZERO

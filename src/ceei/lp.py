@@ -95,12 +95,8 @@ def _var(v) -> int:
 
 
 def _terms(coeffs: Mapping[int, RationalLike]) -> tuple:
-    terms = list(coeffs.items())
-    for v, c in terms:  # int ids and int coefficients are taken as they are
-        if type(v) is not int or type(c) is not int:
-            terms = [(v if type(v) is int else _var(v), _exact(c)) for v, c in terms]
-            break
-    return tuple(sorted([term for term in terms if term[1] != 0]))
+    terms = ((v if type(v) is int else _var(v), _exact(c)) for v, c in coeffs.items())
+    return tuple(sorted(term for term in terms if term[1] != 0))
 
 
 def constraint(coeffs: Mapping[int, RationalLike], relation: str, rhs: RationalLike) -> LinearConstraint:
@@ -325,6 +321,8 @@ def solve_lp(problem: LPProblem) -> LPResult:
         ints = type(con.rhs) is int and all([type(c) is int for _, c in con.coeffs])
         whole.append(ints)
         if not ints:
+            for x in (con.rhs, *[c for _, c in con.coeffs]):
+                rational(x)  # a TypeError for a float or a bool
             den *= lcm(con.rhs.denominator, *[c.denominator for _, c in con.coeffs])
         if con.relation == LE:
             n_le += 1
@@ -377,10 +375,9 @@ def solve_lp(problem: LPProblem) -> LPResult:
             else:
                 tab.pivot(r, target[1])
         keep = [j for j, v in enumerate(tab.var) if v < first_art]
-        if len(keep) < len(tab.var):  # some artificial column is stored
-            tab.var = [tab.var[j] for j in keep]
-            keep.append(-1)  # the right-hand side
-            tab.rows = [[row[j] for j in keep] for row in tab.rows]
+        tab.var = [tab.var[j] for j in keep]
+        keep.append(-1)  # the right-hand side
+        tab.rows = [[row[j] for j in keep] for row in tab.rows]
 
     # A positive scale of the objective leaves every simplex choice unchanged.
     scale = lcm(*(c.denominator for _, c in problem.objective))

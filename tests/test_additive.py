@@ -193,9 +193,9 @@ class TestAllocationForPrices:
     ])
     def test_each_best_response_is_enumerated_once(self, monkeypatch, values, bundles):
         calls = []
-        enumerate_best = additive._best_affordable_bundle
-        monkeypatch.setattr(additive, "_best_affordable_bundle",
-                            lambda market, buyer, prices: calls.append(buyer) or enumerate_best(market, buyer, prices))
+        enumerate_best = additive.best_affordable_bundle
+        monkeypatch.setattr(additive, "best_affordable_bundle", lambda market, buyer, prices, caps:
+                            calls.append(buyer) or enumerate_best(market, buyer, prices, caps))
         market, prices = partition_to_additive_prices(PartitionInstance(values))
         found = additive.allocation_for_prices(market, prices)
         assert (None if found is None else found.bundles) == bundles
@@ -250,6 +250,18 @@ class TestSearchEquilibrium:
         market = make_market([[2, 1], [2, 1]], "additive")
         assert additive.search_equilibrium(market) is None
         assert oracle.equilibrium_exists_bruteforce(market) is None
+
+    @pytest.mark.parametrize("search", [additive.search_equilibrium, additive.optimal_welfare_equilibrium],
+                             ids=["first", "welfare"])
+    def test_leaves_are_priced_through_the_public_recovery(self, monkeypatch, search):
+        calls = []
+        recover = additive.prices_for_allocation
+        monkeypatch.setattr(additive, "prices_for_allocation", lambda market, x, caps:
+                            calls.append((x, caps)) or recover(market, x, caps))
+        market, caps = make_market([[1, 2, 3], [3, 2, 1]], "additive"), SearchCaps(max_enum_items=3)
+        x, p = search(market, caps)[:2]
+        assert calls and calls[-1] == (x, caps) and all(c is caps for _, c in calls)
+        assert p == recover(market, x)
 
 
 # "1/3", "2/5" and "5/6" give rows whose LCM differs from every denominator in them.

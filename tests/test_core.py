@@ -71,6 +71,11 @@ def test_market_and_prices_reject_floats_and_bools(value):
         make_market([[1, value]], "leontief")
     with pytest.raises(TypeError, match="not an exact rational"):
         make_prices([1, value])
+    # built directly: the Leontief verifier would pass such prices in float arithmetic
+    with pytest.raises(TypeError, match="not an exact rational"):
+        PriceVector((value, 1))
+    with pytest.raises(TypeError, match="not an exact rational"):
+        validate_market(Market(1, 2, ((value, 1),), "additive"))
 
 
 class TestValidateMarket:
@@ -300,6 +305,25 @@ def test_buyer_helpers_refuse_a_buyer_that_is_not_one(market_class, buyer, error
         bundle_utility(market, buyer, [0])
     with pytest.raises(error, match=match):
         demand_items(market, buyer)
+
+
+@pytest.mark.parametrize("market_class", ["leontief", "additive"])
+@pytest.mark.parametrize("bundle, error", [([-1], ValueError), ([3], ValueError), ([0, 2, 7], ValueError),
+                                           ([0.0], TypeError), ([1, 1.0], TypeError), ([1.0, 1], TypeError),
+                                           ([True], TypeError), (frozenset({0, 1.5}), TypeError)],
+                         ids=["negative", "past-the-end", "beyond-the-demand", "float", "float-after",
+                              "float-before", "bool", "frozen-float"])
+def test_bundle_utility_refuses_an_item_that_is_not_one(market_class, bundle, error):
+    # -1 would read as the last item, and the Leontief branch ignored item 7
+    market = make_market([[1, 0, 1], [0, 1, 0]], market_class)
+    with pytest.raises(error, match="not an integer" if error is TypeError else "item out of range"):
+        bundle_utility(market, 0, bundle)
+
+
+@pytest.mark.parametrize("market_class, utility", [("additive", 2), ("leontief", 1)])
+def test_bundle_utility_reads_the_bundle_as_a_set(market_class, utility):
+    market = make_market([[1, 0, 1], [0, 1, 0]], market_class)
+    assert bundle_utility(market, 0, [0, 0, 2]) == bundle_utility(market, 0, iter([2, 0])) == utility
 
 
 @pytest.mark.parametrize("market_class, module", [("leontief", leontief), ("additive", additive)],

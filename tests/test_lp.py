@@ -443,6 +443,10 @@ def test_int_rows_and_their_fraction_twins_solve_identically(problem):
         assert all(type(x) is Fraction for x in (*result.point, result.value))
 
 
+def _solve_row(coeffs, rhs):
+    return solve_lp(lp.LPProblem(1, (True,), (lp.LinearConstraint(coeffs, LE, rhs),), ((0, 1),)))
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: constraint({0: 0.5}, LE, 1), "not an exact rational"),
     (lambda: constraint({0: 1}, LE, 0.5), "not an exact rational"),
@@ -453,8 +457,14 @@ def test_int_rows_and_their_fraction_twins_solve_identically(problem):
     (lambda: constraint({1.5: 1}, LE, 1), "not a variable id: 1.5"),
     (lambda: lp_problem(2, [constraint({0: 1}, LE, 1)], {1.0: 1}), "not a variable id: 1.0"),
     (lambda: constraint({True: 1}, LE, 1), "not a variable id: True"),
+    # rows built directly, past `constraint`, where a bool would read as 1
+    (lambda: _solve_row(((0, 0.5),), 1), "not an exact rational"),
+    (lambda: _solve_row(((0, 1),), 0.5), "not an exact rational"),
+    (lambda: _solve_row(((0, True),), 1), "not an exact rational"),
+    (lambda: _solve_row(((0, 1),), True), "not an exact rational"),
 ], ids=["float-coeff", "float-rhs", "bool-coeff", "bool-rhs", "float-objective",
-        "float-var", "float-objective-var", "bool-var"])
+        "float-var", "float-objective-var", "bool-var",
+        "solve-float-coeff", "solve-float-rhs", "solve-bool-coeff", "solve-bool-rhs"])
 def test_constraint_rejects_floats_and_bools(build, message):
     with pytest.raises(TypeError, match=message):
         build()
