@@ -24,7 +24,9 @@ from typing import Callable, List, Optional, Tuple
 
 from . import lp
 from .core import (
+    ONE,
     SUBOPTIMAL_BUNDLE,
+    ZERO,
     Allocation,
     EquilibriumReport,
     InfeasibleAllocationError,
@@ -70,66 +72,124 @@ def verify_equilibrium(
     return EquilibriumReport(True)
 
 
+def _support_system(m: int, masks: List[int], listed: List[List[int]]) -> Tuple[lp.LPProblem, List[int]]:
+    """The price-recovery LP of a feasible allocation of m items, given by
+    its nonempty bundles as item masks, with `listed[k]` the deviator masks
+    of bundle k's buyer; and the items its price variables stand for.
+
+    The allocation is price-supportable iff there are nonnegative prices
+    with every unsold item at 0, every bundle costing 1 and every deviator
+    costing more than 1.  With e = 1 + eps, one more than the strictness
+    slack eps, that is iff "maximize e subject to those prices, p(D) >= e
+    for every deviator D, and e <= 2" has an optimum above 1.  Its equality
+    rows are presolved away by substitution (Andersen & Andersen, Math.
+    Prog. 1995):
+
+    - the unsold prices are 0 and are dropped;
+    - each bundle B_k's highest item, its anchor a_k, is priced
+      `1 - p(R_k)` with R_k = B_k - a_k, so its sign becomes the row
+      `p(R_k) <= 1` (none when R_k is empty);
+    - a deviator row `e - p(D) <= 0` becomes
+      `e - p(D & free) + sum of p(R_k) over the anchors in D <= #anchors
+      in D`, where each item of some R_k that is also in D cancels.
+
+    The free items, the sold items that are no anchor, are variables 0..
+    in item order, and e comes last.  Every row is `<=` with a right-hand
+    side of 0 or more, so the origin is feasible and `lp.solve_lp` builds
+    no artificial and runs no phase 1.  Rows come bundle by bundle, its
+    sign row and then its deviators, with the cap `e <= 2` last.
+
+    Every coefficient is +-1 and every right-hand side an int, so each row
+    is built directly as its sorted tuple of (variable, int) pairs, equal
+    to the row `lp.constraint` makes from the same numbers, in one walk
+    over the set bits of a mask, lowest first.
+    """
+    anchors = 0
+    rest = {}  # anchor bit -> R_k
+    for mask in masks:
+        a = 1 << (mask.bit_length() - 1)
+        anchors |= a
+        rest[a] = mask ^ a
+    free_mask = sum(masks) ^ anchors  # the bundles are disjoint
+    free = [j for j in range(m) if free_mask >> j & 1]
+    e = len(free)
+    plus, minus = [None] * m, [None] * m
+    for v, j in enumerate(free):
+        plus[j], minus[j] = (v, 1), (v, -1)
+    plus_e = (e, 1)  # e, the last variable, sorts after every item
+    row, le = lp.LinearConstraint, lp.LE
+    cons = []
+    for mask, deviators in zip(masks, listed):
+        bits = rest[1 << (mask.bit_length() - 1)]
+        if bits:
+            terms = []
+            while bits:
+                low = bits & -bits
+                terms.append(plus[low.bit_length() - 1])
+                bits ^= low
+            cons.append(row(tuple(terms), le, 1))
+        for deviator in deviators:
+            up, down, count = 0, deviator & free_mask, 0
+            over = deviator & anchors
+            while over:
+                low = over & -over
+                up |= rest[low]
+                count += 1
+                over ^= low
+            both = up & down
+            up ^= both
+            down ^= both
+            bits = up | down
+            terms = []
+            while bits:
+                low = bits & -bits
+                terms.append((plus if up & low else minus)[low.bit_length() - 1])
+                bits ^= low
+            terms.append(plus_e)
+            cons.append(row(tuple(terms), le, count))
+    cons.append(row((plus_e,), le, 2))
+    return lp.lp_problem(e + 1, cons, {e: 1}), free
+
+
+def _bundle_masks(allocation: Allocation) -> List[int]:
+    """Each bundle as an int mask over item indices."""
+    return [sum([1 << j for j in bundle]) for bundle in allocation.bundles]
+
+
 def price_support_lp(market: Market, allocation: Allocation, deviators: Deviators) -> lp.LPProblem:
-    """The price-recovery system for a fixed feasible allocation.
-
-    Variables 0..m-1 are item prices, variable m is `e = 1 + eps`, one more
-    than the strictness slack eps.  Unsold items are pinned to price zero,
-    every bundle must cost exactly 1, every deviator must cost at least e,
-    and e is capped at 2.  The allocation is price-supportable exactly when
-    the maximal e exceeds 1.
-
-    The shift keeps every deviator row `e - p(D) <= 0` feasible at the
-    origin, so its slack starts basic and phase 1 needs artificials only
-    for the bundle rows and the pinned unsold rows (Chvatal, Linear
-    Programming, 1983, ch. 3 and 8).
-
-    Every coefficient is +-1 and every right-hand side 0, 1 or 2, so each
-    row is built directly as its sorted tuple of (variable, int) pairs with
-    an int right-hand side, equal to the row `lp.constraint` makes from the
-    same numbers; no rational is made until `lp.solve_lp` returns.  A
-    deviator row is one walk over its mask's set bits, lowest first, and
-    the deviator rows share one `(j, -1)` pair per item.
+    """The price-recovery system `_support_system` builds for a fixed
+    feasible allocation with no empty bundle.  Its variables are the prices
+    of the free items, in item order, then e; the allocation is
+    price-supportable exactly when the maximal e exceeds 1.
 
     Raises InfeasibleAllocationError (a ValueError) for an infeasible
-    allocation, whose item index m would otherwise be read as e.
+    allocation, and ValueError for an empty bundle, whose budget no prices
+    can exhaust.
     """
     if check_feasible(market, allocation) is not None:
         raise InfeasibleAllocationError("allocation is not feasible")
-    m = market.m
-    e = m
-    row = lp.LinearConstraint
-    unsold = frozenset(range(m)).difference(*allocation.bundles)
-    cons = [row(((j, 1),), lp.EQ, 0) for j in sorted(unsold)]
-    minus = [(j, -1) for j in range(m)]
-    plus_e = (e, 1)  # e, the last variable, sorts after every item
     for i, bundle in enumerate(allocation.bundles):
         if not bundle:
             raise ValueError(f"buyer {i} has an empty bundle; no prices can exhaust its budget")
-        cons.append(row(tuple([(j, 1) for j in sorted(bundle)]), lp.EQ, 1))
-        for deviator in deviators(i, bundle):
-            terms = []
-            while deviator:
-                low = deviator & -deviator
-                terms.append(minus[low.bit_length() - 1])
-                deviator ^= low
-            terms.append(plus_e)
-            cons.append(row(tuple(terms), lp.LE, 0))
-    cons.append(row(((e, 1),), lp.LE, 2))
-    return lp.lp_problem(m + 1, cons, {e: 1})
+    listed = [deviators(i, bundle) for i, bundle in enumerate(allocation.bundles)]
+    return _support_system(market.m, _bundle_masks(allocation), listed)[0]
 
 
 def prices_for_allocation(market: Market, allocation: Allocation, deviators: Deviators) -> Optional[PriceVector]:
     """Prices making the given allocation an equilibrium, or None.
 
-    Each buyer's deviators are listed once.  A deviator inside some bundle
-    plus the unsold items costs at most 1 under the system's own
-    constraints, so then the strict system is unsatisfiable without an LP.
-    On masks, deviator d lies inside cover c iff `not d & ~c`.
+    Feasibility is checked once and each buyer's deviators are listed
+    once, and `_support_system` builds the LP from the bundle masks and
+    those lists.  A deviator inside some bundle plus the unsold items costs
+    at most 1 under the system's own constraints, so then the strict
+    system is unsatisfiable without an LP.  On masks, deviator d lies
+    inside cover c iff `not d & ~c`.  The LP's optimum prices the free
+    items; each anchor gets 1 minus the rest of its bundle, and each unsold
+    item `ZERO`.
     """
     if check_feasible(market, allocation) is not None or not all(allocation.bundles):
         return None
-    masks = [sum([1 << j for j in bundle]) for bundle in allocation.bundles]
+    masks = _bundle_masks(allocation)
     unsold = (1 << market.m) - 1 - sum(masks)  # the bundles are disjoint
     outside = [~(mask | unsold) for mask in masks]
     listed = []
@@ -137,10 +197,17 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
         listed.append(deviators(i, bundle))
         if any(not deviator & beyond for deviator in listed[i] for beyond in outside):
             return None
-    result = lp.solve_lp(price_support_lp(market, allocation, lambda i, _: listed[i]))
+    system, free = _support_system(market.m, masks, listed)
+    result = lp.solve_lp(system)
     if result.status != lp.OPTIMAL or result.value <= 1:
         return None
-    return PriceVector(result.point[: market.m])
+    prices = [ZERO] * market.m
+    for j, price in zip(free, result.point):
+        prices[j] = price
+    for bundle in allocation.bundles:
+        anchor = max(bundle)
+        prices[anchor] = ONE - sum([prices[j] for j in bundle if j != anchor])
+    return PriceVector(tuple(prices))
 
 
 #: Stack frames kept free for the search's caller and for pricing at a leaf.

@@ -132,9 +132,11 @@ def _validate(problem: LPProblem) -> None:
         for var, _ in con.coeffs:
             if not 0 <= var < problem.num_vars:
                 raise ValueError(f"constraint references undeclared variable {var}")
-    for var, _ in problem.objective:
+    for var, c in problem.objective:
         if not 0 <= var < problem.num_vars:
             raise ValueError(f"objective references undeclared variable {var}")
+        if type(c) is not int:
+            rational(c)  # a TypeError for a float or a bool
 
 
 def check_point(problem: LPProblem, point: Sequence[RationalLike]) -> bool:

@@ -199,6 +199,7 @@ class TestAllocationForPrices:
         market, prices = partition_to_additive_prices(PartitionInstance(values))
         found = additive.allocation_for_prices(market, prices)
         assert (None if found is None else found.bundles) == bundles
+        assert calls, "the search must test its leaves through best_affordable_bundle"
         assert sorted(calls) == sorted(set(calls)) and len(calls) <= market.n
 
 

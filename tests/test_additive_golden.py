@@ -10,6 +10,12 @@ recovery and assignment searches.  `setpacking->leontief` and
 `corpus->leontief` were re-recorded when the price-support LP moved to
 e = 1 + eps, which starts Bland's rule from another basis: only price
 entries moved, to another optimal vertex, and every moved pair verifies.
+`x3c->additive`, `setpacking->leontief` and `corpus->leontief` were
+re-recorded when the price-support LP substituted its equality rows away
+(unsold prices 0, one anchor item per bundle priced by the rest of it), so
+the simplex starts at the origin with no phase 1: again only price vectors
+moved (4, 101 and 955 of them), each to another optimal vertex, and every
+moved pair verifies.
 Any change to an allocation, a price, a welfare, a verdict or a witness
 changes the digests.
 """
@@ -28,12 +34,12 @@ from conftest import leontief_profile_corpus, multisets, x3c_family
 
 # family -> (outputs checked, SHA-256 of the serialized outputs)
 GOLDEN = {
-    "x3c->additive": (148, "cb0e32abf4f1d071e95b7bdfbb03b71fcd3463c66fbce25f525f8a5a2c53cf01"),
+    "x3c->additive": (148, "c5abb82ac94c6390e36718265a6809f2e2f509556f857b59717eac17aa5a6361"),
     "partition->additive": (167, "0f82225a69d5799e2b3800184df492a5d1bcea6aa87eaa3f65ed21a89168ef9d"),
     "subsetsum->verify": (201, "a8f753a7d51104774a0808feaffa257ba5b56fd96b260c8e5b5b76e7fd4adbc9"),
     "partition->leontief": (1001, "f7d2a48907e3c61549c98a5d83a1335a97df6e15374332d29fe4c5d39f6254f9"),
-    "setpacking->leontief": (227, "dfaee365584fd10e01805ce23f51ea8b3ebfcbe007004686c34602d748d31bc8"),
-    "corpus->leontief": (239, "cacc27ce757670c555ccbf02c0a12aa9e777c88cf0835f142023b9cde1875ee1"),
+    "setpacking->leontief": (227, "25f563e4859b4b020fec3a1c79eb206003dbdb4f03923403a479517ded4f799c"),
+    "corpus->leontief": (239, "130b703a03f46882f0a8242c0f3c1ed1af2b4daf901227ceebecf1e4e12b6d93"),
     "corpus->leontief-verify": (177, "ed9f214e27b7b1e790c40989e855c2d0a75d1e272e167867972f8c7c9d147064"),
     "subsetsum->alloc": (483, "dd96739e3129195059967867c4b8d097c06be78ff22d326fd6999e82c9639392"),
 }

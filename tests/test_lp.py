@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceei import additive, leontief, lp
+from ceei import additive, equilibrium, leontief, lp
 from ceei.core import make_market, rational
 from ceei.lp import EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, check_point, constraint, lp_problem, solve_lp
 
@@ -78,58 +78,66 @@ def test_check_point_exact():
 
 def test_check_point_on_worked_price_system():
     # The price-recovery system for the worked 6-buyer example admits its
-    # published prices with the slack at its cap: e = 1 + eps = 2.
+    # published prices with the slack at its cap: e = 1 + eps = 2.  Each
+    # bundle's highest item is substituted away and no item is unsold, so
+    # the variables are the free items 5 and 6, then e.
     market = example2_market()
     x = make_allocation([[0], [1], [2], [3], [4], [5, 6, 7]])
     system = price_support_lp(market, x)
-    point = [rational(q) for q in (1, 1, 1, 1, 1, "1/3", "1/3", "1/3", 2)]
+    assert system.num_vars == 3
+    point = [rational(q) for q in ("1/3", "1/3", 2)]
     assert check_point(system, point)
     result = solve_lp(system)
     assert result.status == OPTIMAL
     assert result.value == 2
 
 
-@pytest.mark.parametrize("build, market, x", [
-    (leontief.price_support_lp, example2_market(), make_allocation([[0], [1], [2], [3], [4], [5, 6, 7]])),
-    (additive.price_support_lp, make_market([list(range(1, 9)), list(range(8, 0, -1))], "additive"),
-     make_allocation([list(range(4, 8)), list(range(4))])),
-], ids=["leontief", "additive"])
-def test_price_support_deviator_rows_are_feasible_at_zero(build, market, x):
-    # Every deviator row is e - p(D) <= 0, so the origin satisfies it, its
-    # slack starts basic and phase 1 gives it no artificial; the cap is e <= 2.
-    system = build(market, x)
-    e = market.m
-    rows = [con for con in system.constraints if con.relation == LE]
-    assert rows[-1] == constraint({e: 1}, LE, 2)
-    assert len(rows) > 1
-    for con in rows[:-1]:
-        assert dict(con.coeffs)[e] == 1 and con.rhs == 0
-
-
-@pytest.mark.parametrize("build, market, x", [
+SUPPORT_CASES = [
     (leontief.price_support_lp, example2_market(), make_allocation([[0], [1], [2], [3], [4], [5, 6, 7]])),
     (leontief.price_support_lp, example2_market(), make_allocation([[0], [1], [2], [3], [4, 5], [6]])),
     (additive.price_support_lp, make_market([list(range(1, 9)), list(range(8, 0, -1))], "additive"),
      make_allocation([list(range(4, 8)), list(range(4))])),
     (additive.price_support_lp, make_market([[1, "1/2", 3, 0], ["2/3", 1, 1, 1]], "additive"),
      make_allocation([[0, 1], [3]])),
-], ids=["leontief", "leontief-unsold", "additive", "additive-unsold"])
-def test_price_support_rows_hold_ints(build, market, x):
-    # Every row is built as its sorted (var, +-1) tuple with an int rhs, and
-    # equals the row `constraint` builds from Fractions.
+]
+SUPPORT_IDS = ["leontief", "leontief-unsold", "additive", "additive-unsold"]
+
+
+@pytest.mark.parametrize("build, market, x", SUPPORT_CASES, ids=SUPPORT_IDS)
+def test_price_support_deviator_rows_are_feasible_at_zero(build, market, x):
+    # Every row is "<=" with a right-hand side of 0 or more, so the origin
+    # satisfies it, its slack starts basic and `solve_lp` builds no
+    # artificial; the deviator rows carry e, the sign rows do not, and the
+    # cap e <= 2 comes last.
     system = build(market, x)
-    e = market.m
-    unsold = frozenset(range(e)).difference(*x.bundles)
-    assert len(system.constraints) > len(unsold) + market.n + 1
+    e = system.num_vars - 1
+    assert all(con.relation == LE and con.rhs >= 0 for con in system.constraints)
+    assert check_point(system, [0] * system.num_vars)
+    assert system.constraints[-1] == constraint({e: 1}, LE, 2)
+    deviator_rows = [con for con in system.constraints[:-1] if dict(con.coeffs).get(e)]
+    assert deviator_rows
+    assert all(dict(con.coeffs)[e] == 1 for con in deviator_rows)
+    sign_rows = [con for con in system.constraints[:-1] if e not in dict(con.coeffs)]
+    assert all(con.rhs == 1 and {c for _, c in con.coeffs} == {1} for con in sign_rows)
+
+
+@pytest.mark.parametrize("build, market, x", SUPPORT_CASES, ids=SUPPORT_IDS)
+def test_price_support_rows_hold_ints(build, market, x):
+    # Every row is built as its sorted (var, +-1) tuple with an int rhs of 0
+    # or more, and equals the row `constraint` builds from Fractions.  The
+    # unsold items and one anchor per bundle have no variable.
+    system = build(market, x)
+    unsold = frozenset(range(market.m)).difference(*x.bundles)
+    e = market.m - len(unsold) - market.n
+    assert system.num_vars == e + 1
     for con in system.constraints:
-        assert all(type(v) is int and type(c) is int for v, c in con.coeffs)
-        assert type(con.rhs) is int
+        assert con.relation == LE
+        assert all(type(v) is int and type(c) is int and c in (1, -1) for v, c in con.coeffs)
+        assert type(con.rhs) is int and con.rhs >= 0
         rebuilt = constraint({v: Fraction(c) for v, c in con.coeffs}, con.relation, Fraction(con.rhs))
         assert con == rebuilt
         assert [v for v, _ in con.coeffs] == sorted({v for v, _ in con.coeffs})
     assert system.objective == ((e, 1),) and type(system.objective[0][1]) is int
-    expected = [constraint({j: Fraction(1)}, EQ, Fraction(0)) for j in sorted(unsold)]
-    assert list(system.constraints[:len(unsold)]) == expected
     assert system.constraints[-1] == constraint({e: Fraction(1)}, LE, Fraction(2))
 
 
@@ -143,15 +151,61 @@ def test_price_support_refuses_an_infeasible_allocation(module):
     assert module.prices_for_allocation(market, x) is None
 
 
+@pytest.mark.parametrize("module, market, x", [
+    (leontief, example2_market(), make_allocation([[0], [1], [2], [3], [4], [5, 6, 7]])),
+    (additive, make_market([list(range(1, 9)), list(range(8, 0, -1))], "additive"),
+     make_allocation([list(range(3, 8)), list(range(3))])),
+], ids=["leontief", "additive"])
+def test_price_recovery_checks_feasibility_once_and_runs_no_phase_1(monkeypatch, module, market, x):
+    # The recovery builds its LP from the bundle masks it already has, and
+    # the LP's origin is feasible, so the simplex runs once: phase 2.
+    calls = []
+    check, run = equilibrium.check_feasible, lp._Tableau.run
+    monkeypatch.setattr(equilibrium, "check_feasible", lambda *args: calls.append("check") or check(*args))
+    monkeypatch.setattr(lp._Tableau, "run", lambda *args: calls.append("run") or run(*args))
+    prices = module.prices_for_allocation(market, x)
+    assert calls == ["check", "run"]
+    assert prices is not None and module.verify_equilibrium(market, x, prices).equilibrium
+
+
 def _reference_support_system(market, x, deviators):
-    """The price-support system built through `constraint` from each buyer's
-    deviators given as frozensets, in the order listed."""
+    """The price-support system with equality rows, built through
+    `constraint` from each buyer's deviators given as frozensets: prices
+    0..m-1 and e = m, unsold items pinned to 0, every bundle costing 1,
+    every deviator at least e, and e <= 2."""
     e = market.m
     unsold = frozenset(range(e)).difference(*x.bundles)
     rows = [constraint({j: 1}, EQ, 0) for j in sorted(unsold)]
     for bundle, listed in zip(x.bundles, deviators):
         rows.append(constraint({j: 1 for j in bundle}, EQ, 1))
         rows.extend(constraint({**{j: -1 for j in d}, e: 1}, LE, 0) for d in listed)
+    rows.append(constraint({e: 1}, LE, 2))
+    return lp_problem(e + 1, rows, {e: 1})
+
+
+def _reference_substituted_system(market, x, deviators):
+    """The system of `_reference_support_system` with every equality row
+    substituted away, through `constraint`: unsold prices are 0, each
+    bundle's highest item is priced 1 minus the rest of its bundle, which
+    must then cost at most 1, and the other sold items are the variables,
+    in item order, then e.  A deviator's cost p(D) is read term by term."""
+    rest = {max(bundle): bundle - {max(bundle)} for bundle in x.bundles}
+    free = sorted(frozenset().union(*x.bundles) - rest.keys())
+    var = {j: v for v, j in enumerate(free)}
+    e = len(free)
+    rows = []
+    for bundle, listed in zip(x.bundles, deviators):
+        if rest[max(bundle)]:
+            rows.append(constraint({var[j]: 1 for j in rest[max(bundle)]}, LE, 1))
+        for d in listed:
+            coeffs = dict.fromkeys(range(e + 1), 0)
+            coeffs[e] = 1  # e - p(D) <= 0, with p(D)'s constant moved right
+            for j in d:
+                if j in var:
+                    coeffs[var[j]] -= 1
+                for k in rest.get(j, ()):
+                    coeffs[var[k]] += 1
+            rows.append(constraint(coeffs, LE, len(d & rest.keys())))
     rows.append(constraint({e: 1}, LE, 2))
     return lp_problem(e + 1, rows, {e: 1})
 
@@ -199,12 +253,18 @@ def _support_corpus():
 
 def test_price_support_systems_match_the_frozenset_definition():
     # Deviators travel as item masks from the walk to the rows; every system
-    # must equal the one built from the deviators as frozensets.
+    # must equal the substituted one built from the deviators as frozensets,
+    # and have the optimum of the system with equality rows, so the same
+    # verdict.
     systems = 0
     for module, market, deviators in _support_corpus():
         for x in _every_allocation_with_no_empty_bundle(market):
-            expected = _reference_support_system(market, x, deviators(market, x))
+            listed = deviators(market, x)
+            expected = _reference_substituted_system(market, x, listed)
             assert module.price_support_lp(market, x) == expected, (market, x)
+            substituted, equality_rows = solve_lp(expected), solve_lp(_reference_support_system(market, x, listed))
+            assert substituted.status == equality_rows.status == OPTIMAL
+            assert substituted.value == equality_rows.value, (market, x)
             systems += 1
     assert systems == 22_984
 
@@ -443,8 +503,8 @@ def test_int_rows_and_their_fraction_twins_solve_identically(problem):
         assert all(type(x) is Fraction for x in (*result.point, result.value))
 
 
-def _solve_row(coeffs, rhs):
-    return solve_lp(lp.LPProblem(1, (True,), (lp.LinearConstraint(coeffs, LE, rhs),), ((0, 1),)))
+def _solve_row(coeffs, rhs, objective=((0, 1),)):
+    return solve_lp(lp.LPProblem(1, (True,), (lp.LinearConstraint(coeffs, LE, rhs),), objective))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -462,9 +522,13 @@ def _solve_row(coeffs, rhs):
     (lambda: _solve_row(((0, 1),), 0.5), "not an exact rational"),
     (lambda: _solve_row(((0, True),), 1), "not an exact rational"),
     (lambda: _solve_row(((0, 1),), True), "not an exact rational"),
+    # an objective built directly, past `lp_problem`
+    (lambda: _solve_row(((0, 1),), 1, ((0, 0.5),)), "not an exact rational"),
+    (lambda: _solve_row(((0, 1),), 1, ((0, True),)), "not an exact rational"),
 ], ids=["float-coeff", "float-rhs", "bool-coeff", "bool-rhs", "float-objective",
         "float-var", "float-objective-var", "bool-var",
-        "solve-float-coeff", "solve-float-rhs", "solve-bool-coeff", "solve-bool-rhs"])
+        "solve-float-coeff", "solve-float-rhs", "solve-bool-coeff", "solve-bool-rhs",
+        "solve-float-objective", "solve-bool-objective"])
 def test_constraint_rejects_floats_and_bools(build, message):
     with pytest.raises(TypeError, match=message):
         build()
