@@ -367,6 +367,9 @@ def search(market: Market, tally, accept: Callable, tags=None) -> Optional[Tuple
 
     if top >= 0:
         assign(0)
+    # `assign` reaches itself through its closure; emptying the cell frees
+    # the walk's state on return instead of leaving a cycle to the collector
+    del assign
     if best[1] is None:
         return None
     return (*best[1], rational(best[0], tally.scale))

@@ -15,6 +15,7 @@ from their definitions, and the x3c family's place, leaf and LP counts pin
 which subtrees the swap bound cuts.
 """
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -25,7 +26,14 @@ from hypothesis import strategies as st
 from ceei import additive, equilibrium, leontief, lp, oracle
 from ceei.core import Allocation, make_market, make_prices, social_welfare
 
-from ceei.reductions import x3c_to_additive
+from ceei.reductions import (
+    PartitionInstance,
+    SetPackingInstance,
+    partition_to_additive_prices,
+    partition_to_leontief,
+    setpacking_to_leontief,
+    x3c_to_additive,
+)
 
 from conftest import leontief_profile_corpus, x3c_family
 
@@ -234,6 +242,31 @@ def test_welfare_search_stops_only_at_the_root_bound(hit):
     else:
         assert tally.placed[-1] == LEAVES[hit] and accepted == LEAVES[:hit + 1]
         assert _owners(found[0]) == LEAVES[hit] and found[2] == top
+
+
+def _search_calls():
+    partition = PartitionInstance((1, 2, 3))
+    packing = SetPackingInstance((frozenset({1, 2}), frozenset({2, 3}), frozenset({3})), 1)
+    return [
+        lambda: additive.search_equilibrium(x3c_to_additive(x3c_family()[40])),
+        lambda: additive.allocation_for_prices(*partition_to_additive_prices(partition)),
+        lambda: leontief.allocation_for_prices(*partition_to_leontief(partition)),
+        lambda: leontief.optimal_welfare_equilibrium(setpacking_to_leontief(packing)[0]),
+    ]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_search_leaves_no_reference_cycle(k):
+    """A search frees its walk's state on return, so a long run of searches
+    leaves nothing for the cyclic collector."""
+    call = _search_calls()[k]
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # Denominators 7 and 9 and values of 10^12 give a common scale of 63 and
