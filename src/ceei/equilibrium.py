@@ -72,10 +72,11 @@ def verify_equilibrium(
     return EquilibriumReport(True)
 
 
-def _support_system(m: int, masks: List[int], listed: List[List[int]]) -> Tuple[lp.LPProblem, List[int]]:
+def _support_system(m: int, masks: List[int], listed: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
     """The price-recovery LP of a feasible allocation of m items, given by
     its nonempty bundles as item masks, with `listed[k]` the deviator masks
-    of bundle k's buyer; and the items its price variables stand for.
+    of bundle k's buyer, as dense int rows; and the items its price
+    variables stand for.
 
     The allocation is price-supportable iff there are nonnegative prices
     with every unsold item at 0, every bundle costing 1 and every deviator
@@ -95,14 +96,11 @@ def _support_system(m: int, masks: List[int], listed: List[List[int]]) -> Tuple[
 
     The free items, the sold items that are no anchor, are variables 0..
     in item order, and e comes last.  Every row is `<=` with a right-hand
-    side of 0 or more, so the origin is feasible and `lp.solve_lp` builds
-    no artificial and runs no phase 1.  Rows come bundle by bundle, its
-    sign row and then its deviators, with the cap `e <= 2` last.
-
-    Every coefficient is +-1 and every right-hand side an int, so each row
-    is built directly as its sorted tuple of (variable, int) pairs, equal
-    to the row `lp.constraint` makes from the same numbers, in one walk
-    over the set bits of a mask, lowest first.
+    side of 0 or more, so the origin is feasible.  Rows come bundle by
+    bundle, its sign row and then its deviators, with the cap `e <= 2`
+    last.  Each is a list in the layout of `lp._solve_at_origin`: its +-1
+    entry per free item, then e's, then the right-hand side, filled in one
+    walk over the set bits of a mask, lowest first.
     """
     anchors = 0
     rest = {}  # anchor bit -> R_k
@@ -113,21 +111,19 @@ def _support_system(m: int, masks: List[int], listed: List[List[int]]) -> Tuple[
     free_mask = sum(masks) ^ anchors  # the bundles are disjoint
     free = [j for j in range(m) if free_mask >> j & 1]
     e = len(free)
-    plus, minus = [None] * m, [None] * m
-    for v, j in enumerate(free):
-        plus[j], minus[j] = (v, 1), (v, -1)
-    plus_e = (e, 1)  # e, the last variable, sorts after every item
-    row, le = lp.LinearConstraint, lp.LE
-    cons = []
+    var = {1 << j: v for v, j in enumerate(free)}  # an item's bit -> its variable
+    width = e + 2
+    rows = []
     for mask, deviators in zip(masks, listed):
         bits = rest[1 << (mask.bit_length() - 1)]
         if bits:
-            terms = []
+            row = [0] * width
             while bits:
                 low = bits & -bits
-                terms.append(plus[low.bit_length() - 1])
+                row[var[low]] = 1
                 bits ^= low
-            cons.append(row(tuple(terms), le, 1))
+            row[-1] = 1
+            rows.append(row)
         for deviator in deviators:
             up, down, count = 0, deviator & free_mask, 0
             over = deviator & anchors
@@ -139,16 +135,22 @@ def _support_system(m: int, masks: List[int], listed: List[List[int]]) -> Tuple[
             both = up & down
             up ^= both
             down ^= both
-            bits = up | down
-            terms = []
-            while bits:
-                low = bits & -bits
-                terms.append((plus if up & low else minus)[low.bit_length() - 1])
-                bits ^= low
-            terms.append(plus_e)
-            cons.append(row(tuple(terms), le, count))
-    cons.append(row((plus_e,), le, 2))
-    return lp.lp_problem(e + 1, cons, {e: 1}), free
+            row = [0] * width
+            while up:
+                low = up & -up
+                row[var[low]] = 1
+                up ^= low
+            while down:
+                low = down & -down
+                row[var[low]] = -1
+                down ^= low
+            row[e] = 1
+            row[-1] = count
+            rows.append(row)
+    cap = [0] * width
+    cap[e], cap[-1] = 1, 2
+    rows.append(cap)
+    return rows, free
 
 
 def _bundle_masks(allocation: Allocation) -> List[int]:
@@ -172,7 +174,10 @@ def price_support_lp(market: Market, allocation: Allocation, deviators: Deviator
         if not bundle:
             raise ValueError(f"buyer {i} has an empty bundle; no prices can exhaust its budget")
     listed = [deviators(i, bundle) for i, bundle in enumerate(allocation.bundles)]
-    return _support_system(market.m, _bundle_masks(allocation), listed)[0]
+    rows, free = _support_system(market.m, _bundle_masks(allocation), listed)
+    cons = [lp.LinearConstraint(tuple([(v, c) for v, c in enumerate(row[:-1]) if c]), lp.LE, row[-1])
+            for row in rows]
+    return lp.lp_problem(len(free) + 1, cons, {len(free): 1})
 
 
 def prices_for_allocation(market: Market, allocation: Allocation, deviators: Deviators) -> Optional[PriceVector]:
@@ -183,9 +188,11 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
     those lists.  A deviator inside some bundle plus the unsold items costs
     at most 1 under the system's own constraints, so then the strict
     system is unsatisfiable without an LP.  On masks, deviator d lies
-    inside cover c iff `not d & ~c`.  The LP's optimum prices the free
-    items; each anchor gets 1 minus the rest of its bundle, and each unsold
-    item `ZERO`.
+    inside cover c iff `not d & ~c`.  The rows enter the simplex at the
+    slack basis through `lp._solve_at_origin`, and the allocation is
+    supported iff the optimal e, an int over the optimum's denominator,
+    exceeds that denominator.  The optimum prices the free items; each
+    anchor gets 1 minus the rest of its bundle, and each unsold item `ZERO`.
     """
     if check_feasible(market, allocation) is not None or not all(allocation.bundles):
         return None
@@ -197,13 +204,15 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
         listed.append(deviators(i, bundle))
         if any(not deviator & beyond for deviator in listed[i] for beyond in outside):
             return None
-    system, free = _support_system(market.m, masks, listed)
-    result = lp.solve_lp(system)
-    if result.status != lp.OPTIMAL or result.value <= 1:
+    rows, free = _support_system(market.m, masks, listed)
+    e = len(free)
+    scaled, den = lp._solve_at_origin(rows, [0] * e + [1])  # the cap bounds e
+    if scaled[e] <= den:
         return None
     prices = [ZERO] * market.m
-    for j, price in zip(free, result.point):
-        prices[j] = price
+    for j, x in zip(free, scaled):
+        if x:
+            prices[j] = rational(x, den)
     for bundle in allocation.bundles:
         anchor = max(bundle)
         prices[anchor] = ONE - sum([prices[j] for j in bundle if j != anchor])

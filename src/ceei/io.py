@@ -47,9 +47,20 @@ def parse_rational(value):
     raise ValueError(f"not an exact rational: {value!r}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; ValueError for a repeated key,
+    which `json` would otherwise resolve silently, the last one winning."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("JSON document nested too deeply") from None
 

@@ -11,11 +11,14 @@ straight from its numerators and denominators (a row of ints needs no
 scaling, so a problem of int rows is taken as it is), and the tableau is
 held fraction-free (Python ints over one common denominator, updated by
 Edmonds' integer-preserving elimination), so no rational arithmetic runs in
-the pivot loop.  The tableau is condensed, as in the dictionary form of lrs
-(Avis 2000): it stores one column per nonbasic variable, and a pivot hands
-the entering variable's column to the leaving variable.  Intended for the
-small systems this package builds (tens of variables and constraints), not
-for large-scale LP.
+the pivot loop.  A system already in the tableau's layout (`<=` int rows,
+right-hand sides of 0 or more) enters at the slack basis through
+`_solve_at_origin`, skipping the set-up and phase 1 but not phase 2.  The
+tableau is condensed, as in the dictionary form of lrs (Avis 2000): it
+stores one column per nonbasic variable, and a pivot hands the entering
+variable's column to the leaving variable.  Intended for the small systems
+this package builds (tens of variables and constraints), not for
+large-scale LP.
 
 Strict inequalities never appear in a problem; callers that need "p(B) > 1"
 encode it as "p(B) >= 1 + eps" with eps a distinguished maximized variable
@@ -119,6 +122,20 @@ def lp_problem(
     return LPProblem(num_vars=num_vars, nonneg=flags, constraints=tuple(constraints), objective=obj)
 
 
+def _check_ids(terms, num_vars: int, where: str) -> None:
+    """TypeError for a variable id that is not an int (a bool is not one),
+    ValueError for one out of range or given twice, in one pass."""
+    seen = set()
+    for var, _ in terms:
+        if type(var) is not int:
+            raise TypeError(f"not a variable id: {var!r}")
+        if not 0 <= var < num_vars:
+            raise ValueError(f"{where} references undeclared variable {var}")
+        if var in seen:
+            raise ValueError(f"{where} repeats variable {var}")
+        seen.add(var)
+
+
 def _validate(problem: LPProblem) -> None:
     if problem.num_vars < 1:
         raise ValueError("problem needs at least one variable")
@@ -129,12 +146,9 @@ def _validate(problem: LPProblem) -> None:
             raise ValueError(f"unknown relation {con.relation!r}")
         if not con.coeffs:
             raise ValueError("constraint without coefficients")
-        for var, _ in con.coeffs:
-            if not 0 <= var < problem.num_vars:
-                raise ValueError(f"constraint references undeclared variable {var}")
-    for var, c in problem.objective:
-        if not 0 <= var < problem.num_vars:
-            raise ValueError(f"objective references undeclared variable {var}")
+        _check_ids(con.coeffs, problem.num_vars, "constraint")
+    _check_ids(problem.objective, problem.num_vars, "objective")
+    for _, c in problem.objective:
         if type(c) is not int:
             rational(c)  # a TypeError for a float or a bool
 
@@ -384,19 +398,44 @@ def solve_lp(problem: LPProblem) -> LPResult:
     # A positive scale of the objective leaves every simplex choice unchanged.
     scale = lcm(*(c.denominator for _, c in problem.objective))
     cost = tab.reduce_cost_row(_spread(problem.objective, scale, col_of, neg_col_of, first_art))
-    if tab.run(cost) == UNBOUNDED:
+    scaled = _optimum(tab, cost, col_of, neg_col_of)
+    if scaled is None:
         return LPResult(status=UNBOUNDED)
-
-    # Each coordinate is an int over tab.den, and the value is the objective
-    # of those ints over tab.den; a zero is returned as ZERO.
-    cell = {b: row[-1] for row, b in zip(tab.rows, tab.basis)}
-    scaled = []
-    for i in range(problem.num_vars):
-        x = cell.get(col_of[i], 0)
-        if i in neg_col_of:
-            x -= cell.get(neg_col_of[i], 0)
-        scaled.append(x)
+    # The value is the objective of the scaled point over tab.den; a zero
+    # is returned as ZERO.
     point = tuple([rational(x, tab.den) if x else ZERO for x in scaled])
     total = sum([c * scaled[var] for var, c in problem.objective])
     value = rational(total, tab.den) if total else ZERO
     return LPResult(status=OPTIMAL, point=point, value=value)
+
+
+def _solve_at_origin(rows: list, objective: list):
+    """Maximize `objective . x` over x >= 0 subject to `row[:-1] . x <=
+    row[-1]` for each int row, whose right-hand side must be 0 or more.
+
+    The rows are the tableau at the slack basis over denominator 1, and
+    the objective its reduced cost row, so phase 2 makes the pivots
+    `solve_lp` makes on the same system.  Nothing is checked, and the rows
+    are pivoted in place.  None when unbounded, else the optimal point as
+    ints over a common denominator, and that denominator.
+    """
+    n = len(objective)
+    tab = _Tableau(rows, list(range(n, n + len(rows))), list(range(n)), 1)
+    scaled = _optimum(tab, [*objective, 0], range(n), {})
+    return None if scaled is None else (scaled, tab.den)
+
+
+def _optimum(tab: _Tableau, cost: list, col_of, neg_col_of: dict) -> Optional[list]:
+    """Phase 2 from `cost`, reduced w.r.t. the tableau's basis: None when
+    unbounded, else each variable's value as an int over `tab.den`, read
+    from its column in `col_of` less its negative part's in `neg_col_of`."""
+    if tab.run(cost) == UNBOUNDED:
+        return None
+    cell = {b: row[-1] for row, b in zip(tab.rows, tab.basis)}
+    scaled = []
+    for i, col in enumerate(col_of):
+        x = cell.get(col, 0)
+        if i in neg_col_of:
+            x -= cell.get(neg_col_of[i], 0)
+        scaled.append(x)
+    return scaled

@@ -397,6 +397,26 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1 and named in err
 
+    @pytest.mark.parametrize("command, doc, first, key", [
+        ("validate", "market", '"values":[[1,2]]', "values"),
+        ("verify", "market", '"values":[[1]]', "values"),
+        ("verify", "alloc", '"allocation":[[1],[2],[3],[4],[5],[6]]', "allocation"),
+        ("verify", "prices", '"prices":["1","1","1","1","1","1","1","1"]', "prices"),
+    ], ids=["validate-market", "verify-market", "verify-alloc", "verify-prices"])
+    def test_repeated_json_key_is_usage_error(self, run, ex2_files, tmp_path, command, doc, first, key):
+        # json.loads keeps the last of a repeated key; each document, read
+        # that way, is the worked example's, which verifies as an equilibrium
+        # (and the validate market as a valid one-item market)
+        paths = dict(ex2_files)
+        text = paths[doc].read_text() if command == "verify" else \
+            '{"class":"additive","buyers":1,"items":1,"values":[[5]]}'
+        paths[doc] = tmp_path / "repeated.json"
+        paths[doc].write_text(text.replace(f'"{key}":', f'{first},"{key}":', 1))
+        keys = ("market",) if command == "validate" else ("market", "alloc", "prices")
+        code, out, err = run(command, *(arg for k in keys for arg in (f"--{k}", str(paths[k]))))
+        assert (code, out) == (2, "")
+        assert err == f"error: JSON object repeats key '{key}'\n"
+
     def test_unknown_subcommand(self, run):
         code, _, _ = run("frobnicate")
         assert code == 2

@@ -11,9 +11,10 @@ from ceei import additive, equilibrium, leontief, lp
 from ceei.core import make_market, rational
 from ceei.lp import EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, check_point, constraint, lp_problem, solve_lp
 
-from conftest import example2_market
+from conftest import example2_market, multisets
 from ceei.leontief import price_support_lp
-from ceei.core import make_allocation
+from ceei.core import ZERO, make_allocation
+from ceei.reductions import SubsetSumInstance, subsetsum_to_additive_allocation
 
 
 def test_slack_unconstrained_by_prices():
@@ -269,6 +270,55 @@ def test_price_support_systems_match_the_frozenset_definition():
     assert systems == 22_984
 
 
+def _subsetsum_alloc_cases():
+    """Every subset-sum->alloc gadget, with its allocation."""
+    for values in multisets():
+        for target in range(max(values), min(9, sum(values)) + 1):
+            market, x = subsetsum_to_additive_allocation(SubsetSumInstance(values, target))
+            yield additive.price_support_lp, market, x
+
+
+def _at_origin(rows, objective):
+    """`lp._solve_at_origin` on copies of the rows, as (status, point, value)."""
+    optimum = lp._solve_at_origin([list(row) for row in rows], objective)
+    if optimum is None:
+        return UNBOUNDED, None, None
+    scaled, den = optimum
+    total = sum(c * x for c, x in zip(objective, scaled))
+    return OPTIMAL, tuple(rational(x, den) if x else ZERO for x in scaled), rational(total, den)
+
+
+def test_support_rows_enter_the_simplex_as_solve_lp_builds_them(monkeypatch):
+    # The dense rows price recovery hands the simplex are the int rows
+    # `solve_lp`'s own set-up makes from the public system, and entering at
+    # the slack basis reaches `solve_lp`'s status, point and value.
+    built, systems = [], []
+    support_system, tableau = equilibrium._support_system, lp._Tableau
+
+    class Recorded(tableau):
+        def __init__(self, rows, basis, var, den):
+            built.append([list(row) for row in rows])
+            super().__init__(rows, basis, var, den)
+
+    def recorded(*args):
+        rows, free = support_system(*args)
+        systems.append(([list(row) for row in rows], len(free)))
+        return rows, free
+
+    monkeypatch.setattr(lp, "_Tableau", Recorded)
+    monkeypatch.setattr(equilibrium, "_support_system", recorded)
+    cases = [*SUPPORT_CASES, *_subsetsum_alloc_cases()]
+    for build, market, x in cases:
+        built.clear()
+        systems.clear()
+        problem = build(market, x)
+        result = solve_lp(problem)
+        (rows, e), = systems
+        assert built == [rows], (market, x)
+        assert _at_origin(rows, [0] * e + [1]) == (result.status, result.point, result.value), (market, x)
+    assert len(cases) == 4 + 4_828
+
+
 def test_redundant_equalities_are_dropped():
     # the dependent row leaves a zero-valued artificial in the basis after
     # phase 1; it must be pivoted out or discarded, not poison phase 2
@@ -503,6 +553,29 @@ def test_int_rows_and_their_fraction_twins_solve_identically(problem):
         assert all(type(x) is Fraction for x in (*result.point, result.value))
 
 
+@st.composite
+def origin_systems(draw):
+    """`<=` rows of ints with right-hand sides of 0 or more, so the origin
+    is feasible, and an int objective; unbounded systems are included."""
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = [draw(small) for _ in range(n)]
+        if not any(row):
+            row[0] = 1
+        rows.append(row + [draw(st.integers(0, 6))])
+    return rows, [draw(small) for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(origin_systems())
+def test_solve_at_origin_matches_solve_lp(system):
+    rows, objective = system
+    cons = [constraint(dict(enumerate(row[:-1])), LE, row[-1]) for row in rows]
+    result = solve_lp(lp_problem(len(objective), cons, dict(enumerate(objective))))
+    assert _at_origin(rows, objective) == (result.status, result.point, result.value)
+
+
 def _solve_row(coeffs, rhs, objective=((0, 1),)):
     return solve_lp(lp.LPProblem(1, (True,), (lp.LinearConstraint(coeffs, LE, rhs),), objective))
 
@@ -532,6 +605,28 @@ def _solve_row(coeffs, rhs, objective=((0, 1),)):
 def test_constraint_rejects_floats_and_bools(build, message):
     with pytest.raises(TypeError, match=message):
         build()
+
+
+def _hand_built(coeffs=((0, 1),), objective=((1, 1),)):
+    """A two-variable problem built directly, past `constraint` and `lp_problem`."""
+    return lp.LPProblem(2, (True, True), (lp.LinearConstraint(coeffs, LE, 1),), objective)
+
+
+@pytest.mark.parametrize("problem, error, message", [
+    (_hand_built(objective=((True, 1),)), TypeError, "not a variable id: True"),
+    (_hand_built(coeffs=((True, 1),)), TypeError, "not a variable id: True"),
+    (_hand_built(coeffs=((1.0, 1),)), TypeError, "not a variable id: 1.0"),
+    (_hand_built(objective=((Fraction(1), 1),)), TypeError, "not a variable id: Fraction"),
+    (_hand_built(coeffs=((0, 1), (0, 1))), ValueError, "constraint repeats variable 0"),
+    (_hand_built(objective=((1, 1), (0, 1), (1, -1))), ValueError, "objective repeats variable 1"),
+], ids=["bool-objective-var", "bool-var", "float-var", "fraction-objective-var", "repeated-var",
+        "repeated-objective-var"])
+def test_hand_built_problem_refuses_bad_variable_ids(problem, error, message):
+    # A bool id would read as variable 1, and a repeated id would be summed:
+    # the row ((0, 1), (0, 1)) as 2 x0.
+    for check in (solve_lp, lambda problem: check_point(problem, [0, 0])):
+        with pytest.raises(error, match=message):
+            check(problem)
 
 
 def test_constraint_keeps_ints_and_coerces_the_rest():

@@ -342,9 +342,12 @@ def test_x3c_family_cuts_are_pinned_by_count(monkeypatch):
     """Over the whole x3c->additive family the packed swap bound places the
     same items and solves the same LPs as the per-pair loop it replaced
     (1,395,754 places, 213 LPs); it may only cut more leaves, which the
-    envy screen rejects anyway: the loop screened 557,649."""
+    envy screen rejects anyway: the loop screened 557,649.  Price recovery
+    enters the simplex through `lp._solve_at_origin`, so an LP solve is a
+    call to it or to `lp.solve_lp`."""
     counts = dict.fromkeys(("place", "screen", "lp"), 0)
-    place, screen, solve_lp = additive._EnvyTally.place, additive._EnvyTally.screen, lp.solve_lp
+    place, screen = additive._EnvyTally.place, additive._EnvyTally.screen
+    solve_lp, solve_at_origin = lp.solve_lp, lp._solve_at_origin
 
     def counted(key, f):
         def call(*args):
@@ -355,6 +358,7 @@ def test_x3c_family_cuts_are_pinned_by_count(monkeypatch):
     monkeypatch.setattr(additive._EnvyTally, "place", counted("place", place))
     monkeypatch.setattr(additive._EnvyTally, "screen", counted("screen", screen))
     monkeypatch.setattr(lp, "solve_lp", counted("lp", solve_lp))
+    monkeypatch.setattr(lp, "_solve_at_origin", counted("lp", solve_at_origin))
     for inst in x3c_family():
         additive.search_equilibrium(x3c_to_additive(inst))
     assert counts["place"] == 1_395_754 and counts["lp"] == 213
