@@ -72,11 +72,11 @@ def verify_equilibrium(
     return EquilibriumReport(True)
 
 
-def _support_system(m: int, masks: List[int], listed: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
-    """The price-recovery LP of a feasible allocation of m items, given by
-    its nonempty bundles as item masks, with `listed[k]` the deviator masks
-    of bundle k's buyer, as dense int rows; and the items its price
-    variables stand for.
+def _support_system(masks: List[int], listed: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
+    """The price-recovery LP of a feasible allocation, given by its
+    nonempty bundles as item masks, with `listed[k]` the deviator masks of
+    bundle k's buyer, as dense int rows; and the items its price variables
+    stand for.
 
     The allocation is price-supportable iff there are nonnegative prices
     with every unsold item at 0, every bundle costing 1 and every deviator
@@ -98,58 +98,22 @@ def _support_system(m: int, masks: List[int], listed: List[List[int]]) -> Tuple[
     in item order, and e comes last.  Every row is `<=` with a right-hand
     side of 0 or more, so the origin is feasible.  Rows come bundle by
     bundle, its sign row and then its deviators, with the cap `e <= 2`
-    last.  Each is a list in the layout of `lp._solve_at_origin`: its +-1
-    entry per free item, then e's, then the right-hand side, filled in one
-    walk over the set bits of a mask, lowest first.
+    last.  Each is a list in the layout of `lp._solve_at_origin`: its
+    entry per free item, then e's, then the right-hand side, made by one
+    comprehension over the free items.  Free item j of the bundle anchored
+    at a has the entry `[a in D] - [j in D]` in deviator D's row.
     """
-    anchors = 0
-    rest = {}  # anchor bit -> R_k
-    for mask in masks:
-        a = 1 << (mask.bit_length() - 1)
-        anchors |= a
-        rest[a] = mask ^ a
-    free_mask = sum(masks) ^ anchors  # the bundles are disjoint
-    free = [j for j in range(m) if free_mask >> j & 1]
-    e = len(free)
-    var = {1 << j: v for v, j in enumerate(free)}  # an item's bit -> its variable
-    width = e + 2
+    tops = [mask.bit_length() - 1 for mask in masks]
+    anchors = sum([1 << a for a in tops])
+    pairs = sorted([(j, a) for mask, a in zip(masks, tops) for j in range(a) if mask >> j & 1])
+    free = [j for j, _ in pairs]
     rows = []
     for mask, deviators in zip(masks, listed):
-        bits = rest[1 << (mask.bit_length() - 1)]
-        if bits:
-            row = [0] * width
-            while bits:
-                low = bits & -bits
-                row[var[low]] = 1
-                bits ^= low
-            row[-1] = 1
-            rows.append(row)
-        for deviator in deviators:
-            up, down, count = 0, deviator & free_mask, 0
-            over = deviator & anchors
-            while over:
-                low = over & -over
-                up |= rest[low]
-                count += 1
-                over ^= low
-            both = up & down
-            up ^= both
-            down ^= both
-            row = [0] * width
-            while up:
-                low = up & -up
-                row[var[low]] = 1
-                up ^= low
-            while down:
-                low = down & -down
-                row[var[low]] = -1
-                down ^= low
-            row[e] = 1
-            row[-1] = count
-            rows.append(row)
-    cap = [0] * width
-    cap[e], cap[-1] = 1, 2
-    rows.append(cap)
+        if mask & (mask - 1):  # R_k is not empty
+            rows.append([mask >> j & 1 for j in free] + [0, 1])
+        rows += [[(d >> a & 1) - (d >> j & 1) for j, a in pairs] + [1, (d & anchors).bit_count()]
+                 for d in deviators]
+    rows.append([0] * len(free) + [1, 2])
     return rows, free
 
 
@@ -174,7 +138,7 @@ def price_support_lp(market: Market, allocation: Allocation, deviators: Deviator
         if not bundle:
             raise ValueError(f"buyer {i} has an empty bundle; no prices can exhaust its budget")
     listed = [deviators(i, bundle) for i, bundle in enumerate(allocation.bundles)]
-    rows, free = _support_system(market.m, _bundle_masks(allocation), listed)
+    rows, free = _support_system(_bundle_masks(allocation), listed)
     cons = [lp.LinearConstraint(tuple([(v, c) for v, c in enumerate(row[:-1]) if c]), lp.LE, row[-1])
             for row in rows]
     return lp.lp_problem(len(free) + 1, cons, {len(free): 1})
@@ -204,7 +168,7 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
         listed.append(deviators(i, bundle))
         if any(not deviator & beyond for deviator in listed[i] for beyond in outside):
             return None
-    rows, free = _support_system(market.m, masks, listed)
+    rows, free = _support_system(masks, listed)
     e = len(free)
     scaled, den = lp._solve_at_origin(rows, [0] * e + [1])  # the cap bounds e
     if scaled[e] <= den:

@@ -4,14 +4,15 @@ Two-phase primal simplex with Bland's rule, which guarantees termination on
 every input: the entering variable is the one of least variable id with
 positive reduced cost, and ties for leaving go to the least basic id.
 Coefficients and right-hand sides are exact: ints, kept as Python ints, or
-rationals (a "p/q" string becomes one; floats and bools are refused).
-Rationals are made only for the returned point and value, and a zero
-coordinate is returned as `ZERO`.  Inside, each row is scaled to integers
-straight from its numerators and denominators (a row of ints needs no
-scaling, so a problem of int rows is taken as it is), and the tableau is
-held fraction-free (Python ints over one common denominator, updated by
-Edmonds' integer-preserving elimination), so no rational arithmetic runs in
-the pivot loop.  A system already in the tableau's layout (`<=` int rows,
+rationals (a "p/q" string becomes one; floats and bools are refused, and
+a problem built directly must hold only ints and Fractions).  Rationals are
+made only for the returned point and value, and a zero coordinate is
+returned as `ZERO`.  Inside, each row is scaled to integers straight from
+its numerators and denominators (an int's denominator is 1, so a row of
+ints keeps its own coefficients), and the tableau is held fraction-free
+(Python ints over one common denominator, updated by Edmonds'
+integer-preserving elimination), so no rational arithmetic runs in the
+pivot loop.  A system already in the tableau's layout (`<=` int rows,
 right-hand sides of 0 or more) enters at the slack basis through
 `_solve_at_origin`, skipping the set-up and phase 1 but not phase 2.  The
 tableau is condensed, as in the dictionary form of lrs (Avis 2000): it
@@ -27,6 +28,7 @@ and treat the system as strictly satisfiable iff the optimum eps is positive.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from operator import index
 from typing import Mapping, Optional, Sequence
@@ -122,11 +124,19 @@ def lp_problem(
     return LPProblem(num_vars=num_vars, nonneg=flags, constraints=tuple(constraints), objective=obj)
 
 
-def _check_ids(terms, num_vars: int, where: str) -> None:
-    """TypeError for a variable id that is not an int (a bool is not one),
-    ValueError for one out of range or given twice, in one pass."""
+def _check_number(x) -> None:
+    """TypeError unless x is an int or a Fraction, the types `constraint`
+    and `lp_problem` store: a bool, a float or a "p/q" string is refused."""
+    if type(x) is not int and type(x) is not Fraction:
+        raise TypeError(f"not an exact rational (int or Fraction): {x!r}")
+
+
+def _check_terms(terms, num_vars: int, where: str) -> None:
+    """TypeError for a variable id that is not an int (a bool is not one)
+    or a coefficient that is not an int or a Fraction, ValueError for an id
+    out of range or given twice, in one pass."""
     seen = set()
-    for var, _ in terms:
+    for var, c in terms:
         if type(var) is not int:
             raise TypeError(f"not a variable id: {var!r}")
         if not 0 <= var < num_vars:
@@ -134,6 +144,7 @@ def _check_ids(terms, num_vars: int, where: str) -> None:
         if var in seen:
             raise ValueError(f"{where} repeats variable {var}")
         seen.add(var)
+        _check_number(c)
 
 
 def _validate(problem: LPProblem) -> None:
@@ -146,11 +157,9 @@ def _validate(problem: LPProblem) -> None:
             raise ValueError(f"unknown relation {con.relation!r}")
         if not con.coeffs:
             raise ValueError("constraint without coefficients")
-        _check_ids(con.coeffs, problem.num_vars, "constraint")
-    _check_ids(problem.objective, problem.num_vars, "objective")
-    for _, c in problem.objective:
-        if type(c) is not int:
-            rational(c)  # a TypeError for a float or a bool
+        _check_terms(con.coeffs, problem.num_vars, "constraint")
+        _check_number(con.rhs)
+    _check_terms(problem.objective, problem.num_vars, "objective")
 
 
 def check_point(problem: LPProblem, point: Sequence[RationalLike]) -> bool:
@@ -294,16 +303,6 @@ def _spread(terms, scale, col_of, neg_col_of, width):
     return row
 
 
-def _spread_ints(terms, col_of, neg_col_of, width):
-    """`_spread` at scale 1 of terms whose coefficients are all ints."""
-    row = [0] * width
-    for var, c in terms:
-        row[col_of[var]] += c
-        if var in neg_col_of:
-            row[neg_col_of[var]] -= c
-    return row
-
-
 def solve_lp(problem: LPProblem) -> LPResult:
     """Exact optimum, infeasibility, or unboundedness for the given problem."""
     _validate(problem)
@@ -327,19 +326,13 @@ def solve_lp(problem: LPProblem) -> LPResult:
     # determinant, the product of the factors, and each stored entry is that
     # product times the rational tableau entry.  A row of ints has s_r = 1,
     # so a problem of int rows starts over denominator 1 with its own
-    # coefficients as entries, and no LCM is taken.  A row with a negative
-    # right-hand side is negated, which turns "<=" into ">=": a nonbasic
-    # surplus column (-den) and a basic artificial.
+    # coefficients as entries.  A row with a negative right-hand side is
+    # negated, which turns "<=" into ">=": a nonbasic surplus column (-den)
+    # and a basic artificial.
     den = 1
     n_le = n_surplus = 0
-    whole = []
     for con in problem.constraints:
-        ints = type(con.rhs) is int and all([type(c) is int for _, c in con.coeffs])
-        whole.append(ints)
-        if not ints:
-            for x in (con.rhs, *[c for _, c in con.coeffs]):
-                rational(x)  # a TypeError for a float or a bool
-            den *= lcm(con.rhs.denominator, *[c.denominator for _, c in con.coeffs])
+        den *= lcm(con.rhs.denominator, *[c.denominator for _, c in con.coeffs])
         if con.relation == LE:
             n_le += 1
             n_surplus += con.rhs < 0
@@ -347,13 +340,9 @@ def solve_lp(problem: LPProblem) -> LPResult:
 
     rows, basis, var, arts = [], [], list(range(ncols)), []
     slack_at, art_at = ncols, first_art
-    for con, ints in zip(problem.constraints, whole):
-        if ints and den == 1:
-            row = _spread_ints(con.coeffs, col_of, neg_col_of, ncols + n_surplus)
-            row.append(con.rhs)
-        else:
-            row = _spread(con.coeffs, den, col_of, neg_col_of, ncols + n_surplus)
-            row.append(con.rhs.numerator * (den // con.rhs.denominator))
+    for con in problem.constraints:
+        row = _spread(con.coeffs, den, col_of, neg_col_of, ncols + n_surplus)
+        row.append(con.rhs.numerator * (den // con.rhs.denominator))
         flip = row[-1] < 0
         if flip:
             row = [-a for a in row]

@@ -576,8 +576,9 @@ def test_solve_at_origin_matches_solve_lp(system):
     assert _at_origin(rows, objective) == (result.status, result.point, result.value)
 
 
-def _solve_row(coeffs, rhs, objective=((0, 1),)):
-    return solve_lp(lp.LPProblem(1, (True,), (lp.LinearConstraint(coeffs, LE, rhs),), objective))
+def _row_problem(coeffs, rhs, objective=((0, 1),)):
+    """A one-variable problem built directly, past `constraint` and `lp_problem`."""
+    return lp.LPProblem(1, (True,), (lp.LinearConstraint(coeffs, LE, rhs),), objective)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -591,20 +592,32 @@ def _solve_row(coeffs, rhs, objective=((0, 1),)):
     (lambda: lp_problem(2, [constraint({0: 1}, LE, 1)], {1.0: 1}), "not a variable id: 1.0"),
     (lambda: constraint({True: 1}, LE, 1), "not a variable id: True"),
     # rows built directly, past `constraint`, where a bool would read as 1
-    (lambda: _solve_row(((0, 0.5),), 1), "not an exact rational"),
-    (lambda: _solve_row(((0, 1),), 0.5), "not an exact rational"),
-    (lambda: _solve_row(((0, True),), 1), "not an exact rational"),
-    (lambda: _solve_row(((0, 1),), True), "not an exact rational"),
+    # and a "p/q" string was never made a rational
+    (_row_problem(((0, 0.5),), 1), "not an exact rational"),
+    (_row_problem(((0, 1),), 0.5), "not an exact rational"),
+    (_row_problem(((0, True),), 1), "not an exact rational"),
+    (_row_problem(((0, 1),), True), "not an exact rational"),
+    (_row_problem(((0, "1/2"),), 1), "not an exact rational"),
+    (_row_problem(((0, 1),), "1/2"), "not an exact rational"),
     # an objective built directly, past `lp_problem`
-    (lambda: _solve_row(((0, 1),), 1, ((0, 0.5),)), "not an exact rational"),
-    (lambda: _solve_row(((0, 1),), 1, ((0, True),)), "not an exact rational"),
+    (_row_problem(((0, 1),), 1, ((0, 0.5),)), "not an exact rational"),
+    (_row_problem(((0, 1),), 1, ((0, True),)), "not an exact rational"),
+    (_row_problem(((0, 1),), 1, ((0, "1/2"),)), "not an exact rational"),
 ], ids=["float-coeff", "float-rhs", "bool-coeff", "bool-rhs", "float-objective",
         "float-var", "float-objective-var", "bool-var",
         "solve-float-coeff", "solve-float-rhs", "solve-bool-coeff", "solve-bool-rhs",
-        "solve-float-objective", "solve-bool-objective"])
+        "solve-str-coeff", "solve-str-rhs",
+        "solve-float-objective", "solve-bool-objective", "solve-str-objective"])
 def test_constraint_rejects_floats_and_bools(build, message):
-    with pytest.raises(TypeError, match=message):
-        build()
+    # A hand-built problem is refused by both entry points that read it, so
+    # neither answers in float, bool or string arithmetic.
+    if isinstance(build, lp.LPProblem):
+        checks = [lambda: solve_lp(build), lambda: check_point(build, [1])]
+    else:
+        checks = [build]
+    for check in checks:
+        with pytest.raises(TypeError, match=message):
+            check()
 
 
 def _hand_built(coeffs=((0, 1),), objective=((1, 1),)):
