@@ -83,11 +83,6 @@ class LPResult(Record):
         _set(self, "value", value)
 
 
-def _exact(value: RationalLike):
-    """An int as it is, anything else through `rational`."""
-    return value if type(value) is int else rational(value)
-
-
 def _var(v) -> int:
     """A variable id given as some other type than int, through
     `operator.index`; TypeError for a bool, a float or anything else."""
@@ -100,8 +95,19 @@ def _var(v) -> int:
 
 
 def _terms(coeffs: Mapping[int, RationalLike]) -> tuple:
-    terms = ((v if type(v) is int else _var(v), _exact(c)) for v, c in coeffs.items())
-    return tuple(sorted(term for term in terms if term[1] != 0))
+    """(variable id, coefficient) pairs sorted by id, zeros dropped, in one
+    loop: ints are kept as they are, any other id goes through `_var` and
+    any other coefficient through `rational`."""
+    terms = []
+    for v, c in coeffs.items():
+        if type(v) is not int:
+            v = _var(v)
+        if type(c) is not int:
+            c = rational(c)
+        if c:
+            terms.append((v, c))
+    terms.sort()
+    return tuple(terms)
 
 
 def constraint(coeffs: Mapping[int, RationalLike], relation: str, rhs: RationalLike) -> LinearConstraint:
@@ -110,7 +116,7 @@ def constraint(coeffs: Mapping[int, RationalLike], relation: str, rhs: RationalL
     items = _terms(coeffs)
     if not items:
         raise ValueError("constraint needs at least one nonzero coefficient")
-    return LinearConstraint(items, relation, _exact(rhs))
+    return LinearConstraint(items, relation, rhs if type(rhs) is int else rational(rhs))
 
 
 def lp_problem(
@@ -148,10 +154,15 @@ def _check_terms(terms, num_vars: int, where: str) -> None:
 
 
 def _validate(problem: LPProblem) -> None:
+    if type(problem.num_vars) is not int:
+        raise TypeError(f"not a variable count: {problem.num_vars!r}")
     if problem.num_vars < 1:
         raise ValueError("problem needs at least one variable")
     if len(problem.nonneg) != problem.num_vars:
         raise ValueError("nonneg flags do not match variable count")
+    for flag in problem.nonneg:
+        if type(flag) is not bool:
+            raise TypeError(f"not a nonneg flag (bool): {flag!r}")
     for con in problem.constraints:
         if con.relation not in (LE, EQ):
             raise ValueError(f"unknown relation {con.relation!r}")
@@ -263,17 +274,22 @@ class _Tableau:
         """Maximize; `cost` must already be reduced w.r.t. the basis.
 
         Returns OPTIMAL or UNBOUNDED.  Entering: the nonbasic variable of
-        least id with positive reduced cost, wherever its column is stored.
-        Leaving: least ratio, ties by least basic-variable id (Bland;
-        terminates on every input).  Ratios `rows[r][-1] / rows[r][enter]`
-        share the denominator, so they are compared by cross-multiplication.
+        least id with positive reduced cost, found in one scan over the
+        stored columns' ids and costs, then looked up in `var` for its
+        column (ids are distinct).  Leaving: least ratio, ties by least
+        basic-variable id (Bland; terminates on every input).  Ratios
+        `rows[r][-1] / rows[r][enter]` share the denominator, so they are
+        compared by cross-multiplication.
         """
         rows, basis, var = self.rows, self.basis, self.var
         while True:
-            candidates = [(v, j) for j, (v, x) in enumerate(zip(var, cost)) if x > 0]
-            if not candidates:
+            least = -1
+            for v, x in zip(var, cost):
+                if x > 0 and (least < 0 or v < least):
+                    least = v
+            if least < 0:
                 return OPTIMAL
-            enter = min(candidates)[1]
+            enter = var.index(least)
             leave = -1
             for r, row in enumerate(rows):
                 a = row[enter]

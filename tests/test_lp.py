@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ceei import additive, equilibrium, leontief, lp
@@ -478,6 +478,19 @@ def test_frozen_price_support_corpus():
     assert len(corpus) == 281
 
 
+def test_frozen_corpus_pivot_count(monkeypatch):
+    """The corpus's points and values pin the answers; the pivot count pins
+    the path to them, so a change to Bland's entering or leaving choice, or
+    to the drive-out, shows up even where it lands on the same vertex."""
+    pivots = []
+    pivot = lp._Tableau.pivot
+    monkeypatch.setattr(lp._Tableau, "pivot", lambda *args: pivots.append(1) or pivot(*args))
+    for case in _corpus():
+        rows = [constraint(dict(coeffs), relation, rhs) for coeffs, relation, rhs in case["rows"]]
+        solve_lp(lp_problem(case["vars"], rows, dict(case["objective"])))
+    assert len(pivots) == 3_711
+
+
 def _corpus_problem(case, number):
     """The case's system with every number passed through `number`."""
     rows = [constraint({v: number(c) for v, c in coeffs}, relation, number(rhs))
@@ -620,9 +633,9 @@ def test_constraint_rejects_floats_and_bools(build, message):
             check()
 
 
-def _hand_built(coeffs=((0, 1),), objective=((1, 1),)):
-    """A two-variable problem built directly, past `constraint` and `lp_problem`."""
-    return lp.LPProblem(2, (True, True), (lp.LinearConstraint(coeffs, LE, 1),), objective)
+def _hand_built(coeffs=((0, 1),), objective=((1, 1),), num_vars=2, nonneg=(True, True)):
+    """A problem built directly, past `constraint` and `lp_problem`."""
+    return lp.LPProblem(num_vars, nonneg, (lp.LinearConstraint(coeffs, LE, 1),), objective)
 
 
 @pytest.mark.parametrize("problem, error, message", [
@@ -632,8 +645,14 @@ def _hand_built(coeffs=((0, 1),), objective=((1, 1),)):
     (_hand_built(objective=((Fraction(1), 1),)), TypeError, "not a variable id: Fraction"),
     (_hand_built(coeffs=((0, 1), (0, 1))), ValueError, "constraint repeats variable 0"),
     (_hand_built(objective=((1, 1), (0, 1), (1, -1))), ValueError, "objective repeats variable 1"),
+    # a bool count would be solved as one variable, a float count fail
+    # in `range`, a flag 0 make x0 free and a flag "no" keep it nonnegative
+    (_hand_built(objective=((0, 1),), num_vars=True, nonneg=(True,)), TypeError, "not a variable count: True"),
+    (_hand_built(num_vars=2.0), TypeError, "not a variable count: 2.0"),
+    (_hand_built(objective=((0, -1),), nonneg=(0, True)), TypeError, r"not a nonneg flag \(bool\): 0"),
+    (_hand_built(nonneg=("no", True)), TypeError, r"not a nonneg flag \(bool\): 'no'"),
 ], ids=["bool-objective-var", "bool-var", "float-var", "fraction-objective-var", "repeated-var",
-        "repeated-objective-var"])
+        "repeated-objective-var", "bool-count", "float-count", "int-flag", "str-flag"])
 def test_hand_built_problem_refuses_bad_variable_ids(problem, error, message):
     # A bool id would read as variable 1, and a repeated id would be summed:
     # the row ((0, 1), (0, 1)) as 2 x0.
@@ -642,12 +661,55 @@ def test_hand_built_problem_refuses_bad_variable_ids(problem, error, message):
             check(problem)
 
 
-def test_constraint_keeps_ints_and_coerces_the_rest():
+def _reference_terms(coeffs):
+    """`lp._terms` by its definition: each id checked, then its coefficient,
+    in the mapping's order; ints kept, Fractions and "p/q" strings made
+    reduced Fractions, zeros dropped, the rest sorted by id."""
+    terms = []
+    for v, c in coeffs.items():
+        if type(v) is not int:
+            raise TypeError(f"not a variable id: {v!r}")
+        if type(c) is not int:
+            if type(c) not in (Fraction, str):
+                raise TypeError(f"not an exact rational: {c!r}")
+            c = Fraction(c)
+        if c != 0:
+            terms.append((v, c))
+    return tuple(sorted(terms, key=lambda term: term[0]))
+
+
+term_ids = st.integers(0, 9) | st.sampled_from([True, False, 1.0, 2.5])
+term_coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    st.builds("{}/{}".format, st.integers(-6, 6), st.integers(1, 4)),  # "0/3" among them
+    st.sampled_from([True, False, 0.0, 0.5]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(term_ids, term_coefficients, max_size=6))
+@example({5: 0, 3: Fraction(0), 1: "0/3", 4: Fraction(2, 4), 0: "6/4", 2: -1})
+def test_constraint_keeps_ints_and_coerces_the_rest(coeffs):
     con = constraint({1: 2, 0: "1/2", 2: 0}, EQ, 3)
     assert con.coeffs == ((0, rational(1, 2)), (1, 2))
     assert [type(c) for _, c in con.coeffs] == [Fraction, int]
     assert type(con.rhs) is int
     assert con == constraint({0: rational(1, 2), 1: rational(2)}, EQ, rational(3))
+    # Generated mappings, ids in any order: the built terms, types included,
+    # or the refusal with its message, are the reference's.
+    try:
+        expected = _reference_terms(coeffs)
+    except TypeError as refusal:
+        with pytest.raises(TypeError) as raised:
+            lp._terms(coeffs)
+        assert str(raised.value) == str(refusal)
+        return
+    terms = lp._terms(coeffs)
+    assert [(v, type(c), c) for v, c in terms] == [(v, type(c), c) for v, c in expected]
+    if expected:
+        assert constraint(coeffs, LE, 0).coeffs == terms
+        assert lp_problem(10, [], coeffs).objective == terms
 
 
 def test_pivot_keeps_the_equations_through_a_negative_pivot():
