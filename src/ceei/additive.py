@@ -64,11 +64,12 @@ from .core import (
     SearchCapExceeded,
     SearchCaps,
     _check_buyer,
+    _check_prices,
     bundle_utility,
     integer_row,
     rational,
 )
-from .equilibrium import _check_assignment_cap, _check_prices
+from .equilibrium import _check_assignment_cap
 
 
 def _require_additive(market: Market) -> None:

@@ -14,7 +14,6 @@ diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 from importlib import import_module
@@ -36,7 +35,7 @@ class _UsageError(Exception):
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    sys.stdout.write(io._dump(obj))
 
 
 def _answer(found, reason: str, *fields: str) -> int:

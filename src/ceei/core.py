@@ -22,6 +22,7 @@ Buyer and item indices are 0-based throughout the library; the JSON layer
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
@@ -35,33 +36,51 @@ RationalLike = Union[int, str, Fraction]
 LEONTIEF = "leontief"
 ADDITIVE = "additive"
 
+_GRAMMAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 def rational(value: RationalLike, den: int = 1):
-    """Coerce an int, "p/q" string, or rational to the exact rational type;
-    with an int `den`, the result is `value / den`, made in one step.
+    """Coerce an int, a Fraction or a rational string to the exact rational
+    type; with an int `den`, the result is `value / den`, made in one step.
 
-    Raises TypeError for anything else, floats and bools included: a float
-    is already rounded, and a bool is not a quantity.
+    The one string grammar is `-?[0-9]+(/[0-9]+)?` with a positive
+    denominator, surrounding whitespace allowed; any other string ("1.5",
+    "1e3", "+1", "1/0") is a ValueError.  Any other type, a float, a bool or
+    an int subclass included, is a TypeError: a float is already rounded,
+    and a bool is not a quantity.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
+    if type(value) is str:
+        match = _GRAMMAR.fullmatch(value.strip())
+        if match is None:
+            raise ValueError(f"not an exact rational: {value!r}")
+        num, q = match.groups()
+        den *= int(q or 1)
+        if den == 0:
+            raise ValueError(f"zero denominator in {value!r}")
+        value = int(num)
+    elif type(value) is not int and type(value) is not Fraction:
         raise TypeError(f"not an exact rational: {value!r}")
-    if den != 1:
-        if isinstance(value, str):
-            value = Fraction(value)
-        return Fraction(value, den)
-    return Fraction(value)
+    return Fraction(value) if den == 1 else Fraction(value, den)
 
 
 ZERO = rational(0)
 ONE = rational(1)
 
 
+def _exact(x) -> None:
+    """TypeError unless x is an int or a Fraction, the two types an exact
+    rational is stored as: a float, a bool or a "p/q" string is refused."""
+    if type(x) is not int and type(x) is not Fraction:
+        raise TypeError(f"not an exact rational (int or Fraction): {x!r}")
+
+
 def _require_ints(values: Iterable) -> tuple:
     """`values` as a tuple, read once; TypeError unless every value is an
-    int, so floats and bools are refused, as `rational` refuses them."""
+    int, so floats, bools and int subclasses are refused, as `rational`
+    refuses them."""
     values = tuple(values)
     for v in values:
-        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
+        if type(v) is not int:
             raise TypeError(f"not an integer: {v!r}")
     return values
 
@@ -175,6 +194,8 @@ class Market(Record):
     or ADDITIVE (perfect substitutes).  `make_market` stores a value with
     denominator 1 as an int and any other as a reduced Fraction; a market
     built directly with Fraction values compares and hashes equal to it.
+    The rows are kept as tuples, so a later change to the caller's lists
+    changes nothing.
     """
 
     __slots__ = ("n", "m", "values", "market_class")
@@ -182,7 +203,7 @@ class Market(Record):
     def __init__(self, n: int, m: int, values: tuple, market_class: str):
         _set(self, "n", n)
         _set(self, "m", m)
-        _set(self, "values", values)
+        _set(self, "values", tuple(map(tuple, values)))
         _set(self, "market_class", market_class)
 
 
@@ -198,14 +219,15 @@ class Allocation(Record):
 
 
 class PriceVector(Record):
-    """Nonnegative exact price per item; a float or a bool is a TypeError."""
+    """Nonnegative exact price per item, each an int or a Fraction, kept as
+    a tuple read once from any iterable."""
 
     __slots__ = ("prices",)
 
-    def __init__(self, prices: tuple):
+    def __init__(self, prices: Iterable):
+        prices = tuple(prices)
         for p in prices:
-            if type(p) is not int and type(p) is not Fraction:
-                rational(p)  # a TypeError for a float or a bool
+            _exact(p)
             if p < 0:
                 raise ValueError("prices must be nonnegative")
         _set(self, "prices", prices)
@@ -272,7 +294,7 @@ def make_allocation(bundles: Iterable[Iterable[int]]) -> Allocation:
 
 
 def make_prices(prices: Iterable[RationalLike]) -> PriceVector:
-    return PriceVector(tuple(rational(p) for p in prices))
+    return PriceVector(rational(p) for p in prices)
 
 
 def validate_market(market: Market) -> Market:
@@ -282,10 +304,12 @@ def validate_market(market: Market) -> Market:
     inconsistent value matrix, negative values, unknown class, or a
     perfect-complements buyer with an all-zero row (such a buyer demands
     nothing and its utility is undefined, so it is rejected outright).
-    A float or bool value is a TypeError, as in `make_market`.
+    A value that is not an int or a Fraction, or a buyer or item count that
+    is not an int, is a TypeError.
     """
     if market.market_class not in (LEONTIEF, ADDITIVE):
         raise InvalidMarketError(f"unknown market class {market.market_class!r}")
+    _require_ints((market.n, market.m))
     if market.n < 1:
         raise InvalidMarketError("market needs at least one buyer")
     if market.m < 1:
@@ -296,8 +320,7 @@ def validate_market(market: Market) -> Market:
         if len(row) != market.m:
             raise InvalidMarketError(f"value row {i} has wrong length")
         for j, v in enumerate(row):
-            if type(v) is not int and type(v) is not Fraction:
-                rational(v)  # a TypeError for a float or a bool
+            _exact(v)
             if v < 0:
                 raise InvalidMarketError(f"negative value at buyer {i}, item {j}")
         if market.market_class == LEONTIEF and all(v == 0 for v in row):
@@ -361,8 +384,16 @@ def check_feasible(market: Market, allocation: Allocation) -> Optional[Violation
     return None
 
 
+def _check_prices(market: Market, prices: PriceVector) -> None:
+    """Raise ValueError unless there is one price per item."""
+    if len(prices.prices) != market.m:
+        raise ValueError(f"price vector has {len(prices.prices)} prices for {market.m} items")
+
+
 def check_clearing(market: Market, allocation: Allocation, prices: PriceVector) -> Optional[Violation]:
-    """None iff every item is allocated or has price zero."""
+    """None iff every item is allocated or has price zero; ValueError unless
+    there is one price per item."""
+    _check_prices(market, prices)
     sold = set()
     for bundle in allocation.bundles:
         sold.update(bundle)
@@ -373,7 +404,9 @@ def check_clearing(market: Market, allocation: Allocation, prices: PriceVector) 
 
 
 def check_budgets(market: Market, allocation: Allocation, prices: PriceVector) -> Optional[Violation]:
-    """None iff every buyer's spend is exactly 1."""
+    """None iff every buyer's spend is exactly 1; ValueError unless there is
+    one price per item."""
+    _check_prices(market, prices)
     for i, bundle in enumerate(allocation.bundles):
         spend = ZERO
         for j in bundle:

@@ -35,6 +35,7 @@ from .core import (
     SearchCapExceeded,
     SearchCaps,
     Violation,
+    _check_prices,
     check_budgets,
     check_clearing,
     check_feasible,
@@ -45,12 +46,6 @@ from .core import (
 #: deviators(buyer, bundle): the bundles the buyer strictly prefers to
 #: `bundle`, each as an int mask over item indices (bit j set for item j).
 Deviators = Callable[[int, frozenset], List[int]]
-
-
-def _check_prices(market: Market, prices: PriceVector) -> None:
-    """Raise ValueError unless there is one price per item."""
-    if len(prices.prices) != market.m:
-        raise ValueError(f"price vector has {len(prices.prices)} prices for {market.m} items")
 
 
 def verify_equilibrium(
@@ -180,7 +175,7 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
     for bundle in allocation.bundles:
         anchor = max(bundle)
         prices[anchor] = ONE - sum([prices[j] for j in bundle if j != anchor])
-    return PriceVector(tuple(prices))
+    return PriceVector(prices)
 
 
 #: Stack frames kept free for the search's caller and for pricing at a leaf.

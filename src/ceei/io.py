@@ -11,7 +11,6 @@ document is byte-identical.
 from __future__ import annotations
 
 import json
-import re
 from typing import Optional
 
 from .core import (
@@ -31,20 +30,12 @@ def format_rational(q) -> object:
     return num if den == 1 else f"{num}/{den}"
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
 def parse_rational(value):
-    """A JSON int, or a string matching -?[0-9]+(/[0-9]+)? once stripped,
-    with a positive denominator; the non-reduced "2/4" is read as 1/2."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return rational(value)
-    if isinstance(value, str) and _RATIONAL.fullmatch(value.strip()):
-        try:
-            return rational(value.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise ValueError(f"not an exact rational: {value!r}")
+    """A JSON int, or a string in `core.rational`'s grammar; ValueError for
+    any other JSON value."""
+    if type(value) is not int and type(value) is not str:
+        raise ValueError(f"not an exact rational: {value!r}")
+    return rational(value)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -126,7 +117,7 @@ def prices_to_obj(prices: PriceVector) -> list:
 def obj_to_prices(obj) -> PriceVector:
     if not isinstance(obj, list):
         raise ValueError("prices must be a list of rational strings")
-    return PriceVector(tuple(parse_rational(p) for p in obj))
+    return PriceVector(parse_rational(p) for p in obj)
 
 
 def violation_to_obj(violation: Violation) -> dict:

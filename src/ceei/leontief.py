@@ -99,7 +99,7 @@ def compute_equilibrium(market: Market) -> Optional[Tuple[Allocation, PriceVecto
         return None
     demands = [demand_items(market, i) for i in range(market.n)]
     bundles, _ = _assignment_plan(market, demands, range(market.n))
-    return Allocation(tuple(bundles)), PriceVector(tuple(_uniform_prices(market, bundles)))
+    return Allocation(tuple(bundles)), PriceVector(_uniform_prices(market, bundles))
 
 
 def _uniform_prices(market: Market, bundles) -> list:
@@ -181,7 +181,7 @@ def compute_equilibrium_prealloc(
                 prices[j] = (ONE - eps) / len(wanted)
             for j in unwanted:
                 prices[j] = eps / len(unwanted)
-    return Allocation(tuple(bundles)), PriceVector(tuple(prices))
+    return Allocation(tuple(bundles)), PriceVector(prices)
 
 
 def compute_equilibrium_apx_welfare(market: Market) -> Optional[Tuple[Allocation, PriceVector]]:
@@ -217,7 +217,7 @@ def compute_equilibrium_apx_welfare(market: Market) -> Optional[Tuple[Allocation
     share = ONE / len(demands[best])
     for j in demands[best]:
         prices[j] = share
-    return Allocation(tuple(bundles)), PriceVector(tuple(prices))
+    return Allocation(tuple(bundles)), PriceVector(prices)
 
 
 class _ServedTally:

@@ -4,36 +4,30 @@ Two-phase primal simplex with Bland's rule, which guarantees termination on
 every input: the entering variable is the one of least variable id with
 positive reduced cost, and ties for leaving go to the least basic id.
 Coefficients and right-hand sides are exact: ints, kept as Python ints, or
-rationals (a "p/q" string becomes one; floats and bools are refused, and
-a problem built directly must hold only ints and Fractions).  Rationals are
-made only for the returned point and value, and a zero coordinate is
-returned as `ZERO`.  Inside, each row is scaled to integers straight from
-its numerators and denominators (an int's denominator is 1, so a row of
-ints keeps its own coefficients), and the tableau is held fraction-free
-(Python ints over one common denominator, updated by Edmonds'
-integer-preserving elimination), so no rational arithmetic runs in the
-pivot loop.  A system already in the tableau's layout (`<=` int rows,
-right-hand sides of 0 or more) enters at the slack basis through
-`_solve_at_origin`, skipping the set-up and phase 1 but not phase 2.  The
-tableau is condensed, as in the dictionary form of lrs (Avis 2000): it
-stores one column per nonbasic variable, and a pivot hands the entering
-variable's column to the leaving variable.  Intended for the small systems
-this package builds (tens of variables and constraints), not for
+rationals (a string in `core.rational`'s grammar becomes one; floats and
+bools are refused, and a problem built directly must hold only ints and
+Fractions).  Rationals are made only for the returned point and value, and
+a zero coordinate is returned as `ZERO`.  Inside, each row is scaled to
+integers straight from its numerators and denominators (an int's
+denominator is 1, so a row of ints keeps its own coefficients), and the
+tableau is held fraction-free (Python ints over one common denominator,
+updated by Edmonds' integer-preserving elimination), so no rational
+arithmetic runs in the pivot loop.  A system already in the tableau's
+layout (`<=` int rows, right-hand sides of 0 or more) enters at the slack
+basis through `_solve_at_origin`, skipping the set-up and phase 1 but not
+phase 2.  The tableau is condensed, as in the dictionary form of lrs (Avis
+2000): it stores one column per nonbasic variable, and a pivot hands the
+entering variable's column to the leaving variable.  Intended for the small
+systems this package builds (tens of variables and constraints), not for
 large-scale LP.
-
-Strict inequalities never appear in a problem; callers that need "p(B) > 1"
-encode it as "p(B) >= 1 + eps" with eps a distinguished maximized variable
-and treat the system as strictly satisfiable iff the optimum eps is positive.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
-from operator import index
 from typing import Mapping, Optional, Sequence
 
-from .core import ZERO, RationalLike, Record, _set, rational
+from .core import ZERO, RationalLike, Record, _exact, _set, rational
 
 LE = "<="
 EQ = "=="
@@ -83,25 +77,15 @@ class LPResult(Record):
         _set(self, "value", value)
 
 
-def _var(v) -> int:
-    """A variable id given as some other type than int, through
-    `operator.index`; TypeError for a bool, a float or anything else."""
-    if not isinstance(v, bool):
-        try:
-            return index(v)
-        except TypeError:
-            pass
-    raise TypeError(f"not a variable id: {v!r}")
-
-
 def _terms(coeffs: Mapping[int, RationalLike]) -> tuple:
     """(variable id, coefficient) pairs sorted by id, zeros dropped, in one
-    loop: ints are kept as they are, any other id goes through `_var` and
-    any other coefficient through `rational`."""
+    loop: an id that is not an int (a bool or an int subclass is not one)
+    is a TypeError, and an int coefficient is kept as it is, any other goes
+    through `rational`."""
     terms = []
     for v, c in coeffs.items():
         if type(v) is not int:
-            v = _var(v)
+            raise TypeError(f"not a variable id: {v!r}")
         if type(c) is not int:
             c = rational(c)
         if c:
@@ -130,13 +114,6 @@ def lp_problem(
     return LPProblem(num_vars=num_vars, nonneg=flags, constraints=tuple(constraints), objective=obj)
 
 
-def _check_number(x) -> None:
-    """TypeError unless x is an int or a Fraction, the types `constraint`
-    and `lp_problem` store: a bool, a float or a "p/q" string is refused."""
-    if type(x) is not int and type(x) is not Fraction:
-        raise TypeError(f"not an exact rational (int or Fraction): {x!r}")
-
-
 def _check_terms(terms, num_vars: int, where: str) -> None:
     """TypeError for a variable id that is not an int (a bool is not one)
     or a coefficient that is not an int or a Fraction, ValueError for an id
@@ -150,7 +127,7 @@ def _check_terms(terms, num_vars: int, where: str) -> None:
         if var in seen:
             raise ValueError(f"{where} repeats variable {var}")
         seen.add(var)
-        _check_number(c)
+        _exact(c)
 
 
 def _validate(problem: LPProblem) -> None:
@@ -169,7 +146,7 @@ def _validate(problem: LPProblem) -> None:
         if not con.coeffs:
             raise ValueError("constraint without coefficients")
         _check_terms(con.coeffs, problem.num_vars, "constraint")
-        _check_number(con.rhs)
+        _exact(con.rhs)
     _check_terms(problem.objective, problem.num_vars, "objective")
 
 

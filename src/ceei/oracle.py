@@ -5,6 +5,9 @@ utility evaluation and constraint assembly share no code with the solver
 modules they are used to check (only the bare LP solver is reused).  The
 additive deviation constraints are the full, unfiltered set over every
 strictly better bundle.
+
+Each strict "p(B) > 1" is encoded as "p(B) >= 1 + eps" with eps a maximized
+variable, so the system is strictly satisfiable iff the optimum eps > 0.
 """
 
 from __future__ import annotations

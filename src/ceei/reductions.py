@@ -117,7 +117,7 @@ def partition_to_leontief(inst: PartitionInstance) -> Tuple[Market, PriceVector]
     rows = [[ONE] + [0] * m, [0] + [share] * m, [0] + [share] * m]
     market = make_market(rows, LEONTIEF)
     prices = [ONE] + [rational(2 * v, total) for v in s]
-    return market, PriceVector(tuple(prices))
+    return market, PriceVector(prices)
 
 
 def setpacking_to_leontief(inst: SetPackingInstance) -> Tuple[Market, int]:
@@ -159,7 +159,7 @@ def subsetsum_to_additive_verify(inst: SubsetSumInstance) -> Tuple[Market, Alloc
     market = make_market(rows, ADDITIVE)
     bundles = [frozenset([0])] + [frozenset([i, n + i]) for i in range(1, n + 1)]
     prices = [ONE] + [rational(w, k) for w in kept] + [ONE - rational(w, k) for w in kept]
-    return market, Allocation(tuple(bundles)), PriceVector(tuple(prices))
+    return market, Allocation(tuple(bundles)), PriceVector(prices)
 
 
 def x3c_to_additive(inst: X3CInstance) -> Market:
@@ -216,7 +216,7 @@ def partition_to_additive_prices(inst: PartitionInstance) -> Tuple[Market, Price
     market = make_market(rows, ADDITIVE)
     half = rational(1, 2)
     prices = [rational(v, total) for v in s] + [half, half]
-    return market, PriceVector(tuple(prices))
+    return market, PriceVector(prices)
 
 
 def subsetsum_to_additive_allocation(inst: SubsetSumInstance) -> Tuple[Market, Allocation]:

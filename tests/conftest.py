@@ -2,12 +2,21 @@ import itertools
 import os
 import subprocess
 import sys
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
 
 from ceei.core import make_market
 from ceei.reductions import X3CInstance
+
+
+class Id(IntEnum):
+    """An int subclass, which no entry point takes as a buyer, item or
+    variable id."""
+
+    A = 0
+    B = 1
 
 
 def run_script(script, timeout):

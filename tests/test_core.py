@@ -28,7 +28,7 @@ from ceei.core import (
 from ceei.lp import LPResult
 from ceei.reductions import PartitionInstance, SetPackingInstance, SubsetSumInstance, X3CInstance
 
-from conftest import example1_market, example2_market, example3_market
+from conftest import Id, example1_market, example2_market, example3_market
 
 rationals = st.fractions(max_denominator=10**4).map(rational)
 
@@ -52,9 +52,12 @@ def test_rational_parses_strings_and_ints():
     assert rational(7) == 7
     assert rational(1, 3) + rational(2, 3) == 1
     assert rational(6, 36) == rational("1/2", 3) == rational(rational(1, 2), 3) == rational("1/6")
+    assert rational(" -2/4\n") == rational("-1/2") and rational("007/010") == rational(7, 10)
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        rational("1/0")
 
 
-@pytest.mark.parametrize("value", [0.1, 0.5, 1.0, True, False, None, [1]])
+@pytest.mark.parametrize("value", [0.1, 0.5, 1.0, True, False, None, [1], pytest.param(Id.B, id="int-enum")])
 def test_rational_rejects_floats_bools_and_other_types(value):
     # 0.1 would otherwise be stored as 3602879701896397/36028797018963968
     with pytest.raises(TypeError, match="not an exact rational"):
@@ -284,8 +287,8 @@ class TestChecks:
 
 
 @pytest.mark.parametrize("bundles", [[[0], [1, 1.0]], [[0], [1.0, 1]], [[0], [1, True]], [[True], [1]],
-                                     [[0], [1.5]]],
-                         ids=["int-then-float", "float-then-int", "int-then-bool", "bool", "float-1.5"])
+                                     [[0], [1.5]], [[Id.A], [Id.B]]],
+                         ids=["int-then-float", "float-then-int", "int-then-bool", "bool", "float-1.5", "int-enum"])
 def test_make_allocation_refuses_an_item_that_is_not_an_int(bundles):
     # frozenset([1, 1.0]) would keep 1 and frozenset([1.0, 1]) would keep
     # 1.0, so the order of the items would decide the verdict
@@ -295,8 +298,8 @@ def test_make_allocation_refuses_an_item_that_is_not_an_int(bundles):
 
 @pytest.mark.parametrize("market_class", ["leontief", "additive"])
 @pytest.mark.parametrize("buyer, error", [(True, TypeError), (1.0, TypeError), ("1", TypeError),
-                                          (-1, ValueError), (2, ValueError)],
-                         ids=["bool", "float", "string", "negative", "past-the-end"])
+                                          (Id.B, TypeError), (-1, ValueError), (2, ValueError)],
+                         ids=["bool", "float", "string", "int-enum", "negative", "past-the-end"])
 def test_buyer_helpers_refuse_a_buyer_that_is_not_one(market_class, buyer, error):
     # a bool would read as buyer 1 and -1 as the last buyer
     market = make_market([[1, 2], [3, 4]], market_class)
@@ -310,9 +313,10 @@ def test_buyer_helpers_refuse_a_buyer_that_is_not_one(market_class, buyer, error
 @pytest.mark.parametrize("market_class", ["leontief", "additive"])
 @pytest.mark.parametrize("bundle, error", [([-1], ValueError), ([3], ValueError), ([0, 2, 7], ValueError),
                                            ([0.0], TypeError), ([1, 1.0], TypeError), ([1.0, 1], TypeError),
-                                           ([True], TypeError), (frozenset({0, 1.5}), TypeError)],
+                                           ([True], TypeError), (frozenset({0, 1.5}), TypeError),
+                                           ([Id.A], TypeError), (frozenset({Id.A}), TypeError)],
                          ids=["negative", "past-the-end", "beyond-the-demand", "float", "float-after",
-                              "float-before", "bool", "frozen-float"])
+                              "float-before", "bool", "frozen-float", "int-enum", "frozen-int-enum"])
 def test_bundle_utility_refuses_an_item_that_is_not_one(market_class, bundle, error):
     # -1 would read as the last item, and the Leontief branch ignored item 7
     market = make_market([[1, 0, 1], [0, 1, 0]], market_class)
@@ -345,7 +349,8 @@ def test_price_vector_of_the_wrong_length_is_rejected(market_class, module, pric
     market = make_market([[1, 1, 0], [0, 0, 1]], market_class)
     x, p = make_allocation([[0, 1], [2]]), make_prices(prices)
     assert module.verify_equilibrium(market, x, make_prices(["1/2", "1/2", 1])).equilibrium
-    calls = [lambda: module.verify_equilibrium(market, x, p), lambda: module.allocation_for_prices(market, p)]
+    calls = [lambda: module.verify_equilibrium(market, x, p), lambda: module.allocation_for_prices(market, p),
+             lambda: check_clearing(market, x, p), lambda: check_budgets(market, x, p)]
     if module is additive:
         calls.append(lambda: additive.best_affordable_bundle(market, 0, p))
     for call in calls:

@@ -11,7 +11,7 @@ from ceei import additive, equilibrium, leontief, lp
 from ceei.core import make_market, rational
 from ceei.lp import EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, check_point, constraint, lp_problem, solve_lp
 
-from conftest import example2_market, multisets
+from conftest import Id, example2_market, multisets
 from ceei.leontief import price_support_lp
 from ceei.core import ZERO, make_allocation
 from ceei.reductions import SubsetSumInstance, subsetsum_to_additive_allocation
@@ -604,6 +604,7 @@ def _row_problem(coeffs, rhs, objective=((0, 1),)):
     (lambda: constraint({1.5: 1}, LE, 1), "not a variable id: 1.5"),
     (lambda: lp_problem(2, [constraint({0: 1}, LE, 1)], {1.0: 1}), "not a variable id: 1.0"),
     (lambda: constraint({True: 1}, LE, 1), "not a variable id: True"),
+    (lambda: constraint({Id.B: 1}, LE, 1), "not a variable id: <Id.B: 1>"),
     # rows built directly, past `constraint`, where a bool would read as 1
     # and a "p/q" string was never made a rational
     (_row_problem(((0, 0.5),), 1), "not an exact rational"),
@@ -617,7 +618,7 @@ def _row_problem(coeffs, rhs, objective=((0, 1),)):
     (_row_problem(((0, 1),), 1, ((0, True),)), "not an exact rational"),
     (_row_problem(((0, 1),), 1, ((0, "1/2"),)), "not an exact rational"),
 ], ids=["float-coeff", "float-rhs", "bool-coeff", "bool-rhs", "float-objective",
-        "float-var", "float-objective-var", "bool-var",
+        "float-var", "float-objective-var", "bool-var", "int-enum-var",
         "solve-float-coeff", "solve-float-rhs", "solve-bool-coeff", "solve-bool-rhs",
         "solve-str-coeff", "solve-str-rhs",
         "solve-float-objective", "solve-bool-objective", "solve-str-objective"])

@@ -1,8 +1,11 @@
+import ast
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
-from ceei import additive, leontief, oracle
+from ceei import additive, core, leontief, oracle
 from ceei.core import SearchCapExceeded, SearchCaps, bundle_utility, make_market, rational
 
 from conftest import demand_market, example3_market, example4_market, leontief_profile_corpus
@@ -108,3 +111,27 @@ def test_accepted_equilibria_are_envy_free():
                 spend = sum((p.prices[t] for t in x.bundles[j]), rational(0))
                 if spend <= 1:
                     assert bundle_utility(market, i, x.bundles[i]) >= bundle_utility(market, i, x.bundles[j])
+
+
+def test_oracle_shares_only_the_bare_lp_with_the_solvers():
+    # The oracle is ground truth only while it is independent: from this
+    # package it may import `lp` and, from `core`, records, constants, caps
+    # and SearchCapExceeded, never a function the solvers also use.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    from_core = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(alias.name in sys.stdlib_module_names for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            assert node.module.split(".")[0] in (*sys.stdlib_module_names, "__future__")
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 1 and node.module in (None, "core")
+            if node.module is None:
+                assert [alias.name for alias in node.names] == ["lp"]
+            else:
+                from_core += [alias.name for alias in node.names]
+    assert from_core
+    for name in from_core:
+        value = getattr(core, name)
+        assert (not callable(value) or value is SearchCapExceeded
+                or isinstance(value, type) and issubclass(value, core.Record)), name
