@@ -4,7 +4,8 @@ Buyer optimality here is a knapsack-like question, so verification and both
 one-side searches enumerate bundles exhaustively; every operation is exact
 and guarded by hard caps.  To the skeleton in `ceei.equilibrium` this module
 adds the knapsack best response (its maximizer is the violation witness),
-the inclusion-minimal strictly better bundles as deviators, and the tallies
+the inclusion-minimal strictly better bundles as deviators, listed by a
+meet-in-the-middle walk over two half tables, and the tallies
 `equilibrium.search` runs on, `_ValueTally` and `_EnvyTally`.  The verifier
 and the searches call the best response and the price recovery through
 their public entry points, so each call repeats their constant-time checks.
@@ -148,40 +149,57 @@ def _minimal_deviating_bundles(market: Market, buyer: int, bundle: frozenset) ->
     priced above budget every superset is too.  Zero-value items never
     appear in a minimal deviator.  Every other item adds value, so the
     deviators are closed upward, and one is minimal iff dropping its
-    least-valued item leaves it worth no more than `bundle`.  The walk takes
-    those items in ascending value order (ties by index), so the item a
-    subset's lowest bit adds to `rest`, the subset without it, is its least
-    valued: a subset is minimal iff `value[mask] > limit >= value[rest]`.
-    Values are summed as the buyer's scaled ints, and so is `limit`, the
-    bundle's own value on that scale.  A found subset's walk mask becomes
-    its item mask in two lookups, one per half of the walk's bits, so the
-    only table of 2^k entries is `value`.
+    least-valued item leaves it worth no more than `bundle`.  Values are
+    summed as the buyer's scaled ints, and so is `limit`, the bundle's own
+    value on that scale.
+
+    The walk meets in the middle (Horowitz & Sahni, J. ACM 1974).  The
+    positively valued items, in ascending value order (ties by index), are
+    split into a low half and a high half, and `_half_table` lists each
+    half's subsets.  A subset is a low part `lo` and a high part `hi`, and
+    its least-valued item is lo's least when lo is not empty, else hi's.
+    Walking the high parts, with r the limit minus hi's value:
+
+    - if r < 0, only lo = {} can be minimal, and it is iff hi without its
+      least-valued item is worth at most the limit;
+    - if r is at least the whole low half's value, no lo lifts the subset
+      above the limit, and the block is skipped;
+    - otherwise lo = {} leaves the subset at most the limit, and each other
+      lo is kept iff it is worth more than r and lo without its
+      least-valued item is not.
+
+    No table of 2^k entries is built for the k positively valued items:
+    the memory is the two half tables, O(2^(k/2)), plus the output.
     """
     row, _ = integer_row(market.values[buyer])
     limit = sum([row[j] for j in bundle])
     pos = sorted((j for j, v in enumerate(row) if v > 0), key=row.__getitem__)
-    items = [row[j] for j in pos]
     half = len(pos) // 2
-    low, high, cut = _item_masks(pos[:half]), _item_masks(pos[half:]), (1 << half) - 1
-    value = [0] * (1 << len(pos))
+    low = _half_table(row, pos[:half])
+    reach = low[-1][0]
     minimal = []
-    for mask in range(1, len(value)):
-        rest = mask & (mask - 1)
-        value[mask] = total = value[rest] + items[(mask ^ rest).bit_length() - 1]
-        if total > limit >= value[rest]:
-            minimal.append(low[mask & cut] | high[mask >> half])
+    for value, rest, mask in _half_table(row, pos[half:]):
+        r = limit - value
+        if r < 0:
+            if rest <= limit:
+                minimal.append(mask)
+        elif r < reach:
+            minimal += [mask | lo for v, w, lo in low if v > r >= w]
     minimal.sort()
     minimal.sort(key=int.bit_count)  # stable: by size, then by mask
     return minimal
 
 
-def _item_masks(items: List[int]) -> List[int]:
-    """The item mask of every subset of `items`, indexed by its walk mask."""
-    masks = [0] * (1 << len(items))
-    for mask in range(1, len(masks)):
-        rest = mask & (mask - 1)
-        masks[mask] = masks[rest] | 1 << items[(mask ^ rest).bit_length() - 1]
-    return masks
+def _half_table(row: List[int], items: List[int]) -> List[Tuple[int, int, int]]:
+    """(value, value without its least-valued item, item mask) of every
+    subset of `items`, which are in ascending value order, the empty subset
+    first and the whole set last.  Adding the next item to a nonempty
+    subset keeps its least-valued item."""
+    table = [(0, 0, 0)]
+    for j in items:
+        x, bit = row[j], 1 << j
+        table += [(x, 0, bit)] + [(v + x, w + x, mask | bit) for v, w, mask in table[1:]]
+    return table
 
 
 def price_support_lp(

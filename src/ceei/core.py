@@ -208,14 +208,15 @@ class Market(Record):
 
 
 class Allocation(Record):
-    """Per-buyer item bundles.  Feasibility (disjointness, index range) is a
-    checked property, not a construction invariant, so that verifiers can
-    report infeasible inputs instead of refusing to represent them."""
+    """Per-buyer item bundles, kept as a tuple read once from any iterable.
+    Feasibility (disjointness, index range) is a checked property, not a
+    construction invariant, so that verifiers can report infeasible inputs
+    instead of refusing to represent them."""
 
     __slots__ = ("bundles",)
 
-    def __init__(self, bundles: tuple):
-        _set(self, "bundles", bundles)
+    def __init__(self, bundles: Iterable):
+        _set(self, "bundles", tuple(bundles))
 
 
 class PriceVector(Record):
@@ -290,7 +291,7 @@ def make_allocation(bundles: Iterable[Iterable[int]]) -> Allocation:
     an int, checked before the bundle is frozen, since a frozenset would
     merge a float or a bool into an equal int and the order of the items
     would decide which one is kept."""
-    return Allocation(tuple(frozenset(_require_ints(b)) for b in bundles))
+    return Allocation(frozenset(_require_ints(b)) for b in bundles)
 
 
 def make_prices(prices: Iterable[RationalLike]) -> PriceVector:

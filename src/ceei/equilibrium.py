@@ -24,7 +24,6 @@ from typing import Callable, List, Optional, Tuple
 
 from . import lp
 from .core import (
-    ONE,
     SUBOPTIMAL_BUNDLE,
     ZERO,
     Allocation,
@@ -134,7 +133,7 @@ def price_support_lp(market: Market, allocation: Allocation, deviators: Deviator
             raise ValueError(f"buyer {i} has an empty bundle; no prices can exhaust its budget")
     listed = [deviators(i, bundle) for i, bundle in enumerate(allocation.bundles)]
     rows, free = _support_system(_bundle_masks(allocation), listed)
-    cons = [lp.LinearConstraint(tuple([(v, c) for v, c in enumerate(row[:-1]) if c]), lp.LE, row[-1])
+    cons = [lp.LinearConstraint([(v, c) for v, c in enumerate(row[:-1]) if c], lp.LE, row[-1])
             for row in rows]
     return lp.lp_problem(len(free) + 1, cons, {len(free): 1})
 
@@ -150,8 +149,10 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
     inside cover c iff `not d & ~c`.  The rows enter the simplex at the
     slack basis through `lp._solve_at_origin`, and the allocation is
     supported iff the optimal e, an int over the optimum's denominator,
-    exceeds that denominator.  The optimum prices the free items; each
-    anchor gets 1 minus the rest of its bundle, and each unsold item `ZERO`.
+    exceeds that denominator.  The optimum prices the free items as ints
+    over that denominator; each anchor gets the denominator minus the rest
+    of its bundle, each unsold item 0, and the prices are made rational
+    once, on return, a zero as `ZERO`.
     """
     if check_feasible(market, allocation) is not None or not all(allocation.bundles):
         return None
@@ -168,14 +169,13 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
     scaled, den = lp._solve_at_origin(rows, [0] * e + [1])  # the cap bounds e
     if scaled[e] <= den:
         return None
-    prices = [ZERO] * market.m
+    scaled_prices = [0] * market.m
     for j, x in zip(free, scaled):
-        if x:
-            prices[j] = rational(x, den)
+        scaled_prices[j] = x
     for bundle in allocation.bundles:
         anchor = max(bundle)
-        prices[anchor] = ONE - sum([prices[j] for j in bundle if j != anchor])
-    return PriceVector(prices)
+        scaled_prices[anchor] = den - sum([scaled_prices[j] for j in bundle if j != anchor])
+    return PriceVector([rational(x, den) if x else ZERO for x in scaled_prices])
 
 
 #: Stack frames kept free for the search's caller and for pricing at a leaf.
@@ -313,9 +313,7 @@ def search(market: Market, tally, accept: Callable, tags=None) -> Optional[Tuple
         """Walk the completions of items 0..j-1; True once the best reaches `top`."""
         if j == m:
             if 0 not in held and tally.screen():
-                candidate = Allocation(tuple(
-                    frozenset(k for k in range(m) if owner[k] == i) for i in range(n)
-                ))
+                candidate = Allocation(frozenset(k for k in range(m) if owner[k] == i) for i in range(n))
                 prices = accept(candidate)
                 if prices is not None:
                     best[:] = tally.bound, (candidate, prices)

@@ -107,7 +107,7 @@ def obj_to_allocation(obj) -> Allocation:
     for bundle in obj:
         if not all(type(j) is int for j in bundle) or len(set(bundle)) != len(bundle):
             raise ValueError(f"bundle {bundle!r} must list distinct integer item indices")
-    return Allocation(tuple(frozenset(j - 1 for j in bundle) for bundle in obj))
+    return Allocation(frozenset(j - 1 for j in bundle) for bundle in obj)
 
 
 def prices_to_obj(prices: PriceVector) -> list:

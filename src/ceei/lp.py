@@ -25,7 +25,7 @@ large-scale LP.
 from __future__ import annotations
 
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import ZERO, RationalLike, Record, _exact, _set, rational
 
@@ -40,14 +40,15 @@ UNBOUNDED = "unbounded"
 class LinearConstraint(Record):
     """`sum(coeff * var) relation rhs` with relation one of LE, EQ.
 
-    `coeffs` is a tuple of (variable id, coefficient) pairs sorted by id,
-    with at least one nonzero coefficient.
+    `coeffs` holds (variable id, coefficient) pairs sorted by id, with at
+    least one nonzero coefficient, kept as a tuple read once from any
+    iterable.
     """
 
     __slots__ = ("coeffs", "relation", "rhs")
 
-    def __init__(self, coeffs: tuple, relation: str, rhs):
-        _set(self, "coeffs", coeffs)
+    def __init__(self, coeffs: Iterable, relation: str, rhs):
+        _set(self, "coeffs", tuple(coeffs))
         _set(self, "relation", relation)
         _set(self, "rhs", rhs)
 
@@ -56,16 +57,18 @@ class LPProblem(Record):
     """Maximize a linear objective subject to LinearConstraints.
 
     `nonneg[i]` marks variable i as restricted to >= 0; other variables are
-    free.  `objective` is a tuple of (variable id, coefficient) pairs.
+    free.  `objective` holds (variable id, coefficient) pairs.  `nonneg`,
+    `constraints` and `objective` are each kept as a tuple read once from
+    any iterable.
     """
 
     __slots__ = ("num_vars", "nonneg", "constraints", "objective")
 
-    def __init__(self, num_vars: int, nonneg: tuple, constraints: tuple, objective: tuple):
+    def __init__(self, num_vars: int, nonneg: Iterable, constraints: Iterable, objective: Iterable):
         _set(self, "num_vars", num_vars)
-        _set(self, "nonneg", nonneg)
-        _set(self, "constraints", constraints)
-        _set(self, "objective", objective)
+        _set(self, "nonneg", tuple(nonneg))
+        _set(self, "constraints", tuple(constraints))
+        _set(self, "objective", tuple(objective))
 
 
 class LPResult(Record):
@@ -109,9 +112,8 @@ def lp_problem(
     objective: Mapping[int, RationalLike],
     nonneg: Optional[Sequence[bool]] = None,
 ) -> LPProblem:
-    flags = tuple(nonneg) if nonneg is not None else (True,) * num_vars
-    obj = _terms(objective)
-    return LPProblem(num_vars=num_vars, nonneg=flags, constraints=tuple(constraints), objective=obj)
+    flags = nonneg if nonneg is not None else (True,) * num_vars
+    return LPProblem(num_vars=num_vars, nonneg=flags, constraints=constraints, objective=_terms(objective))
 
 
 def _check_terms(terms, num_vars: int, where: str) -> None:

@@ -67,7 +67,7 @@ def enumerate_allocations(market: Market, caps: SearchCaps = DEFAULT_CAPS) -> It
         for j, owner in enumerate(owners):
             if owner:
                 bundles[owner - 1].append(j)
-        yield Allocation(tuple(frozenset(b) for b in bundles))
+        yield Allocation(frozenset(b) for b in bundles)
 
 
 def _support_system(market: Market, allocation: Allocation) -> Optional[lp.LPProblem]:

@@ -159,7 +159,7 @@ def subsetsum_to_additive_verify(inst: SubsetSumInstance) -> Tuple[Market, Alloc
     market = make_market(rows, ADDITIVE)
     bundles = [frozenset([0])] + [frozenset([i, n + i]) for i in range(1, n + 1)]
     prices = [ONE] + [rational(w, k) for w in kept] + [ONE - rational(w, k) for w in kept]
-    return market, Allocation(tuple(bundles)), PriceVector(prices)
+    return market, Allocation(bundles), PriceVector(prices)
 
 
 def x3c_to_additive(inst: X3CInstance) -> Market:

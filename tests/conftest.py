@@ -22,14 +22,17 @@ class Id(IntEnum):
 def run_script(script, timeout):
     """Standard output of `script` run in a fresh interpreter on this
     checkout's `src`; a run past `timeout` seconds fails the test rather
-    than hanging the suite."""
+    than hanging the suite, and a nonzero exit fails it with the child's
+    exit code and standard error."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     try:
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                              timeout=timeout, check=True)
+                              timeout=timeout)
     except subprocess.TimeoutExpired:
         pytest.fail(f"not finished in {timeout} s")
+    if proc.returncode:
+        pytest.fail(f"child exited with status {proc.returncode}:\n{proc.stderr}")
     return proc.stdout
 
 

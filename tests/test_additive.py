@@ -162,6 +162,25 @@ class TestPricesForAllocation:
         assert count == 184_755
         assert rise_kb < 100 * 1024
 
+    def test_listing_at_the_enumeration_cap_builds_no_table_of_every_subset(self):
+        # at the cap of 22 items, the bundle of items 0..18 and the big item
+        # has 21 minimal deviators (the big item and 20 of the 21 unit
+        # items); one table over all 2^22 subsets raised peak RSS by 64 to
+        # 96 MB, the two half tables of 2^11 entries each by well under 1 MB
+        script = (
+            "import resource\n"
+            "from ceei import additive\n"
+            "from ceei.core import make_market\n"
+            "market = make_market([[1] * 21 + [10**6]], 'additive')\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "found = additive._minimal_deviating_bundles(market, 0, frozenset([*range(19), 21]))\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(len(found), after - before)\n"
+        )
+        count, rise_kb = map(int, run_script(script, timeout=60).split())
+        assert count == 21
+        assert rise_kb < 16 * 1024
+
     def test_enumeration_cap_bounds_the_first_enumeration(self):
         # buyer 1's bundle {1, 2} contains buyer 0's minimal deviator {1, 2},
         # so the allocation is rejected without an LP -- but only after an
@@ -364,3 +383,15 @@ def test_minimal_deviators_match_the_definition_in_order():
                 bundle = frozenset(j for j in range(m) if mask >> j & 1)
                 assert [_item_set(d) for d in additive._minimal_deviating_bundles(market, 0, bundle)] == \
                     _minimal_deviators_reference(row, bundle), (row, bundle)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([0, 1, 2, 3, "1/2", "2/3", "7/3"]), min_size=1, max_size=10), st.data())
+def test_minimal_deviators_match_the_definition_on_larger_rows(row, data):
+    # up to 10 items, so each half of the walk holds up to 5, and blocks
+    # of all three kinds occur: above the limit, out of reach, and searched
+    mask = data.draw(st.integers(0, (1 << len(row)) - 1), label="bundle")
+    bundle = frozenset(j for j in range(len(row)) if mask >> j & 1)
+    market = make_market([row], "additive")
+    assert [_item_set(d) for d in additive._minimal_deviating_bundles(market, 0, bundle)] == \
+        _minimal_deviators_reference(row, bundle)

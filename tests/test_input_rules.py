@@ -7,6 +7,7 @@ import pytest
 
 from ceei import additive, io, leontief, lp, reductions
 from ceei.core import (
+    Allocation,
     Market,
     PriceVector,
     make_allocation,
@@ -59,6 +60,23 @@ def test_records_keep_no_reference_to_the_callers_lists():
     assert market.values == ((1, 2), (3, 4))
     assert market == make_market([[1, 2], [3, 4]], "additive")
     assert hash(market) == hash(make_market([[1, 2], [3, 4]], "additive"))
+    # Allocation and the LP records kept the caller's list: each such record
+    # was unhashable, and a later append changed it
+    bundles = [frozenset()]
+    allocation = Allocation(bundles)
+    bundles.append(frozenset({0}))
+    assert allocation.bundles == (frozenset(),)
+    assert hash(allocation) == hash(Allocation((frozenset(),)))
+    coeffs = [(0, 1)]
+    row = lp.LinearConstraint(coeffs, lp.LE, 1)
+    coeffs.append((1, 1))
+    assert row.coeffs == ((0, 1),)
+    assert hash(row) == hash(lp.LinearConstraint(((0, 1),), lp.LE, 1))
+    nonneg, constraints, objective = [True], [], []
+    problem = lp.LPProblem(1, nonneg, constraints, objective)
+    nonneg.append(False), constraints.append(row), objective.append((0, 1))
+    assert (problem.nonneg, problem.constraints, problem.objective) == ((True,), (), ())
+    assert hash(problem) == hash(lp.LPProblem(1, (True,), (), ()))
 
 
 _LEONTIEF = make_market([[1, 0], [0, 1]], "leontief")
