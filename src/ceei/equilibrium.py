@@ -172,9 +172,8 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
     scaled_prices = [0] * market.m
     for j, x in zip(free, scaled):
         scaled_prices[j] = x
-    for bundle in allocation.bundles:
-        anchor = max(bundle)
-        scaled_prices[anchor] = den - sum([scaled_prices[j] for j in bundle if j != anchor])
+    for bundle in allocation.bundles:  # its anchor is not free, so its entry is still 0
+        scaled_prices[max(bundle)] = den - sum([scaled_prices[j] for j in bundle])
     return PriceVector([rational(x, den) if x else ZERO for x in scaled_prices])
 
 

@@ -60,8 +60,8 @@ def test_records_keep_no_reference_to_the_callers_lists():
     assert market.values == ((1, 2), (3, 4))
     assert market == make_market([[1, 2], [3, 4]], "additive")
     assert hash(market) == hash(make_market([[1, 2], [3, 4]], "additive"))
-    # Allocation and the LP records kept the caller's list: each such record
-    # was unhashable, and a later append changed it
+    # built from lists, Allocation and the LP records hash, and a later
+    # append to a list changes no record
     bundles = [frozenset()]
     allocation = Allocation(bundles)
     bundles.append(frozenset({0}))
@@ -74,7 +74,9 @@ def test_records_keep_no_reference_to_the_callers_lists():
     assert hash(row) == hash(lp.LinearConstraint(((0, 1),), lp.LE, 1))
     nonneg, constraints, objective = [True], [], []
     problem = lp.LPProblem(1, nonneg, constraints, objective)
-    nonneg.append(False), constraints.append(row), objective.append((0, 1))
+    nonneg.append(False)
+    constraints.append(row)
+    objective.append((0, 1))
     assert (problem.nonneg, problem.constraints, problem.objective) == ((True,), (), ())
     assert hash(problem) == hash(lp.LPProblem(1, (True,), (), ()))
 
