@@ -4,11 +4,12 @@ Buyer optimality here is a knapsack-like question, so verification and both
 one-side searches enumerate bundles exhaustively; every operation is exact
 and guarded by hard caps.  To the skeleton in `ceei.equilibrium` this module
 adds the knapsack best response (its maximizer is the violation witness),
-the inclusion-minimal strictly better bundles as deviators, listed by a
-meet-in-the-middle walk over two half tables, and the tallies
-`equilibrium.search` runs on, `_ValueTally` and `_EnvyTally`.  The verifier
-and the searches call the best response and the price recovery through
-their public entry points, so each call repeats their constant-time checks.
+the inclusion-minimal strictly better bundles as deviators, listed by one
+pruned depth-first walk in O(k) work per deviator for a buyer's k valued
+items, and the tallies `equilibrium.search` runs on, `_ValueTally` and
+`_EnvyTally`.  The verifier and the searches call the best response and the
+price recovery through their public entry points, so each call repeats
+their constant-time checks.
 
 The enumerations run on Python ints.  In the bundle enumerations each
 buyer's value row is scaled by the LCM of its denominators (comparisons
@@ -147,59 +148,42 @@ def _minimal_deviating_bundles(market: Market, buyer: int, bundle: frozenset) ->
 
     Supersets are dropped: prices are nonnegative, so once a bundle is
     priced above budget every superset is too.  Zero-value items never
-    appear in a minimal deviator.  Every other item adds value, so the
-    deviators are closed upward, and one is minimal iff dropping its
-    least-valued item leaves it worth no more than `bundle`.  Values are
-    summed as the buyer's scaled ints, and so is `limit`, the bundle's own
-    value on that scale.
+    appear in a minimal deviator.  Values are summed as the buyer's scaled
+    ints, and so is `limit`, the bundle's own value on that scale.
 
-    The walk meets in the middle (Horowitz & Sahni, J. ACM 1974).  The
-    positively valued items, in ascending value order (ties by index), are
-    split into a low half and a high half, and `_half_table` lists each
-    half's subsets.  A subset is a low part `lo` and a high part `hi`, and
-    its least-valued item is lo's least when lo is not empty, else hi's.
-    Walking the high parts, with r the limit minus hi's value:
-
-    - if r < 0, only lo = {} can be minimal, and it is iff hi without its
-      least-valued item is worth at most the limit;
-    - if r is at least the whole low half's value, no lo lifts the subset
-      above the limit, and the block is skipped;
-    - otherwise lo = {} leaves the subset at most the limit, and each other
-      lo is kept iff it is worth more than r and lo without its
-      least-valued item is not.
-
-    No table of 2^k entries is built for the k positively valued items:
-    the memory is the two half tables, O(2^(k/2)), plus the output.
+    A depth-first walk over the k positively valued `items`, in descending
+    value order, that enters only branches holding a deviator (after Read &
+    Tarjan, Networks 1975).  Its explicit stack holds bundles worth at most
+    the limit, each extended only by items after its last, and `reach[u]`
+    is the value of `items[u:]`.  One rule: a bundle worth `value` stops at
+    the first u with `value + reach[u] <= limit`, since no later item lifts
+    it past the limit.  Before that, adding `items[u]` either passes the
+    limit, and the result is minimal (its last item is its least-valued,
+    and without it the bundle is worth at most the limit), or it does not,
+    and the result is pushed.  So every bundle pushed leads to a deviator,
+    the work is O(k) per deviator, and the memory is the stack plus the
+    output.
     """
     row, _ = integer_row(market.values[buyer])
     limit = sum([row[j] for j in bundle])
-    pos = sorted((j for j, v in enumerate(row) if v > 0), key=row.__getitem__)
-    half = len(pos) // 2
-    low = _half_table(row, pos[:half])
-    reach = low[-1][0]
-    minimal = []
-    for value, rest, mask in _half_table(row, pos[half:]):
-        r = limit - value
-        if r < 0:
-            if rest <= limit:
-                minimal.append(mask)
-        elif r < reach:
-            minimal += [mask | lo for v, w, lo in low if v > r >= w]
+    items = sorted((j for j, v in enumerate(row) if v > 0), key=row.__getitem__, reverse=True)
+    reach = [0] * (len(items) + 1)
+    for u in reversed(range(len(items))):
+        reach[u] = reach[u + 1] + row[items[u]]
+    minimal, stack = [], [(0, 0, 0)]
+    while stack:
+        t, value, mask = stack.pop()
+        for u in range(t, len(items)):
+            if value + reach[u] <= limit:
+                break
+            total, extended = value + row[items[u]], mask | 1 << items[u]
+            if total > limit:
+                minimal.append(extended)
+            else:
+                stack.append((u + 1, total, extended))
     minimal.sort()
     minimal.sort(key=int.bit_count)  # stable: by size, then by mask
     return minimal
-
-
-def _half_table(row: List[int], items: List[int]) -> List[Tuple[int, int, int]]:
-    """(value, value without its least-valued item, item mask) of every
-    subset of `items`, which are in ascending value order, the empty subset
-    first and the whole set last.  Adding the next item to a nonempty
-    subset keeps its least-valued item."""
-    table = [(0, 0, 0)]
-    for j in items:
-        x, bit = row[j], 1 << j
-        table += [(x, 0, bit)] + [(v + x, w + x, mask | bit) for v, w, mask in table[1:]]
-    return table
 
 
 def price_support_lp(

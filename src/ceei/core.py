@@ -172,12 +172,14 @@ class SearchCaps(Record):
     searches, `max_states` the assignment space (n**m for the searches,
     which never leave an item unsold, and (n+1)**m for the oracle, which
     does), and `max_enum_items` the item count of per-buyer bundle
-    enumeration.
+    enumeration.  Each cap is an int; a float, a bool or a string is a
+    TypeError.
     """
 
     __slots__ = ("max_items", "max_states", "max_enum_items")
 
     def __init__(self, max_items: int = 12, max_states: int = 10_000_000, max_enum_items: int = 22):
+        _require_ints((max_items, max_states, max_enum_items))
         _set(self, "max_items", max_items)
         _set(self, "max_states", max_states)
         _set(self, "max_enum_items", max_enum_items)

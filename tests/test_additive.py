@@ -166,7 +166,7 @@ class TestPricesForAllocation:
         # at the cap of 22 items, the bundle of items 0..18 and the big item
         # has 21 minimal deviators (the big item and 20 of the 21 unit
         # items); one table over all 2^22 subsets raised peak RSS by 64 to
-        # 96 MB, the two half tables of 2^11 entries each by well under 1 MB
+        # 96 MB, while the walk holds only its stack and its output
         script = (
             "import resource\n"
             "from ceei import additive\n"
@@ -179,6 +179,27 @@ class TestPricesForAllocation:
         )
         count, rise_kb = map(int, run_script(script, timeout=60).split())
         assert count == 21
+        assert rise_kb < 16 * 1024
+
+    def test_listing_beyond_the_enumeration_cap_takes_work_bounded_by_its_output(self):
+        # 40 items, past the cap, so only the private listing runs: the
+        # bundle of items 0..36 and the big item has 39 minimal deviators
+        # (the big item and 38 of the 39 unit items); two half tables of
+        # 2^20 subsets each raised peak RSS by about 250 MB, and a walk
+        # that does not stop at bundles unable to pass the limit ran past
+        # 20 s
+        script = (
+            "import resource\n"
+            "from ceei import additive\n"
+            "from ceei.core import make_market\n"
+            "market = make_market([[1] * 39 + [10**6]], 'additive')\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "found = additive._minimal_deviating_bundles(market, 0, frozenset([*range(37), 39]))\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(len(found), after - before)\n"
+        )
+        count, rise_kb = map(int, run_script(script, timeout=10).split())
+        assert count == 39
         assert rise_kb < 16 * 1024
 
     def test_enumeration_cap_bounds_the_first_enumeration(self):
@@ -388,8 +409,9 @@ def test_minimal_deviators_match_the_definition_in_order():
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from([0, 1, 2, 3, "1/2", "2/3", "7/3"]), min_size=1, max_size=10), st.data())
 def test_minimal_deviators_match_the_definition_on_larger_rows(row, data):
-    # up to 10 items, so each half of the walk holds up to 5, and blocks
-    # of all three kinds occur: above the limit, out of reach, and searched
+    # up to 10 items with repeated values, so the walk meets ties in its
+    # value order, stops early on bundles that cannot reach the limit, and
+    # records deviators at every depth
     mask = data.draw(st.integers(0, (1 << len(row)) - 1), label="bundle")
     bundle = frozenset(j for j in range(len(row)) if mask >> j & 1)
     market = make_market([row], "additive")

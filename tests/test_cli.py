@@ -294,6 +294,17 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {tmp_path / 'p.json'} has {len(prices)} prices for 2 items\n"
 
+    @pytest.mark.parametrize("command, flag, key", [("verify", "alloc", "allocation"),
+                                                    ("alloc-for", "prices", "prices")])
+    def test_solution_file_without_its_key_is_usage_error(self, run, ex2_files, command, flag, key):
+        # verify's --alloc file holds only prices, alloc-for's --prices file only an allocation
+        paths = dict(ex2_files)
+        paths[flag] = ex2_files["prices" if flag == "alloc" else "alloc"]
+        argv = ("--alloc", str(paths["alloc"])) if command == "verify" else ()
+        code, out, err = run(command, "--market", str(paths["market"]), *argv, "--prices", str(paths["prices"]))
+        assert (code, out) == (2, "")
+        assert err == f"error: {paths[flag]} has no {key}\n"
+
     @pytest.mark.parametrize("command", ["verify", "prices-for"])
     @pytest.mark.parametrize("allocation", [[[1.7], [2]], [[True], [2]], [["1"], [2]], [[1, 1], [2]]],
                              ids=["float", "bool", "string", "repeated"])

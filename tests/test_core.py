@@ -12,6 +12,7 @@ from ceei.core import (
     InvalidMarketError,
     Market,
     PriceVector,
+    SearchCaps,
     Violation,
     bundle_utility,
     check_budgets,
@@ -221,6 +222,15 @@ def test_record_construction_refuses_non_ints(make):
     a float or a bool is a TypeError, as in `rational`, not coerced."""
     with pytest.raises(TypeError, match="not an integer"):
         make()
+
+
+@pytest.mark.parametrize("field", ["max_items", "max_states", "max_enum_items"])
+@pytest.mark.parametrize("value", [True, 2.5, "12"])
+def test_search_caps_refuse_non_ints(field, value):
+    # a bool acted as a cap of 1, a float was compared as a float, and a
+    # string died inside the search on '>' between int and str
+    with pytest.raises(TypeError, match="not an integer"):
+        SearchCaps(**{field: value})
 
 
 class TestSocialWelfare:
