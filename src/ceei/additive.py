@@ -1,15 +1,15 @@
 """Perfect-substitutes (additive) market operations.
 
-Buyer optimality here is a knapsack-like question, so verification and both
-one-side searches enumerate bundles exhaustively; every operation is exact
-and guarded by hard caps.  To the skeleton in `ceei.equilibrium` this module
-adds the knapsack best response (its maximizer is the violation witness),
-the inclusion-minimal strictly better bundles as deviators, listed by one
-pruned depth-first walk in O(k) work per deviator for a buyer's k valued
-items, and the tallies `equilibrium.search` runs on, `_ValueTally` and
-`_EnvyTally`.  The verifier and the searches call the best response and the
-price recovery through their public entry points, so each call repeats
-their constant-time checks.
+Buyer optimality here is a knapsack question: verification and both
+one-side searches walk a buyer's bundles depth first, pruned, on a stack
+with no table of subsets; every operation is exact and guarded by hard
+caps.  To the skeleton in `ceei.equilibrium` this module adds the knapsack
+best response (its maximizer is the violation witness), the
+inclusion-minimal strictly better bundles as deviators, listed in O(k) work
+per deviator for a buyer's k valued items, and the tallies
+`equilibrium.search` runs on, `_ValueTally` and `_EnvyTally`.  The verifier
+and the searches call the best response and the price recovery through
+their public entry points, so each call repeats their constant-time checks.
 
 The enumerations run on Python ints.  In the bundle enumerations each
 buyer's value row is scaled by the LCM of its denominators (comparisons
@@ -53,6 +53,7 @@ borrow crosses into the next field.
 from __future__ import annotations
 
 from functools import cache, partial
+from itertools import accumulate
 from typing import Callable, List, Optional, Tuple
 
 from . import equilibrium, lp
@@ -92,11 +93,13 @@ def best_affordable_bundle(
     """A utility-maximal bundle of total price at most 1, with its value.
 
     Only items the buyer values positively are considered (zero-value items
-    change nothing but the price), and among maximizers the first bundle in
-    binary subset order over ascending item indices is returned, so the
-    result is deterministic.  Values and costs are summed as scaled ints
-    (budget test cost <= D), each subset's taking one step from the subset
-    without its lowest bit; the value is made rational once, on return.
+    change nothing but the price), and among maximizers the least mask over
+    ascending item indices is returned.  Knapsack branch and bound (Kolesar
+    1967) on scaled ints, budget test cost <= D: a stack entry leaves
+    `pos[:t]` undecided and is dropped when `reach[t]`, their value, cannot
+    lift it past the best; "take pos[t-1]" is pushed before "leave it", so
+    masks come in increasing order and the first strict maximizer found is
+    the least.  The value is made rational once, on return.
     A buyer that is not an int is a TypeError, one out of range a ValueError.
     """
     _require_additive(market)
@@ -106,18 +109,20 @@ def best_affordable_bundle(
     row, scale = integer_row(market.values[buyer])
     costs, den = integer_row(prices.prices)
     pos = [j for j, v in enumerate(row) if v > 0]
-    items = [(row[j], costs[j]) for j in pos]
-    value = [0] * (1 << len(pos))
-    cost = value[:]
-    best_mask, best = 0, 0
-    for mask in range(1, len(value)):
-        rest = mask & (mask - 1)
-        item, price = items[(mask ^ rest).bit_length() - 1]
-        value[mask] = total = value[rest] + item
-        cost[mask] = spend = cost[rest] + price
-        if spend <= den and total > best:
-            best_mask, best = mask, total
-    bundle = frozenset(j for t, j in enumerate(pos) if best_mask >> t & 1)
+    reach = list(accumulate((row[j] for j in pos), initial=0))
+    best_mask, best, stack = 0, 0, [(len(pos), 0, 0, 0)]
+    while stack:
+        t, value, cost, mask = stack.pop()
+        if value + reach[t] <= best:
+            continue
+        if t == 0:
+            best_mask, best = mask, value
+            continue
+        j = pos[t - 1]
+        if cost + costs[j] <= den:
+            stack.append((t - 1, value + row[j], cost + costs[j], mask | 1 << j))
+        stack.append((t - 1, value, cost, mask))
+    bundle = frozenset(j for j in pos if best_mask >> j & 1)
     return bundle, rational(best, scale)
 
 
@@ -126,7 +131,7 @@ def verify_equilibrium(
 ) -> EquilibriumReport:
     """Decide whether (allocation, prices) is a competitive equilibrium: the
     shared checks, where each buyer's assigned utility is compared against
-    its exhaustively computed best affordable value; a losing comparison is
+    its exactly computed best affordable value; a losing comparison is
     reported with the better bundle as the witness, so the verdict can be
     rechecked independently."""
     _require_additive(market)

@@ -78,6 +78,25 @@ class TestBestAffordableBundle:
         with pytest.raises(SearchCapExceeded):
             additive.best_affordable_bundle(market, 0, make_prices([0] * 4), SearchCaps(max_enum_items=3))
 
+    def test_best_response_at_the_enumeration_cap_builds_no_table_of_every_subset(self):
+        # at the cap of 22 items, values 1001..1022 at prices 1/11: the best
+        # affordable bundle is the 11 most valuable items; two tables over
+        # all 2^22 subsets raised peak RSS by 160 to 190 MB, while the walk
+        # holds only its stack
+        script = (
+            "import json, resource\n"
+            "from ceei import additive, io\n"
+            "from ceei.core import make_market, make_prices\n"
+            "market = make_market([list(range(1001, 1023))], 'additive')\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "bundle, value = additive.best_affordable_bundle(market, 0, make_prices(['1/11'] * 22))\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(json.dumps([sorted(bundle), io.format_rational(value), after - before]))\n"
+        )
+        bundle, value, rise_kb = json.loads(run_script(script, timeout=60))
+        assert (bundle, value) == (list(range(11, 22)), 11187)
+        assert rise_kb < 16 * 1024
+
     def test_cap_error_carries_its_numbers(self):
         market = make_market([[1] * 4], "additive")
         with pytest.raises(SearchCapExceeded) as info:
@@ -369,8 +388,12 @@ def _best_affordable_reference(row, prices):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(value_choices, min_size=1, max_size=6), st.data())
+@given(st.one_of(st.lists(value_choices, min_size=1, max_size=6),
+                 st.lists(st.sampled_from([0, 1, 2, 3, "1/2", "2/3"]), min_size=7, max_size=10)),
+       st.data())
 def test_best_affordable_bundle_matches_fraction_reference(row, data):
+    # rows of up to 10 items with repeated values, so many bundles tie for
+    # the best value and the walk's visit order decides which is returned
     prices = [data.draw(price_choices, label=f"p_{j}") for j in range(len(row))]
     market = make_market([row], "additive")
     bundle, value = additive.best_affordable_bundle(market, 0, make_prices(prices))

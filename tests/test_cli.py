@@ -235,6 +235,15 @@ class TestExitCodes:
         if expected == 2:
             assert (out, err) == ("", "error: buyer 0 has an empty demand set\n")
 
+    def test_count_mismatch_is_negative_only_to_validate(self, run, tmp_path):
+        # two buyers declared, one value row given
+        (tmp_path / "bad.json").write_text(json.dumps(
+            {"class": "additive", "buyers": 2, "items": 1, "values": [[1]]}))
+        reason = "buyers/items counts disagree with the value matrix"
+        code, out, _ = run("validate", "--market", str(tmp_path / "bad.json"))
+        assert (code, json.loads(out)) == (1, {"valid": False, "reason": reason})
+        assert run("solve", "--market", str(tmp_path / "bad.json")) == (2, "", f"error: {reason}\n")
+
     @pytest.mark.parametrize("command", ["validate", "verify", "alloc-for"])
     def test_zero_denominator_value_is_usage_error(self, run, tmp_path, command):
         (tmp_path / "m.json").write_text(json.dumps(
@@ -516,6 +525,15 @@ class TestMaxWelfareCommand:
         code, out, err = run("maxwelfare", "--market", self._market(tmp_path, market))
         assert (code, err) == (1, "")
         assert json.loads(out) == {"result": "none", "reason": "no equilibrium"}
+
+    @pytest.mark.parametrize("values, code, doc", [
+        ([[1, 1, 0], [0, 1, 1]], 0, {"allocation": [[1, 2], [3]], "prices": ["1/2", "1/2", "1"], "welfare": "1"}),
+        ([[1], [1]], 1, {"result": "none", "reason": "no equilibrium"}),
+    ], ids=["found", "none"])
+    def test_apxwelfare(self, run, tmp_path, values, code, doc):
+        path = self._market(tmp_path, make_market(values, "leontief"))
+        found, out, err = run("apxwelfare", "--market", path)
+        assert (found, json.loads(out), err) == (code, doc, "")
 
     @pytest.mark.parametrize("market_class", ["leontief", "additive"])
     def test_cap_error_names_its_numbers(self, run, tmp_path, market_class):
