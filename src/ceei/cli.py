@@ -26,6 +26,7 @@ from .core import (
     InvalidMarketError,
     SearchCapExceeded,
     SearchCaps,
+    integer,
     social_welfare,
 )
 
@@ -178,7 +179,7 @@ _GEN_FLAGS = tuple(dict.fromkeys(name for row in _GEN_SOURCES.values() for name 
 
 
 def _gen_set(text: str) -> frozenset:
-    elements = [int(v) for v in text.split(",")]
+    elements = [integer(v) for v in text.split(",")]
     if len(set(elements)) < len(elements):
         raise _UsageError(f"--set {text} repeats an element")
     return frozenset(elements)
@@ -186,7 +187,7 @@ def _gen_set(text: str) -> frozenset:
 
 # The flags given as comma-separated text; argparse has made the others ints.
 _GEN_PARSE = {
-    "values": lambda text: tuple(int(v) for v in text.split(",")),
+    "values": lambda text: tuple(integer(v) for v in text.split(",")),
     "set": lambda texts: tuple(map(_gen_set, texts)),
 }
 
@@ -221,11 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # The search caps, declared once and shared by every command they apply to.
     cap_flags = argparse.ArgumentParser(add_help=False)
-    cap_flags.add_argument("--cap-items", type=int, default=DEFAULT_CAPS.max_items,
+    cap_flags.add_argument("--cap-items", type=integer, default=DEFAULT_CAPS.max_items,
                            help="maximum item count for exhaustive searches")
-    cap_flags.add_argument("--cap-states", type=int, default=DEFAULT_CAPS.max_states,
+    cap_flags.add_argument("--cap-states", type=integer, default=DEFAULT_CAPS.max_states,
                            help="maximum assignment-space size (n^m; (n+1)^m for oracle)")
-    cap_flags.add_argument("--cap-enum", type=int, default=DEFAULT_CAPS.max_enum_items,
+    cap_flags.add_argument("--cap-enum", type=integer, default=DEFAULT_CAPS.max_enum_items,
                            help="maximum item count for per-buyer bundle enumeration")
     # name, handler, help, files `main` reads besides --market, whether search caps apply
     for name, func, text, files, caps in (
@@ -249,10 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a hardness-gadget instance")
     p.add_argument("source", choices=list(_GEN_SOURCES))
     p.add_argument("--values", help="comma-separated positive integers")
-    p.add_argument("--target", type=int, help="subset-sum target")
-    p.add_argument("--universe", type=int, help="universe size (multiple of 3)")
+    p.add_argument("--target", type=integer, help="subset-sum target")
+    p.add_argument("--universe", type=integer, help="universe size (multiple of 3)")
     p.add_argument("--set", action="append", default=[], help="comma-separated set elements (repeatable)")
-    p.add_argument("--threshold", type=int, help="set-packing threshold")
+    p.add_argument("--threshold", type=integer, help="set-packing threshold")
     p.add_argument("--out", default="instance", help="output path prefix")
     p.set_defaults(func=_cmd_gen)
 

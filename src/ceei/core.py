@@ -12,9 +12,9 @@ as Fractions.
 
 The domain types are `Record`s: slotted, immutable after construction,
 compared and hashed by value, like frozen dataclasses (which this package
-does not import, to keep the command line's start-up short).  All
-operations are pure functions, so values can be shared freely across
-threads.
+does not import, to keep the command line's start-up short).  A `Market`,
+`PriceVector` or `SearchCaps` is valid once built.  All operations are
+pure functions, so values can be shared freely across threads.
 
 Buyer and item indices are 0-based throughout the library; the JSON layer
 (`ceei.io`) converts to the 1-based convention used externally.
@@ -61,6 +61,15 @@ def rational(value: RationalLike, den: int = 1):
     elif type(value) is not int and type(value) is not Fraction:
         raise TypeError(f"not an exact rational: {value!r}")
     return Fraction(value) if den == 1 else Fraction(value, den)
+
+
+def integer(text: str) -> int:
+    """An int in `rational`'s grammar with no `/q` part; "1_0", "+2" or "٣",
+    which `int()` reads, is a ValueError."""
+    match = _GRAMMAR.fullmatch(text.strip())
+    if match is None or match[2] is not None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(match[1])
 
 
 ZERO = rational(0)
@@ -171,9 +180,9 @@ class SearchCaps(Record):
     silently truncated.  `max_items` bounds the item count of assignment
     searches, `max_states` the assignment space (n**m for the searches,
     which never leave an item unsold, and (n+1)**m for the oracle, which
-    does), and `max_enum_items` the item count of per-buyer bundle
-    enumeration.  Each cap is an int; a float, a bool or a string is a
-    TypeError.
+    does, times n * 2**m bundles in its additive price systems), and
+    `max_enum_items` the item count of per-buyer bundle enumeration.  Each
+    cap is an int; a float, a bool or a string is a TypeError.
     """
 
     __slots__ = ("max_items", "max_states", "max_enum_items")
@@ -197,15 +206,38 @@ class Market(Record):
     denominator 1 as an int and any other as a reduced Fraction; a market
     built directly with Fraction values compares and hashes equal to it.
     The rows are kept as tuples, so a later change to the caller's lists
-    changes nothing.
+    changes nothing.  InvalidMarketError for an unknown class, zero buyers
+    or items, a row count other than `n` or a row length other than `m`,
+    a negative value, or a perfect-complements buyer with an all-zero row
+    (it demands nothing, so its utility is undefined); TypeError for a
+    count that is not an int or a value that is not an int or a Fraction.
     """
 
     __slots__ = ("n", "m", "values", "market_class")
 
-    def __init__(self, n: int, m: int, values: tuple, market_class: str):
+    def __init__(self, n: int, m: int, values: Iterable, market_class: str):
+        values = tuple(map(tuple, values))
+        if market_class not in (LEONTIEF, ADDITIVE):
+            raise InvalidMarketError(f"unknown market class {market_class!r}")
+        _require_ints((n, m))
+        if n < 1:
+            raise InvalidMarketError("market needs at least one buyer")
+        if m < 1:
+            raise InvalidMarketError("market needs at least one item")
+        if len(values) != n:
+            raise InvalidMarketError("value matrix has wrong number of rows")
+        for i, row in enumerate(values):
+            if len(row) != m:
+                raise InvalidMarketError(f"value row {i} has wrong length")
+            for j, v in enumerate(row):
+                _exact(v)
+                if v < 0:
+                    raise InvalidMarketError(f"negative value at buyer {i}, item {j}")
+            if market_class == LEONTIEF and not any(row):
+                raise InvalidMarketError(f"buyer {i} has an empty demand set")
         _set(self, "n", n)
         _set(self, "m", m)
-        _set(self, "values", tuple(map(tuple, values)))
+        _set(self, "values", values)
         _set(self, "market_class", market_class)
 
 
@@ -280,12 +312,10 @@ def _stored(value: RationalLike):
 
 
 def make_market(values: Sequence[Sequence[RationalLike]], market_class: str) -> Market:
-    """Build and validate a market from a rectangular value matrix, each
-    value stored as an int when integral and as a Fraction otherwise."""
+    """The market of a rectangular value matrix, each value stored as an
+    int when integral and as a Fraction otherwise."""
     rows = tuple(tuple(_stored(v) for v in row) for row in values)
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    return validate_market(Market(n=n, m=m, values=rows, market_class=market_class))
+    return Market(len(rows), len(rows[0]) if rows else 0, rows, market_class)
 
 
 def make_allocation(bundles: Iterable[Iterable[int]]) -> Allocation:
@@ -298,37 +328,6 @@ def make_allocation(bundles: Iterable[Iterable[int]]) -> Allocation:
 
 def make_prices(prices: Iterable[RationalLike]) -> PriceVector:
     return PriceVector(rational(p) for p in prices)
-
-
-def validate_market(market: Market) -> Market:
-    """Return the market iff all structural invariants hold.
-
-    Raises InvalidMarketError for: zero buyers or items, ragged or
-    inconsistent value matrix, negative values, unknown class, or a
-    perfect-complements buyer with an all-zero row (such a buyer demands
-    nothing and its utility is undefined, so it is rejected outright).
-    A value that is not an int or a Fraction, or a buyer or item count that
-    is not an int, is a TypeError.
-    """
-    if market.market_class not in (LEONTIEF, ADDITIVE):
-        raise InvalidMarketError(f"unknown market class {market.market_class!r}")
-    _require_ints((market.n, market.m))
-    if market.n < 1:
-        raise InvalidMarketError("market needs at least one buyer")
-    if market.m < 1:
-        raise InvalidMarketError("market needs at least one item")
-    if len(market.values) != market.n:
-        raise InvalidMarketError("value matrix has wrong number of rows")
-    for i, row in enumerate(market.values):
-        if len(row) != market.m:
-            raise InvalidMarketError(f"value row {i} has wrong length")
-        for j, v in enumerate(row):
-            _exact(v)
-            if v < 0:
-                raise InvalidMarketError(f"negative value at buyer {i}, item {j}")
-        if market.market_class == LEONTIEF and all(v == 0 for v in row):
-            raise InvalidMarketError(f"buyer {i} has an empty demand set")
-    return market
 
 
 def _check_buyer(market: Market, buyer: int) -> None:

@@ -5,9 +5,9 @@ every input: the entering variable is the one of least variable id with
 positive reduced cost, and ties for leaving go to the least basic id.
 Coefficients and right-hand sides are exact: ints, kept as Python ints, or
 rationals (a string in `core.rational`'s grammar becomes one; floats and
-bools are refused, and a problem built directly must hold only ints and
-Fractions).  Rationals are made only for the returned point and value, and
-a zero coordinate is returned as `ZERO`.  Inside, each row is scaled to
+bools are refused), and a `LinearConstraint` or `LPProblem` is valid once
+built.  Rationals are made only for the returned point and value, and a
+zero coordinate is returned as `ZERO`.  Inside, each row is scaled to
 integers straight from its numerators and denominators (an int's
 denominator is 1, so a row of ints keeps its own coefficients), and the
 tableau is held fraction-free (Python ints over one common denominator,
@@ -37,18 +37,41 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
+def _check_terms(terms: tuple, where: str, num_vars: Optional[int] = None) -> None:
+    """TypeError for a variable id that is not an int (a bool is not one)
+    or a coefficient that is not an int or a Fraction, ValueError for an id
+    given twice or, when `num_vars` is given, out of range, in one pass."""
+    seen = set()
+    for var, c in terms:
+        if type(var) is not int:
+            raise TypeError(f"not a variable id: {var!r}")
+        if num_vars is not None and not 0 <= var < num_vars:
+            raise ValueError(f"{where} references undeclared variable {var}")
+        if var in seen:
+            raise ValueError(f"{where} repeats variable {var}")
+        seen.add(var)
+        _exact(c)
+
+
 class LinearConstraint(Record):
     """`sum(coeff * var) relation rhs` with relation one of LE, EQ.
 
-    `coeffs` holds (variable id, coefficient) pairs sorted by id, with at
-    least one nonzero coefficient, kept as a tuple read once from any
-    iterable.
+    `coeffs` holds (variable id, coefficient) pairs, kept as a tuple read
+    once from any iterable.  ValueError for no pairs, a repeated id or an
+    unknown relation; TypeError for an id not an int or a number not exact.
     """
 
     __slots__ = ("coeffs", "relation", "rhs")
 
     def __init__(self, coeffs: Iterable, relation: str, rhs):
-        _set(self, "coeffs", tuple(coeffs))
+        coeffs = tuple(coeffs)
+        if relation not in (LE, EQ):
+            raise ValueError(f"unknown relation {relation!r}")
+        if not coeffs:
+            raise ValueError("constraint without coefficients")
+        _check_terms(coeffs, "constraint")
+        _exact(rhs)
+        _set(self, "coeffs", coeffs)
         _set(self, "relation", relation)
         _set(self, "rhs", rhs)
 
@@ -57,18 +80,35 @@ class LPProblem(Record):
     """Maximize a linear objective subject to LinearConstraints.
 
     `nonneg[i]` marks variable i as restricted to >= 0; other variables are
-    free.  `objective` holds (variable id, coefficient) pairs.  `nonneg`,
-    `constraints` and `objective` are each kept as a tuple read once from
-    any iterable.
+    free.  `objective` holds (variable id, coefficient) pairs, checked as a
+    constraint's are.  `nonneg`, `constraints` and `objective` are each kept
+    as a tuple read once from any iterable.  A count that is not an int or
+    a flag that is not a bool is a TypeError; no variable, a flag count
+    other than `num_vars` or an id out of range a ValueError.
     """
 
     __slots__ = ("num_vars", "nonneg", "constraints", "objective")
 
     def __init__(self, num_vars: int, nonneg: Iterable, constraints: Iterable, objective: Iterable):
+        nonneg, constraints, objective = tuple(nonneg), tuple(constraints), tuple(objective)
+        if type(num_vars) is not int:
+            raise TypeError(f"not a variable count: {num_vars!r}")
+        if num_vars < 1:
+            raise ValueError("problem needs at least one variable")
+        if len(nonneg) != num_vars:
+            raise ValueError("nonneg flags do not match variable count")
+        for flag in nonneg:
+            if type(flag) is not bool:
+                raise TypeError(f"not a nonneg flag (bool): {flag!r}")
+        for con in constraints:
+            for var, _ in con.coeffs:
+                if not 0 <= var < num_vars:
+                    raise ValueError(f"constraint references undeclared variable {var}")
+        _check_terms(objective, "objective", num_vars)
         _set(self, "num_vars", num_vars)
-        _set(self, "nonneg", tuple(nonneg))
-        _set(self, "constraints", tuple(constraints))
-        _set(self, "objective", tuple(objective))
+        _set(self, "nonneg", nonneg)
+        _set(self, "constraints", constraints)
+        _set(self, "objective", objective)
 
 
 class LPResult(Record):
@@ -98,12 +138,7 @@ def _terms(coeffs: Mapping[int, RationalLike]) -> tuple:
 
 
 def constraint(coeffs: Mapping[int, RationalLike], relation: str, rhs: RationalLike) -> LinearConstraint:
-    if relation not in (LE, EQ):
-        raise ValueError(f"unknown relation {relation!r}")
-    items = _terms(coeffs)
-    if not items:
-        raise ValueError("constraint needs at least one nonzero coefficient")
-    return LinearConstraint(items, relation, rhs if type(rhs) is int else rational(rhs))
+    return LinearConstraint(_terms(coeffs), relation, rhs if type(rhs) is int else rational(rhs))
 
 
 def lp_problem(
@@ -116,45 +151,8 @@ def lp_problem(
     return LPProblem(num_vars=num_vars, nonneg=flags, constraints=constraints, objective=_terms(objective))
 
 
-def _check_terms(terms, num_vars: int, where: str) -> None:
-    """TypeError for a variable id that is not an int (a bool is not one)
-    or a coefficient that is not an int or a Fraction, ValueError for an id
-    out of range or given twice, in one pass."""
-    seen = set()
-    for var, c in terms:
-        if type(var) is not int:
-            raise TypeError(f"not a variable id: {var!r}")
-        if not 0 <= var < num_vars:
-            raise ValueError(f"{where} references undeclared variable {var}")
-        if var in seen:
-            raise ValueError(f"{where} repeats variable {var}")
-        seen.add(var)
-        _exact(c)
-
-
-def _validate(problem: LPProblem) -> None:
-    if type(problem.num_vars) is not int:
-        raise TypeError(f"not a variable count: {problem.num_vars!r}")
-    if problem.num_vars < 1:
-        raise ValueError("problem needs at least one variable")
-    if len(problem.nonneg) != problem.num_vars:
-        raise ValueError("nonneg flags do not match variable count")
-    for flag in problem.nonneg:
-        if type(flag) is not bool:
-            raise TypeError(f"not a nonneg flag (bool): {flag!r}")
-    for con in problem.constraints:
-        if con.relation not in (LE, EQ):
-            raise ValueError(f"unknown relation {con.relation!r}")
-        if not con.coeffs:
-            raise ValueError("constraint without coefficients")
-        _check_terms(con.coeffs, problem.num_vars, "constraint")
-        _exact(con.rhs)
-    _check_terms(problem.objective, problem.num_vars, "objective")
-
-
 def check_point(problem: LPProblem, point: Sequence[RationalLike]) -> bool:
     """Exact feasibility check of a point against every constraint and flag."""
-    _validate(problem)
     if len(point) != problem.num_vars:
         raise ValueError("point dimension mismatch")
     values = [rational(x) for x in point]
@@ -300,7 +298,6 @@ def _spread(terms, scale, col_of, neg_col_of, width):
 
 def solve_lp(problem: LPProblem) -> LPResult:
     """Exact optimum, infeasibility, or unboundedness for the given problem."""
-    _validate(problem)
 
     # Variable ids: one column per nonnegative variable, two (x+ , x-) per
     # free variable, then one slack/surplus per inequality row, and the

@@ -29,13 +29,13 @@ from .core import (
 )
 
 
-def _check_cap(market: Market, caps: SearchCaps) -> None:
-    states = (market.n + 1) ** market.m
-    if states > caps.max_states:
-        raise SearchCapExceeded(
-            f"enumeration over {market.n} buyers and {market.m} items, (n+1)^m states",
-            "max_states", states, caps.max_states,
-        )
+def _check_cap(market: Market, caps: SearchCaps, systems: bool = False) -> None:
+    size, what = (market.n + 1) ** market.m, "(n+1)^m states"
+    if systems and market.market_class != LEONTIEF:  # an additive price system tests every bundle
+        size, what = size * (market.n << market.m), "(n+1)^m * n * 2^m bundles"
+    if size > caps.max_states:
+        raise SearchCapExceeded(f"enumeration over {market.n} buyers and {market.m} items, {what}",
+                                "max_states", size, caps.max_states)
 
 
 def _value(market: Market, buyer: int, bundle) -> object:
@@ -119,6 +119,7 @@ def equilibrium_exists_bruteforce(
 ) -> Optional[Tuple[Allocation, PriceVector]]:
     """First allocation in the enumeration order that admits strictly
     satisfying prices, with those prices; None when no equilibrium exists."""
+    _check_cap(market, caps, systems=True)
     for allocation in enumerate_allocations(market, caps):
         prices = _supporting_prices(market, allocation)
         if prices is not None:
@@ -135,6 +136,7 @@ def max_welfare_equilibrium_bruteforce(
     (allocations whose welfare cannot beat the best found are not re-tested,
     which does not change the result), or None when no equilibrium exists.
     """
+    _check_cap(market, caps, systems=True)
     best = None
     for allocation in enumerate_allocations(market, caps):
         welfare = ZERO

@@ -53,6 +53,16 @@ def leontief_profile_corpus(buyer_counts=(1, 2, 3), item_counts=(1, 2, 3, 4)):
                 yield demand_market(profile, m), profile
 
 
+def additive_corpus():
+    """Every additive market with n <= 2, m <= 3 and values 0..3, then every
+    509th one with n = 2, m = 4."""
+    for n, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)):
+        for flat in itertools.product(range(4), repeat=n * m):
+            yield make_market([flat[i * m:(i + 1) * m] for i in range(n)], "additive")
+    for flat in list(itertools.product(range(4), repeat=8))[::509]:
+        yield make_market([flat[:4], flat[4:]], "additive")
+
+
 def multisets(max_len=5, max_value=9):
     """Every multiset of 1..max_len values drawn from 1..max_value: the
     source-problem instances of the additive reduction families."""

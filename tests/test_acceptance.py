@@ -57,6 +57,7 @@ def test_criterion_1_worked_construction_golden(announce):
     announce(f"ACCEPTANCE 1 PASS: 6-buyer/8-item golden equilibrium exact ({elapsed:.3f}s < 1s)")
 
 
+@pytest.mark.slow
 def test_criterion_2_existence_characterization(announce):
     start = time.perf_counter()
     checked = 0
@@ -78,6 +79,7 @@ def test_criterion_2_existence_characterization(announce):
              f"0 mismatches ({elapsed:.1f}s < 120s)")
 
 
+@pytest.mark.slow
 def test_criterion_3_welfare_approximation_bound(announce):
     start = time.perf_counter()
     checked = 0

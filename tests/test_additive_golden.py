@@ -16,6 +16,9 @@ re-recorded when the price-support LP substituted its equality rows away
 the simplex starts at the origin with no phase 1: again only price vectors
 moved (4, 101 and 955 of them), each to another optimal vertex, and every
 moved pair verifies.
+`corpus->oracle` runs both brute-force searches, which share only `lp` with
+the solvers; it was recorded before the LP records checked themselves when
+built.
 Any change to an allocation, a price, a welfare, a verdict or a witness
 changes the digests.
 """
@@ -30,7 +33,7 @@ from ceei import additive, io, leontief, oracle
 from ceei import reductions as rd
 from ceei.core import make_prices
 
-from conftest import leontief_profile_corpus, multisets, x3c_family
+from conftest import additive_corpus, leontief_profile_corpus, multisets, x3c_family
 
 # family -> (outputs checked, SHA-256 of the serialized outputs)
 GOLDEN = {
@@ -42,6 +45,7 @@ GOLDEN = {
     "corpus->leontief": (239, "130b703a03f46882f0a8242c0f3c1ed1af2b4daf901227ceebecf1e4e12b6d93"),
     "corpus->leontief-verify": (177, "ed9f214e27b7b1e790c40989e855c2d0a75d1e272e167867972f8c7c9d147064"),
     "subsetsum->alloc": (483, "dd96739e3129195059967867c4b8d097c06be78ff22d326fd6999e82c9639392"),
+    "corpus->oracle": (722, "ab3fb99ff2a477a5a7b5e1ae9808a933eb4cfae372baab2274642e78299ae34f"),
 }
 
 
@@ -139,6 +143,15 @@ def _subsetsum_prices():
         yield market, [io.allocation_to_obj(x), _prices(additive.prices_for_allocation(market, x))]
 
 
+def _oracle_corpus():
+    """Both brute-force searches on strides of the Leontief profile corpus
+    and of the additive corpus: the oracle shares only `lp` with the
+    solvers, so no other family pins its prices."""
+    for market in [*_corpus_stride(11), *list(additive_corpus())[::13]]:
+        yield market, [_solution(oracle.equilibrium_exists_bruteforce(market)),
+                       _solution(oracle.max_welfare_equilibrium_bruteforce(market))]
+
+
 FAMILIES = {
     "x3c->additive": _x3c_searches,
     "partition->additive": _partition_allocations,
@@ -148,6 +161,7 @@ FAMILIES = {
     "corpus->leontief": _leontief_corpus,
     "corpus->leontief-verify": _leontief_corpus_reports,
     "subsetsum->alloc": _subsetsum_prices,
+    "corpus->oracle": _oracle_corpus,
 }
 
 
@@ -161,6 +175,7 @@ def _digest(outputs):
     return count, h.hexdigest()
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family", [pytest.param(family, marks=pytest.mark.slow) if family == "corpus->oracle"
+                                    else family for family in sorted(FAMILIES)])
 def test_additive_outputs_match_golden_digest(family):
     assert _digest(FAMILIES[family]()) == GOLDEN[family]

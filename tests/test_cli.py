@@ -476,6 +476,25 @@ class TestParser:
         assert (code, out) == (2, "")
         assert err == "error: gen x3c needs --set\n"
 
+    @pytest.mark.parametrize("text", ["1_0", "+2", "\u0663"], ids=["underscore", "plus", "arabic-indic-three"])
+    @pytest.mark.parametrize("flag", ["values", "set", "target", "universe", "threshold",
+                                      "cap-items", "cap-states", "cap-enum"])
+    def test_integer_flags_take_the_market_files_grammar(self, run, tmp_path, flag, text):
+        # int() reads "1_0" as 10, "+2" as 2 and "\u0663" as 3; in a market
+        # file each is a parse error, and so it is in every integer flag
+        (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1, 1]], "additive")))
+        argv = {
+            "values": ["gen", "partition", "--values", f"{text},1"],
+            "set": ["gen", "x3c", "--universe", "3", "--set", f"1,2,{text}"],
+            "target": ["gen", "subsetsum-verify", "--values", "1,2", "--target", text],
+            "universe": ["gen", "x3c", "--universe", text, "--set", "1,2,3"],
+            "threshold": ["gen", "setpacking", "--set", "1,2", "--threshold", text],
+        }.get(flag, ["solve", "--market", str(tmp_path / "m.json"), f"--{flag}", text])
+        code, out, err = run(*argv, "--out", str(tmp_path / "g")) if argv[0] == "gen" else run(*argv)
+        assert (code, out) == (2, "")
+        assert repr(text) in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["m.json"]
+
     @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["gen", "--help"]])
     def test_help_is_that_of_a_fresh_parser(self, run, argv):
         expected = StringIO()
@@ -490,6 +509,15 @@ class TestOracleCommand:
         (tmp_path / "m.json").write_text(io.market_to_json(demand_market([{0}, {0}], 1)))
         code, out, _ = run("oracle", "--market", str(tmp_path / "m.json"))
         assert code == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--max-welfare"]], ids=["exists", "max-welfare"])
+    def test_oracle_refuses_an_additive_market_past_its_bundle_count(self, run, tmp_path, flags):
+        # each of the 2^12 states tests all 2^12 bundles of the one buyer
+        (tmp_path / "m.json").write_text(io.market_to_json(make_market([list(range(1, 13))], "additive")))
+        code, out, err = run("oracle", "--market", str(tmp_path / "m.json"), *flags)
+        assert (code, out) == (2, "")
+        assert err == ("error: enumeration over 1 buyers and 12 items, (n+1)^m * n * 2^m bundles: "
+                       "16777216 exceeds the cap max_states = 10000000\n")
 
     def test_oracle_max_welfare(self, run, tmp_path):
         (tmp_path / "m.json").write_text(io.market_to_json(demand_market([{0, 1}, {2, 3}], 4)))

@@ -24,7 +24,6 @@ from ceei.core import (
     make_prices,
     rational,
     social_welfare,
-    validate_market,
 )
 from ceei.lp import LPResult
 from ceei.reductions import PartitionInstance, SetPackingInstance, SubsetSumInstance, X3CInstance
@@ -79,14 +78,14 @@ def test_market_and_prices_reject_floats_and_bools(value):
     with pytest.raises(TypeError, match="not an exact rational"):
         PriceVector((value, 1))
     with pytest.raises(TypeError, match="not an exact rational"):
-        validate_market(Market(1, 2, ((value, 1),), "additive"))
+        Market(1, 2, ((value, 1),), "additive")
 
 
 class TestValidateMarket:
     def test_minimal_market(self):
         market = make_market([[1]], "leontief")
         assert (market.n, market.m) == (1, 1)
-        assert validate_market(market) is market
+        assert Market(1, 1, ((1,),), "leontief") == market
 
     def test_leontief_all_zero_row_rejected(self):
         with pytest.raises(InvalidMarketError, match="empty demand set"):
@@ -107,7 +106,7 @@ class TestValidateMarket:
 
     def test_empty_market_rejected(self):
         with pytest.raises(InvalidMarketError):
-            validate_market(Market(n=0, m=0, values=(), market_class="additive"))
+            Market(n=0, m=0, values=(), market_class="additive")
 
     def test_unknown_class_rejected(self):
         with pytest.raises(InvalidMarketError, match="class"):
@@ -115,8 +114,7 @@ class TestValidateMarket:
 
     def test_ragged_matrix_rejected(self):
         with pytest.raises(InvalidMarketError):
-            validate_market(Market(n=2, m=2, values=((rational(1), rational(1)), (rational(1),)),
-                                   market_class="additive"))
+            Market(n=2, m=2, values=((rational(1), rational(1)), (rational(1),)), market_class="additive")
 
 
 # One record of each module that defines records: the class, its positional

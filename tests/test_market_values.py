@@ -21,7 +21,6 @@ from ceei.core import (
     make_market,
     make_prices,
     social_welfare,
-    validate_market,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ceei"
@@ -59,7 +58,7 @@ def twin_markets(draw):
     if market_class == LEONTIEF:
         row = row.filter(any)  # a Leontief buyer demands at least one item
     rows = [draw(row) for _ in range(n)]
-    direct = validate_market(Market(n, m, tuple(map(tuple, rows)), market_class))
+    direct = Market(n, m, tuple(map(tuple, rows)), market_class)
     return direct, make_market(rows, market_class)
 
 

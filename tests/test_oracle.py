@@ -41,6 +41,28 @@ class TestEnumeration:
         assert (info.value.cap, info.value.size, info.value.limit) == ("max_states", 9, 8)
         assert "9 exceeds the cap max_states = 8" in str(info.value)
 
+    @pytest.mark.parametrize("search", [oracle.equilibrium_exists_bruteforce,
+                                        oracle.max_welfare_equilibrium_bruteforce])
+    def test_additive_cap_counts_every_bundle_of_every_buyer(self, search):
+        # each of the 2^12 states builds a system over all 2^12 bundles
+        market = make_market([list(range(1, 13))], "additive")
+        with pytest.raises(SearchCapExceeded) as info:
+            search(market)
+        assert (info.value.cap, info.value.size, info.value.limit) == ("max_states", 2 ** 24, 10_000_000)
+        assert str(info.value) == ("enumeration over 1 buyers and 12 items, (n+1)^m * n * 2^m bundles: "
+                                   "16777216 exceeds the cap max_states = 10000000")
+        assert next(oracle.enumerate_allocations(market)).bundles == (frozenset(),)  # still (n+1)^m
+
+    @pytest.mark.parametrize("search", [oracle.equilibrium_exists_bruteforce,
+                                        oracle.max_welfare_equilibrium_bruteforce])
+    def test_market_exactly_at_a_custom_cap_runs(self, search):
+        additive_market = make_market([[1, 2], [2, 1]], "additive")  # 3^2 * 2 * 2^2 = 72
+        assert search(additive_market, SearchCaps(max_states=72)) == search(additive_market) is not None
+        with pytest.raises(SearchCapExceeded, match="72 exceeds the cap max_states = 71"):
+            search(additive_market, SearchCaps(max_states=71))
+        leontief_market = demand_market([{0}, {1}], 2)  # 3^2, with no bundle factor
+        assert search(leontief_market, SearchCaps(max_states=9)) == search(leontief_market) is not None
+
 
 class TestExistence:
     def test_example4_has_zero_welfare_equilibrium(self):

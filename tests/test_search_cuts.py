@@ -35,7 +35,7 @@ from ceei.reductions import (
     x3c_to_additive,
 )
 
-from conftest import leontief_profile_corpus, x3c_family
+from conftest import additive_corpus, leontief_profile_corpus, x3c_family
 
 MODULES = {"additive": additive, "leontief": leontief}
 VALUES = [0, 1, 2, 3, "1/2"]
@@ -149,19 +149,10 @@ def test_welfare_search_matches_reference(market_class, data):
     assert MODULES[market_class].optimal_welfare_equilibrium(market) == reference_welfare(market)
 
 
-def _additive_corpus():
-    """Every additive market with n <= 2, m <= 3 and values 0..3, then every
-    509th one with n = 2, m = 4."""
-    for n, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)):
-        for flat in itertools.product(range(4), repeat=n * m):
-            yield make_market([flat[i * m:(i + 1) * m] for i in range(n)], "additive")
-    for flat in list(itertools.product(range(4), repeat=8))[::509]:
-        yield make_market([flat[:4], flat[4:]], "additive")
-
-
+@pytest.mark.slow
 def test_additive_welfare_matches_oracle():
     checked = 0
-    for market in _additive_corpus():
+    for market in additive_corpus():
         found = additive.optimal_welfare_equilibrium(market)
         truth = oracle.max_welfare_equilibrium_bruteforce(market)
         assert (found is None) == (truth is None), market.values
