@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     cap_flags.add_argument("--cap-items", type=integer, default=DEFAULT_CAPS.max_items,
                            help="maximum item count for exhaustive searches")
     cap_flags.add_argument("--cap-states", type=integer, default=DEFAULT_CAPS.max_states,
-                           help="maximum assignment-space size (n^m; (n+1)^m for oracle)")
+                           help="maximum search size (n^m; oracle: (n+1)^m, or (n+1)^m * n * 2^m if additive)")
     cap_flags.add_argument("--cap-enum", type=integer, default=DEFAULT_CAPS.max_enum_items,
                            help="maximum item count for per-buyer bundle enumeration")
     # name, handler, help, files `main` reads besides --market, whether search caps apply

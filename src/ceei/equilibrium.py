@@ -92,8 +92,8 @@ def _support_system(masks: List[int], listed: List[List[int]]) -> Tuple[List[Lis
     in item order, and e comes last.  Every row is `<=` with a right-hand
     side of 0 or more, so the origin is feasible.  Rows come bundle by
     bundle, its sign row and then its deviators, with the cap `e <= 2`
-    last.  Each is a list in the layout of `lp._solve_at_origin`: its
-    entry per free item, then e's, then the right-hand side, made by one
+    last.  Each is a list in the layout of `lp._solve_rows`: its entry per
+    free item, then e's, then the right-hand side, made by one
     comprehension over the free items.  Free item j of the bundle anchored
     at a has the entry `[a in D] - [j in D]` in deviator D's row.
     """
@@ -146,10 +146,10 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
     those lists.  A deviator inside some bundle plus the unsold items costs
     at most 1 under the system's own constraints, so then the strict
     system is unsatisfiable without an LP.  On masks, deviator d lies
-    inside cover c iff `not d & ~c`.  The rows enter the simplex at the
-    slack basis through `lp._solve_at_origin`, and the allocation is
-    supported iff the optimal e, an int over the optimum's denominator,
-    exceeds that denominator.  The optimum prices the free items as ints
+    inside cover c iff `not d & ~c`.  The rows go to `lp._solve_rows`
+    with no equality row, so the simplex starts at the slack basis, and the
+    allocation is supported iff the optimal e, an int over the optimum's
+    denominator, exceeds that denominator.  The optimum prices the free items as ints
     over that denominator; each anchor gets the denominator minus the rest
     of its bundle, each unsold item 0, and the prices are made rational
     once, on return, a zero as `ZERO`.
@@ -166,7 +166,7 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
             return None
     rows, free = _support_system(masks, listed)
     e = len(free)
-    scaled, den = lp._solve_at_origin(rows, [0] * e + [1])  # the cap bounds e
+    _, scaled, den = lp._solve_rows(rows, None, [0] * e + [1])  # optimal: the cap bounds e
     if scaled[e] <= den:
         return None
     scaled_prices = [0] * market.m

@@ -12,14 +12,16 @@ integers straight from its numerators and denominators (an int's
 denominator is 1, so a row of ints keeps its own coefficients), and the
 tableau is held fraction-free (Python ints over one common denominator,
 updated by Edmonds' integer-preserving elimination), so no rational
-arithmetic runs in the pivot loop.  A system already in the tableau's
-layout (`<=` int rows, right-hand sides of 0 or more) enters at the slack
-basis through `_solve_at_origin`, skipping the set-up and phase 1 but not
-phase 2.  The tableau is condensed, as in the dictionary form of lrs (Avis
-2000): it stores one column per nonbasic variable, and a pivot hands the
-entering variable's column to the leaving variable.  Intended for the small
-systems this package builds (tens of variables and constraints), not for
-large-scale LP.
+arithmetic runs in the pivot loop.  `_solve_rows` is the one place the
+simplex is set up: it takes dense int rows, and `solve_lp` hands it the
+rows it makes from a problem, while the package's own systems (price
+recovery and the brute-force oracle) build such rows directly, with no
+record in between.  A system of `<=` rows with right-hand sides of 0 or
+more enters at the slack basis with no phase 1.  The tableau is condensed,
+as in the dictionary form of lrs (Avis 2000): it stores one column per
+nonbasic variable, and a pivot hands the entering variable's column to the
+leaving variable.  Intended for the small systems this package builds
+(tens of variables and constraints), not for large-scale LP.
 """
 
 from __future__ import annotations
@@ -38,11 +40,15 @@ UNBOUNDED = "unbounded"
 
 
 def _check_terms(terms: tuple, where: str, num_vars: Optional[int] = None) -> None:
-    """TypeError for a variable id that is not an int (a bool is not one)
-    or a coefficient that is not an int or a Fraction, ValueError for an id
-    given twice or, when `num_vars` is given, out of range, in one pass."""
+    """TypeError for a term that is not a (variable id, coefficient) tuple,
+    a variable id that is not an int (a bool is not one) or a coefficient
+    that is not an int or a Fraction, ValueError for an id given twice or,
+    when `num_vars` is given, out of range, in one pass."""
     seen = set()
-    for var, c in terms:
+    for term in terms:
+        if type(term) is not tuple or len(term) != 2:
+            raise TypeError(f"{where} term is not a (variable id, coefficient) pair: {term!r}")
+        var, c = term
         if type(var) is not int:
             raise TypeError(f"not a variable id: {var!r}")
         if num_vars is not None and not 0 <= var < num_vars:
@@ -58,7 +64,8 @@ class LinearConstraint(Record):
 
     `coeffs` holds (variable id, coefficient) pairs, kept as a tuple read
     once from any iterable.  ValueError for no pairs, a repeated id or an
-    unknown relation; TypeError for an id not an int or a number not exact.
+    unknown relation; TypeError for a term that is not such a pair, an id
+    not an int or a number not exact.
     """
 
     __slots__ = ("coeffs", "relation", "rhs")
@@ -82,9 +89,10 @@ class LPProblem(Record):
     `nonneg[i]` marks variable i as restricted to >= 0; other variables are
     free.  `objective` holds (variable id, coefficient) pairs, checked as a
     constraint's are.  `nonneg`, `constraints` and `objective` are each kept
-    as a tuple read once from any iterable.  A count that is not an int or
-    a flag that is not a bool is a TypeError; no variable, a flag count
-    other than `num_vars` or an id out of range a ValueError.
+    as a tuple read once from any iterable.  A count that is not an int, a
+    flag that is not a bool or a constraint that is not a
+    `LinearConstraint` is a TypeError; no variable, a flag count other than
+    `num_vars` or an id out of range a ValueError.
     """
 
     __slots__ = ("num_vars", "nonneg", "constraints", "objective")
@@ -101,6 +109,8 @@ class LPProblem(Record):
             if type(flag) is not bool:
                 raise TypeError(f"not a nonneg flag (bool): {flag!r}")
         for con in constraints:
+            if not isinstance(con, LinearConstraint):
+                raise TypeError(f"not a LinearConstraint: {con!r}")
             for var, _ in con.coeffs:
                 if not 0 <= var < num_vars:
                     raise ValueError(f"constraint references undeclared variable {var}")
@@ -299,18 +309,13 @@ def _spread(terms, scale, col_of, neg_col_of, width):
 def solve_lp(problem: LPProblem) -> LPResult:
     """Exact optimum, infeasibility, or unboundedness for the given problem."""
 
-    # Variable ids: one column per nonnegative variable, two (x+ , x-) per
-    # free variable, then one slack/surplus per inequality row, and the
-    # artificials last, so they can be dropped after phase 1.
-    col_of = []
-    neg_col_of = {}
-    ncols = 0
-    for i in range(problem.num_vars):
+    # One column per nonnegative variable, two (x+ , x-) per free variable.
+    col_of, neg_col_of, ncols = [], {}, 0
+    for i, flag in enumerate(problem.nonneg):
         col_of.append(ncols)
-        ncols += 1
-        if not problem.nonneg[i]:
-            neg_col_of[i] = ncols
-            ncols += 1
+        if not flag:
+            neg_col_of[i] = ncols + 1
+        ncols += 2 - flag
 
     # Row r is scaled to integers by its own factor s_r > 0, the LCM of its
     # denominators, which makes its slack or artificial coefficient s_r.  The
@@ -318,105 +323,97 @@ def solve_lp(problem: LPProblem) -> LPResult:
     # determinant, the product of the factors, and each stored entry is that
     # product times the rational tableau entry.  A row of ints has s_r = 1,
     # so a problem of int rows starts over denominator 1 with its own
-    # coefficients as entries.  A row with a negative right-hand side is
-    # negated, which turns "<=" into ">=": a nonbasic surplus column (-den)
-    # and a basic artificial.
+    # coefficients as entries.
     den = 1
-    n_le = n_surplus = 0
     for con in problem.constraints:
         den *= lcm(con.rhs.denominator, *[c.denominator for _, c in con.coeffs])
-        if con.relation == LE:
-            n_le += 1
-            n_surplus += con.rhs < 0
-    first_art = ncols + n_le
-
-    rows, basis, var, arts = [], [], list(range(ncols)), []
-    slack_at, art_at = ncols, first_art
-    for con in problem.constraints:
-        row = _spread(con.coeffs, den, col_of, neg_col_of, ncols + n_surplus)
-        row.append(con.rhs.numerator * (den // con.rhs.denominator))
-        flip = row[-1] < 0
-        if flip:
-            row = [-a for a in row]
-        if con.relation == LE and not flip:
-            basis.append(slack_at)
-        else:
-            if con.relation == LE:
-                row[len(var)] = -den
-                var.append(slack_at)
-            basis.append(art_at)
-            art_at += 1
-            arts.append(row)
-        slack_at += con.relation == LE
-        rows.append(row)
-
-    tab = _Tableau(rows, basis, var, den)
-
-    if arts:
-        # Phase 1 maximizes minus the sum of the artificials, each basic in
-        # its own row, so its reduced-cost row is the sum of those rows.
-        tab.run([sum(column) for column in zip(*arts)])
-        # artificials are nonbasic (zero) or carry their row's rhs, which is >= 0
-        if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b >= first_art):
-            return LPResult(status=INFEASIBLE)
-        # Drive any zero-valued basic artificials out, each by the least
-        # nonbasic non-artificial variable with a nonzero entry in its row,
-        # dropping redundant rows.
-        for r in range(len(tab.rows) - 1, -1, -1):
-            if tab.basis[r] < first_art:
-                continue
-            row = tab.rows[r]
-            target = min(((v, j) for j, v in enumerate(tab.var) if v < first_art and row[j]), default=None)
-            if target is None:
-                del tab.rows[r], tab.basis[r]
-            else:
-                tab.pivot(r, target[1])
-        keep = [j for j, v in enumerate(tab.var) if v < first_art]
-        tab.var = [tab.var[j] for j in keep]
-        keep.append(-1)  # the right-hand side
-        tab.rows = [[row[j] for j in keep] for row in tab.rows]
-
+    rows = [[*_spread(con.coeffs, den, col_of, neg_col_of, ncols), den // con.rhs.denominator * con.rhs.numerator]
+            for con in problem.constraints]
     # A positive scale of the objective leaves every simplex choice unchanged.
     scale = lcm(*(c.denominator for _, c in problem.objective))
-    cost = tab.reduce_cost_row(_spread(problem.objective, scale, col_of, neg_col_of, first_art))
-    scaled = _optimum(tab, cost, col_of, neg_col_of)
-    if scaled is None:
-        return LPResult(status=UNBOUNDED)
-    # The value is the objective of the scaled point over tab.den; a zero
-    # is returned as ZERO.
-    point = tuple([rational(x, tab.den) if x else ZERO for x in scaled])
+    objective = _spread(problem.objective, scale, col_of, neg_col_of, ncols)
+    eq = [con.relation == EQ for con in problem.constraints]
+    status, columns, den = _solve_rows(rows, eq, objective, den)
+    if status != OPTIMAL:
+        return LPResult(status=status)
+    scaled = [columns[col] - columns[neg_col_of[i]] if i in neg_col_of else columns[col]
+              for i, col in enumerate(col_of)]
+    # The value is the objective of the scaled point over den; a zero is
+    # returned as ZERO.
+    point = tuple([rational(x, den) if x else ZERO for x in scaled])
     total = sum([c * scaled[var] for var, c in problem.objective])
-    value = rational(total, tab.den) if total else ZERO
-    return LPResult(status=OPTIMAL, point=point, value=value)
+    value = rational(total, den) if total else ZERO
+    return LPResult(status=status, point=point, value=value)
 
 
-def _solve_at_origin(rows: list, objective: list):
-    """Maximize `objective . x` over x >= 0 subject to `row[:-1] . x <=
-    row[-1]` for each int row, whose right-hand side must be 0 or more.
-
-    The rows are the tableau at the slack basis over denominator 1, and
-    the objective its reduced cost row, so phase 2 makes the pivots
-    `solve_lp` makes on the same system.  Nothing is checked, and the rows
-    are pivoted in place.  None when unbounded, else the optimal point as
-    ints over a common denominator, and that denominator.
+def _solve_rows(rows: list, eq: Optional[list], objective: list, den: int = 1):
+    """Maximize `objective . x` over columns x >= 0 subject to each int row
+    `row[:-1] . x <= row[-1]`, or `==` where `eq[r]` is true, with every
+    entry already scaled by `den`; nothing is checked.  With `eq` None, each
+    row must be `<=` with a right-hand side of 0 or more, and the rows, used
+    in place, are the tableau at the slack basis.  Otherwise a row with a
+    negative right-hand side is negated, which turns `<=` into `>=`: a
+    nonbasic surplus column (-den) and a basic artificial.  Variable ids are
+    the columns, one slack or surplus per `<=` row, then the artificials, so
+    they can be dropped after phase 1.  Returns the status and, when
+    optimal, each column's value as an int over the final denominator and
+    that denominator, else None twice.
     """
     n = len(objective)
-    tab = _Tableau(rows, list(range(n, n + len(rows))), list(range(n)), 1)
-    scaled = _optimum(tab, [*objective, 0], range(n), {})
-    return None if scaled is None else (scaled, tab.den)
-
-
-def _optimum(tab: _Tableau, cost: list, col_of, neg_col_of: dict) -> Optional[list]:
-    """Phase 2 from `cost`, reduced w.r.t. the tableau's basis: None when
-    unbounded, else each variable's value as an int over `tab.den`, read
-    from its column in `col_of` less its negative part's in `neg_col_of`."""
-    if tab.run(cost) == UNBOUNDED:
-        return None
-    cell = {b: row[-1] for row, b in zip(tab.rows, tab.basis)}
-    scaled = []
-    for i, col in enumerate(col_of):
-        x = cell.get(col, 0)
-        if i in neg_col_of:
-            x -= cell.get(neg_col_of[i], 0)
-        scaled.append(x)
-    return scaled
+    if eq is None:
+        tab = _Tableau(rows, list(range(n, n + len(rows))), list(range(n)), den)
+        n_le = len(rows)
+    else:
+        n_le = len(eq) - sum(eq)
+        first_art = n + n_le
+        pad = [0] * sum([not q and row[-1] < 0 for row, q in zip(rows, eq)])
+        table, basis, var, arts = [], [], list(range(n)), []
+        slack_at, art_at = n, first_art
+        for row, is_eq in zip(rows, eq):
+            row = [*row[:-1], *pad, row[-1]]
+            flip = row[-1] < 0
+            if flip:
+                row = [-a for a in row]
+            if not is_eq and not flip:
+                basis.append(slack_at)
+            else:
+                if not is_eq:
+                    row[len(var)] = -den
+                    var.append(slack_at)
+                basis.append(art_at)
+                art_at += 1
+                arts.append(row)
+            slack_at += not is_eq
+            table.append(row)
+        tab = _Tableau(table, basis, var, den)
+        if arts:
+            # Phase 1 maximizes minus the sum of the artificials, each basic in
+            # its own row, so its reduced-cost row is the sum of those rows.
+            tab.run([sum(column) for column in zip(*arts)])
+            # artificials are nonbasic (zero) or carry their row's rhs, which is >= 0
+            if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b >= first_art):
+                return INFEASIBLE, None, None
+            # Drive any zero-valued basic artificials out, each by the least
+            # nonbasic non-artificial variable with a nonzero entry in its row,
+            # dropping redundant rows.
+            for r in range(len(tab.rows) - 1, -1, -1):
+                if tab.basis[r] < first_art:
+                    continue
+                row = tab.rows[r]
+                target = min(((v, j) for j, v in enumerate(tab.var) if v < first_art and row[j]), default=None)
+                if target is None:
+                    del tab.rows[r], tab.basis[r]
+                else:
+                    tab.pivot(r, target[1])
+            keep = [j for j, v in enumerate(tab.var) if v < first_art]
+            tab.var = [tab.var[j] for j in keep]
+            keep.append(-1)  # the right-hand side
+            tab.rows = [[row[j] for j in keep] for row in tab.rows]
+    # Phase 2; slacks and surpluses cost 0.
+    if tab.run(tab.reduce_cost_row([*objective, *[0] * n_le])) == UNBOUNDED:
+        return UNBOUNDED, None, None
+    columns = [0] * n
+    for row, b in zip(tab.rows, tab.basis):
+        if b < n:
+            columns[b] = row[-1]
+    return OPTIMAL, columns, tab.den

@@ -8,11 +8,15 @@ strictly better bundle.
 
 Each strict "p(B) > 1" is encoded as "p(B) >= 1 + eps" with eps a maximized
 variable, so the system is strictly satisfiable iff the optimum eps > 0.
+The system is built as dense int rows, equality rows marked, and handed to
+the simplex through `lp._solve_rows`, with no LP record in between; prices
+are made rational only for an allocation they support.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
 from . import lp
@@ -70,48 +74,44 @@ def enumerate_allocations(market: Market, caps: SearchCaps = DEFAULT_CAPS) -> It
         yield Allocation(frozenset(b) for b in bundles)
 
 
-def _support_system(market: Market, allocation: Allocation) -> Optional[lp.LPProblem]:
-    """Price system for one candidate allocation, or None when a budget can
-    never be met (some bundle is empty)."""
+def _support_system(market: Market, allocation: Allocation) -> Optional[Tuple[list, list]]:
+    """Price system for one candidate allocation as int rows over the prices
+    0..m-1 and eps = m, each its coefficients then its right-hand side, and
+    a flag per row marking the equality rows: unsold `p_j = 0`, each bundle
+    `p(B) = 1`, each deviator `-p(D) + eps <= -1`, then `eps <= 1`.  None
+    when a budget can never be met (some bundle is empty)."""
     n, m = market.n, market.m
-    eps = m
     if any(not b for b in allocation.bundles):
         return None
-    rows = []
     sold = frozenset(j for b in allocation.bundles for j in b)
-    for j in range(m):
-        if j not in sold:
-            rows.append(lp.constraint({j: 1}, lp.EQ, 0))
-    for bundle in allocation.bundles:
-        rows.append(lp.constraint({j: 1 for j in bundle}, lp.EQ, 1))
+    rows = [[int(k == j) for k in range(m)] + [0, 0] for j in range(m) if j not in sold]
+    rows += [[int(j in bundle) for j in range(m)] + [0, 1] for bundle in allocation.bundles]
+    eq = [True] * len(rows)
     if market.market_class == LEONTIEF:
         for i in range(n):
             wanted = frozenset(j for j in range(m) if market.values[i][j] > 0)
             if not wanted <= allocation.bundles[i]:
-                coeffs = {j: -1 for j in wanted}
-                coeffs[eps] = 1
-                rows.append(lp.constraint(coeffs, lp.LE, -1))
+                rows.append([-int(j in wanted) for j in range(m)] + [1, -1])
     else:
         for i in range(n):
             assigned = _value(market, i, allocation.bundles[i])
             for picks in itertools.product((False, True), repeat=m):
                 bundle = [j for j in range(m) if picks[j]]
                 if bundle and _value(market, i, bundle) > assigned:
-                    coeffs = {j: -1 for j in bundle}
-                    coeffs[eps] = 1
-                    rows.append(lp.constraint(coeffs, lp.LE, -1))
-    rows.append(lp.constraint({eps: 1}, lp.LE, 1))
-    return lp.lp_problem(m + 1, rows, {eps: 1})
+                    rows.append([-int(p) for p in picks] + [1, -1])
+    rows.append([0] * m + [1, 1])
+    eq += [False] * (len(rows) - len(eq))
+    return rows, eq
 
 
 def _supporting_prices(market: Market, allocation: Allocation) -> Optional[PriceVector]:
     system = _support_system(market, allocation)
     if system is None:
         return None
-    result = lp.solve_lp(system)
-    if result.status != lp.OPTIMAL or result.value <= 0:
+    status, scaled, den = lp._solve_rows(*system, [0] * market.m + [1])
+    if status != lp.OPTIMAL or scaled[market.m] <= 0:
         return None
-    return PriceVector(result.point[: market.m])
+    return PriceVector([Fraction(x, den) if x else ZERO for x in scaled[: market.m]])
 
 
 def equilibrium_exists_bruteforce(

@@ -36,6 +36,21 @@ def run_script(script, timeout):
     return proc.stdout
 
 
+def count_calls(monkeypatch, owner, name):
+    """Count the calls to `owner.name`, a module's function or a class's
+    method, for the rest of the test: each call goes through and adds one
+    entry to the list returned, whose length is the count."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def demand_market(demands, m, market_class="leontief"):
     """Market whose buyers value exactly the given item sets, at 1 each."""
     rows = [[1 if j in d else 0 for j in range(m)] for d in demands]
@@ -61,6 +76,13 @@ def additive_corpus():
             yield make_market([flat[i * m:(i + 1) * m] for i in range(n)], "additive")
     for flat in list(itertools.product(range(4), repeat=8))[::509]:
         yield make_market([flat[:4], flat[4:]], "additive")
+
+
+def oracle_corpus_stride():
+    """Every 11th market of the Leontief profile corpus and every 13th of
+    the additive corpus: the markets both brute-force searches run on in
+    the `corpus->oracle` golden family."""
+    return [*[market for market, _ in leontief_profile_corpus()][::11], *list(additive_corpus())[::13]]
 
 
 def multisets(max_len=5, max_value=9):

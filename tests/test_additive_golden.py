@@ -18,7 +18,7 @@ moved (4, 101 and 955 of them), each to another optimal vertex, and every
 moved pair verifies.
 `corpus->oracle` runs both brute-force searches, which share only `lp` with
 the solvers; it was recorded before the LP records checked themselves when
-built.
+built, and held when the oracle began to hand the simplex int rows.
 Any change to an allocation, a price, a welfare, a verdict or a witness
 changes the digests.
 """
@@ -33,7 +33,7 @@ from ceei import additive, io, leontief, oracle
 from ceei import reductions as rd
 from ceei.core import make_prices
 
-from conftest import additive_corpus, leontief_profile_corpus, multisets, x3c_family
+from conftest import leontief_profile_corpus, multisets, oracle_corpus_stride, x3c_family
 
 # family -> (outputs checked, SHA-256 of the serialized outputs)
 GOLDEN = {
@@ -147,7 +147,7 @@ def _oracle_corpus():
     """Both brute-force searches on strides of the Leontief profile corpus
     and of the additive corpus: the oracle shares only `lp` with the
     solvers, so no other family pins its prices."""
-    for market in [*_corpus_stride(11), *list(additive_corpus())[::13]]:
+    for market in oracle_corpus_stride():
         yield market, [_solution(oracle.equilibrium_exists_bruteforce(market)),
                        _solution(oracle.max_welfare_equilibrium_bruteforce(market))]
 

@@ -65,14 +65,23 @@ _ROW = lp.LinearConstraint(((0, 1),), lp.LE, 1)
      "constraint references undeclared variable 1"),
     (lambda: lp.LPProblem(True, (True,), (_ROW,), ()), TypeError, "not a variable count: True"),
     (lambda: lp.LPProblem(1, (1,), (_ROW,), ()), TypeError, r"not a nonneg flag \(bool\): 1"),
+    (lambda: lp.LinearConstraint([(0, 1, 2)], lp.LE, 1), TypeError,
+     r"constraint term is not a \(variable id, coefficient\) pair: \(0, 1, 2\)"),
+    (lambda: lp.LinearConstraint([0, 1], lp.LE, 1), TypeError,
+     r"constraint term is not a \(variable id, coefficient\) pair: 0"),
+    (lambda: lp.LPProblem(1, (True,), (), (0, 1)), TypeError,
+     r"objective term is not a \(variable id, coefficient\) pair: 0"),
+    (lambda: lp.LPProblem(1, (True,), (((0, 1),),), ()), TypeError, r"not a LinearConstraint: \(\(0, 1\),\)"),
 ], ids=["market-negative-value", "market-ragged-row", "market-wrong-n", "market-float", "market-unknown-class",
         "constraint-relation", "constraint-no-terms", "constraint-float-rhs", "problem-bool-id",
-        "problem-repeated-id", "problem-id-out-of-range", "problem-bool-count", "problem-int-flag"])
+        "problem-repeated-id", "problem-id-out-of-range", "problem-bool-count", "problem-int-flag",
+        "constraint-triple-term", "constraint-bare-term", "problem-bare-objective-term", "problem-bare-constraint"])
 def test_records_refuse_invalid_fields_when_built(build, error, message):
     # unchecked, the negative value made `additive.search_equilibrium`
     # answer None and the missing rows made `leontief.compute_equilibrium`
     # answer None, while the float failed in `verify_equilibrium` on an
-    # AttributeError
+    # AttributeError; a constraint given as its bare terms failed on an
+    # AttributeError and a term of three on "too many values to unpack"
     with pytest.raises(error, match=message):
         build()
 

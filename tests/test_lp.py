@@ -11,7 +11,7 @@ from ceei import additive, equilibrium, leontief, lp
 from ceei.core import make_market, rational
 from ceei.lp import EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, check_point, constraint, lp_problem, solve_lp
 
-from conftest import Id, example2_market, multisets
+from conftest import Id, count_calls, example2_market, multisets
 from ceei.leontief import price_support_lp
 from ceei.core import ZERO, make_allocation
 from ceei.reductions import SubsetSumInstance, subsetsum_to_additive_allocation
@@ -276,11 +276,11 @@ def _subsetsum_alloc_cases():
 
 
 def _at_origin(rows, objective):
-    """`lp._solve_at_origin` on copies of the rows, as (status, point, value)."""
-    optimum = lp._solve_at_origin([list(row) for row in rows], objective)
-    if optimum is None:
+    """`lp._solve_rows` at the slack basis (no equality row) on copies of
+    the rows, as (status, point, value)."""
+    status, scaled, den = lp._solve_rows([list(row) for row in rows], None, objective)
+    if status == UNBOUNDED:
         return UNBOUNDED, None, None
-    scaled, den = optimum
     total = sum(c * x for c, x in zip(objective, scaled))
     return OPTIMAL, tuple(rational(x, den) if x else ZERO for x in scaled), rational(total, den)
 
@@ -479,9 +479,7 @@ def test_frozen_corpus_pivot_count(monkeypatch):
     """The corpus's points and values pin the answers; the pivot count pins
     the path to them, so a change to Bland's entering or leaving choice, or
     to the drive-out, shows up even where it lands on the same vertex."""
-    pivots = []
-    pivot = lp._Tableau.pivot
-    monkeypatch.setattr(lp._Tableau, "pivot", lambda *args: pivots.append(1) or pivot(*args))
+    pivots = count_calls(monkeypatch, lp._Tableau, "pivot")
     for case in _corpus():
         rows = [constraint(dict(coeffs), relation, rhs) for coeffs, relation, rhs in case["rows"]]
         solve_lp(lp_problem(case["vars"], rows, dict(case["objective"])))

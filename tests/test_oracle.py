@@ -5,10 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from ceei import additive, core, leontief, oracle
-from ceei.core import SearchCapExceeded, SearchCaps, bundle_utility, make_market, rational
+from ceei import additive, core, leontief, lp, oracle
+from ceei.core import ZERO, SearchCapExceeded, SearchCaps, bundle_utility, make_market, rational
 
-from conftest import demand_market, example3_market, example4_market, leontief_profile_corpus
+from conftest import (
+    count_calls,
+    demand_market,
+    example3_market,
+    example4_market,
+    leontief_profile_corpus,
+    oracle_corpus_stride,
+)
 
 
 class TestEnumeration:
@@ -157,3 +164,64 @@ def test_oracle_shares_only_the_bare_lp_with_the_solvers():
         value = getattr(core, name)
         assert (not callable(value) or value is SearchCapExceeded
                 or isinstance(value, type) and issubclass(value, core.Record)), name
+
+
+def _reference_support_system(market, x):
+    """The oracle's price system as checked records, through `constraint`:
+    prices 0..m-1 and eps = m, unsold items pinned to 0, every bundle
+    costing 1, every bundle a buyer strictly prefers costing at least
+    1 + eps (for a Leontief buyer, its demand set when it lacks part of
+    it), and eps <= 1."""
+    m, eps = market.m, market.m
+    sold = frozenset().union(*x.bundles)
+    rows = [lp.constraint({j: 1}, lp.EQ, 0) for j in range(m) if j not in sold]
+    rows += [lp.constraint({j: 1 for j in bundle}, lp.EQ, 1) for bundle in x.bundles]
+    for row, bundle in zip(market.values, x.bundles):
+        if market.market_class == core.LEONTIEF:
+            wanted = frozenset(j for j in range(m) if row[j] > 0)
+            better = [] if wanted <= bundle else [wanted]
+        else:
+            own = sum(row[j] for j in bundle)
+            subsets = itertools.chain.from_iterable(itertools.combinations(range(m), k) for k in range(1, m + 1))
+            better = sorted((s for s in subsets if sum(row[j] for j in s) > own),
+                            key=lambda s: sum(1 << (m - 1 - j) for j in s))
+        rows += [lp.constraint({**{j: -1 for j in d}, eps: 1}, lp.LE, -1) for d in better]
+    rows.append(lp.constraint({eps: 1}, lp.LE, 1))
+    return lp.lp_problem(m + 1, rows, {eps: 1})
+
+
+@pytest.mark.slow
+def test_oracle_rows_solve_as_the_record_system(monkeypatch):
+    # The oracle hands the simplex dense int rows; `solve_lp` on the same
+    # system built as records must reach the same status, point and value
+    # along as many pivots, system by system, over both searches on the
+    # `corpus->oracle` golden stride.
+    pivots = count_calls(monkeypatch, lp._Tableau, "pivot")
+    built, solved = [], []
+    support_system, solve_rows = oracle._support_system, lp._solve_rows
+
+    def build(market, x):
+        system = support_system(market, x)
+        if system is not None:
+            built.append((market, x))
+        return system
+
+    def solve(*args):
+        before = len(pivots)
+        answer = solve_rows(*args)
+        solved.append((answer, len(pivots) - before))
+        return answer
+
+    monkeypatch.setattr(oracle, "_support_system", build)
+    monkeypatch.setattr(lp, "_solve_rows", solve)
+    for market in oracle_corpus_stride():
+        oracle.equilibrium_exists_bruteforce(market)
+        oracle.max_welfare_equilibrium_bruteforce(market)
+    assert len(built) == len(solved) == 14_344 and len(pivots) == 105_663
+    for (market, x), ((status, scaled, den), count) in zip(built, solved):
+        before = len(pivots)
+        result = lp.solve_lp(_reference_support_system(market, x))
+        assert (status, len(pivots) - before - count) == (result.status, 0), (market, x)
+        if status == lp.OPTIMAL:
+            point = tuple(rational(v, den) if v else ZERO for v in scaled)
+            assert (point, point[market.m]) == (result.point, result.value), (market, x)

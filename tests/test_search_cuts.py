@@ -35,7 +35,7 @@ from ceei.reductions import (
     x3c_to_additive,
 )
 
-from conftest import additive_corpus, leontief_profile_corpus, x3c_family
+from conftest import additive_corpus, count_calls, leontief_profile_corpus, x3c_family
 
 MODULES = {"additive": additive, "leontief": leontief}
 VALUES = [0, 1, 2, 3, "1/2"]
@@ -333,24 +333,13 @@ def test_x3c_family_cuts_are_pinned_by_count(monkeypatch):
     """Over the whole x3c->additive family the packed swap bound places the
     same items and solves the same LPs as the per-pair loop it replaced
     (1,395,754 places, 213 LPs); it may only cut more leaves, which the
-    envy screen rejects anyway: the loop screened 557,649.  Price recovery
-    enters the simplex through `lp._solve_at_origin`, so an LP solve is a
-    call to it or to `lp.solve_lp`."""
-    counts = dict.fromkeys(("place", "screen", "lp"), 0)
-    place, screen = additive._EnvyTally.place, additive._EnvyTally.screen
-    solve_lp, solve_at_origin = lp.solve_lp, lp._solve_at_origin
-
-    def counted(key, f):
-        def call(*args):
-            counts[key] += 1
-            return f(*args)
-        return call
-
-    monkeypatch.setattr(additive._EnvyTally, "place", counted("place", place))
-    monkeypatch.setattr(additive._EnvyTally, "screen", counted("screen", screen))
-    monkeypatch.setattr(lp, "solve_lp", counted("lp", solve_lp))
-    monkeypatch.setattr(lp, "_solve_at_origin", counted("lp", solve_at_origin))
+    envy screen rejects anyway: the loop screened 557,649.  Every LP solve,
+    `solve_lp`'s included, is a call to `lp._solve_rows`, the one place the
+    simplex is set up."""
+    places = count_calls(monkeypatch, additive._EnvyTally, "place")
+    screens = count_calls(monkeypatch, additive._EnvyTally, "screen")
+    solves = count_calls(monkeypatch, lp, "_solve_rows")
     for inst in x3c_family():
         additive.search_equilibrium(x3c_to_additive(inst))
-    assert counts["place"] == 1_395_754 and counts["lp"] == 213
-    assert counts["screen"] <= 557_649
+    assert len(places) == 1_395_754 and len(solves) == 213
+    assert len(screens) <= 557_649
