@@ -355,9 +355,9 @@ def _solve_rows(rows: list, eq: Optional[list], objective: list, den: int = 1):
     negative right-hand side is negated, which turns `<=` into `>=`: a
     nonbasic surplus column (-den) and a basic artificial.  Variable ids are
     the columns, one slack or surplus per `<=` row, then the artificials, so
-    they can be dropped after phase 1.  Returns the status and, when
-    optimal, each column's value as an int over the final denominator and
-    that denominator, else None twice.
+    they can be dropped after phase 1.  Returns (OPTIMAL, each column's
+    value as an int over the final denominator, that denominator), or the
+    status and None twice.
     """
     n = len(objective)
     if eq is None:
