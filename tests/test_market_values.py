@@ -159,7 +159,7 @@ AUDITED_DIVISIONS = [
     ("leontief", "compute_equilibrium_prealloc", "ONE - eps"),
     ("leontief", "compute_equilibrium_prealloc", "eps"),
     ("leontief", "compute_equilibrium_apx_welfare", "ONE"),
-    ("oracle", "_value", "ONE"),
+    ("oracle", "_scores", "ONE"),
 ]
 
 

@@ -1,12 +1,23 @@
 import ast
 import itertools
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ceei import additive, core, leontief, lp, oracle
-from ceei.core import ZERO, SearchCapExceeded, SearchCaps, bundle_utility, make_market, rational
+from ceei.core import (
+    ONE,
+    ZERO,
+    PriceVector,
+    SearchCapExceeded,
+    SearchCaps,
+    bundle_utility,
+    make_market,
+    rational,
+)
 
 from conftest import (
     count_calls,
@@ -225,3 +236,67 @@ def test_oracle_rows_solve_as_the_record_system(monkeypatch):
         if status == lp.OPTIMAL:
             point = tuple(rational(v, den) if v else ZERO for v in scaled)
             assert (point, point[market.m]) == (result.point, result.value), (market, x)
+
+
+def _reference_value(market, i, bundle):
+    """Buyer i's utility for `bundle` by its definition, in rationals."""
+    row = market.values[i]
+    if market.market_class == core.LEONTIEF:
+        wanted = [j for j in range(market.m) if row[j] > 0]
+        return min(ONE / row[j] for j in wanted) if all(j in bundle for j in wanted) else ZERO
+    return sum((row[j] for j in bundle), ZERO)
+
+
+def _reference_prices(market, x):
+    if not all(x.bundles):
+        return None
+    result = lp.solve_lp(_reference_support_system(market, x))
+    if result.status != lp.OPTIMAL or result.value <= 0:
+        return None
+    return PriceVector(result.point[: market.m])
+
+
+def _reference_searches(market):
+    """Both brute-force searches over the same enumeration, with utilities,
+    welfare and every strictly better bundle in rationals."""
+    allocations = list(oracle.enumerate_allocations(market))
+    first = next(((x, p) for x in allocations if (p := _reference_prices(market, x)) is not None), None)
+    best = None
+    for x in allocations:
+        welfare = sum((_reference_value(market, i, b) for i, b in enumerate(x.bundles)), ZERO)
+        if best is None or welfare > best[2]:
+            prices = _reference_prices(market, x)
+            if prices is not None:
+                best = (x, prices, welfare)
+    return first, best
+
+
+def _non_integral_markets(rng, count):
+    leontief_values = [Fraction(1, 2), Fraction(2, 3), Fraction(5, 4), Fraction(7, 3), Fraction(9, 10), 3]
+    additive_values = [0, Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(5, 6), Fraction(7, 5), 2]
+    for k in range(count):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        if k % 2:
+            yield make_market([[rng.choice(additive_values) for _ in range(m)] for _ in range(n)], "additive")
+            continue
+        rows = [[rng.choice(leontief_values) if rng.random() < 0.6 else 0 for _ in range(m)] for _ in range(n)]
+        for row in rows:
+            if not any(row):
+                row[rng.randrange(m)] = rng.choice(leontief_values)
+        yield make_market(rows, "leontief")
+
+
+def test_searches_match_a_rational_reference_on_non_integral_values():
+    # The golden corpora hold whole values only, so this is where utilities
+    # and welfare are compared over a scale above 1: Leontief utilities such
+    # as 1 / (5/4), and additive rows with mixed denominators.
+    found = 0
+    for market in _non_integral_markets(random.Random(31), 400):
+        first, best = _reference_searches(market)
+        assert repr(oracle.equilibrium_exists_bruteforce(market)) == repr(first), market
+        ours = oracle.max_welfare_equilibrium_bruteforce(market)
+        assert repr(ours) == repr(best), market
+        if ours is not None:
+            assert type(ours[2]) is Fraction
+            found += ours[2] != int(ours[2])
+    assert found >= 100  # many optima are not whole

@@ -17,6 +17,7 @@ which subtrees the swap bound cuts.
 
 import gc
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ceei import additive, equilibrium, leontief, lp, oracle
-from ceei.core import Allocation, make_market, make_prices, social_welfare
+from ceei.core import Allocation, SearchCapExceeded, SearchCaps, make_market, make_prices, social_welfare
 
 from ceei.reductions import (
     PartitionInstance,
@@ -343,3 +344,34 @@ def test_x3c_family_cuts_are_pinned_by_count(monkeypatch):
         additive.search_equilibrium(x3c_to_additive(inst))
     assert len(places) == 1_395_754 and len(solves) == 213
     assert len(screens) <= 557_649
+
+
+# Every assignment search refuses, before it starts, a market past its n^m
+# state cap or deeper than the recursion limit leaves room for.  Each cap is
+# inclusive: a search exactly at it runs, and one step past it is refused.
+CAPPED_SEARCHES = [
+    (leontief.optimal_welfare_equilibrium, make_market([[1, 0, 0], [0, 1, 1]], "leontief")),
+    (additive.search_equilibrium, make_market([[1, 2, 3], [3, 2, 1]], "additive")),
+]
+
+
+@pytest.mark.parametrize("search, market", CAPPED_SEARCHES)
+def test_search_exactly_at_its_state_cap_runs(search, market):
+    states = market.n ** market.m
+    assert search(market, SearchCaps(max_states=states)) == search(market) is not None
+    with pytest.raises(SearchCapExceeded) as info:
+        search(market, SearchCaps(max_states=states - 1))
+    assert (info.value.cap, info.value.size, info.value.limit) == ("max_states", states, states - 1)
+
+
+@pytest.mark.parametrize("search, market", CAPPED_SEARCHES)
+def test_search_exactly_at_its_recursion_depth_runs(search, market, monkeypatch):
+    # the interpreter's own limit is left as it is; only the reading changes
+    expected = search(market)
+    limit = market.m + equilibrium._STACK_RESERVE
+    monkeypatch.setattr(sys, "getrecursionlimit", lambda: limit)
+    assert search(market) == expected is not None
+    monkeypatch.setattr(sys, "getrecursionlimit", lambda: limit - 1)
+    with pytest.raises(SearchCapExceeded) as info:
+        search(market)
+    assert (info.value.cap, info.value.size, info.value.limit) == ("recursion depth", market.m, market.m - 1)
