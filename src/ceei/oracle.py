@@ -6,17 +6,17 @@ modules they are used to check (only the bare LP solver is reused).  The
 additive deviation constraints are the full, unfiltered set over every
 strictly better bundle.
 
-Both searches walk every owner tuple in one order.  Utilities and welfare
-are compared as ints over one positive scale that each call computes from
-the market's values, so no rational is added in the walk.  A tuple becomes
-an `Allocation` only when it reaches the LP: every buyer holds an item and,
-in the welfare search, its welfare beats the best found so far.
+Both searches draw on one walk over every owner tuple in one order.
+Utilities and welfare are compared as ints over one positive scale that
+each call computes from the market's values, so no rational is added in
+the walk.  Each price system is built straight from its owner tuple, and
+an `Allocation` only for the tuple a search returns.
 
 Each strict "p(B) > 1" is encoded as "p(B) >= 1 + eps" with eps a maximized
 variable, so the system is strictly satisfiable iff the optimum eps > 0.
 The system is built as dense int rows, equality rows marked, and handed to
 the simplex through `lp._solve_rows`, with no LP record in between; prices
-are made rational only for an allocation they support.
+are made rational only for a tuple they support.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from . import lp
 from .core import (
@@ -39,21 +39,17 @@ from .core import (
     SearchCaps,
 )
 
-
-def _check_cap(market: Market, caps: SearchCaps, systems: bool = False) -> None:
+def _owners(market: Market, caps: SearchCaps, systems: bool = False) -> Iterator[Tuple[int, ...]]:
+    """The owner tuples in `enumerate_allocations`'s order, an item's owner
+    0 when it is unsold and k + 1 when buyer k holds it.  The cap is
+    checked once, when this is called, over the (n+1)^m states, and with
+    `systems` over every bundle of an additive state's price system."""
     size, what = (market.n + 1) ** market.m, "(n+1)^m states"
-    if systems and market.market_class != LEONTIEF:  # an additive price system tests every bundle
+    if systems and market.market_class != LEONTIEF:
         size, what = size * (market.n << market.m), "(n+1)^m * n * 2^m bundles"
     if size > caps.max_states:
         raise SearchCapExceeded(f"enumeration over {market.n} buyers and {market.m} items, {what}",
                                 "max_states", size, caps.max_states)
-
-
-def _owners(market: Market, caps: SearchCaps) -> Iterator[Tuple[int, ...]]:
-    """The owner tuples in `enumerate_allocations`'s order, an item's owner
-    0 when it is unsold and k + 1 when buyer k holds it.  The cap is
-    checked once, when this is called."""
-    _check_cap(market, caps)
     return itertools.product(range(market.n + 1), repeat=market.m)
 
 
@@ -65,18 +61,15 @@ def _allocation(n: int, owners: Tuple[int, ...]) -> Allocation:
     return Allocation(frozenset(b) for b in bundles)
 
 
-def _scaled_values(market: Market) -> Tuple[int, List[List[int]]]:
-    """The common denominator of every value, and each value times it."""
-    scale = math.lcm(*(v.denominator for row in market.values for v in row))
-    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in market.values]
-
-
-def _scores(market: Market) -> Tuple[int, Callable[[Tuple[int, ...]], int]]:
-    """A positive scale and `welfare(owners)`, the welfare of an owner
-    tuple times that scale, an int.  A Leontief buyer is worth its
-    utility, 1 / (its highest value), when it owns every item it values,
-    and 0 otherwise; an additive item is worth its owner's value, and 0
-    unsold."""
+def _scores(market: Market) -> Tuple[int, Callable[[tuple], int], Callable[[tuple], list]]:
+    """A positive scale, `welfare(owners)`, the welfare of an owner tuple
+    times that scale, an int, and `deviators(owners)`, the deviator rows
+    `-p(D) + eps <= -1` of its price system in buyer order.  A Leontief
+    buyer is worth its utility, 1 / (its highest value), when it owns every
+    item it values, and 0 otherwise; its one deviator is that demand set
+    when it lacks part of it.  An additive item is worth its owner's value,
+    and 0 unsold; a buyer's deviators are every bundle its scaled row
+    values above its own."""
     m = market.m
     if market.market_class == LEONTIEF:
         wanted = [[j for j in range(m) if row[j] > 0] for row in market.values]
@@ -84,6 +77,7 @@ def _scores(market: Market) -> Tuple[int, Callable[[Tuple[int, ...]], int]]:
         scale = math.lcm(*(u.denominator for u in utilities))
         buyers = [(k, items, u.numerator * (scale // u.denominator))
                   for k, (items, u) in enumerate(zip(wanted, utilities), 1)]
+        demand = [(k, items, [-int(j in items) for j in range(m)] + [1, -1]) for k, items, _ in buyers]
 
         def welfare(owners):
             total = 0
@@ -94,13 +88,25 @@ def _scores(market: Market) -> Tuple[int, Callable[[Tuple[int, ...]], int]]:
                 else:
                     total += utility
             return total
+
+        def deviators(owners):
+            return [row[:] for k, items, row in demand if any(owners[j] != k for j in items)]
     else:
-        scale, rows = _scaled_values(market)
-        items = [(0, *column) for column in zip(*rows)]  # item j's worth per owner, unsold first
+        scale = math.lcm(*(v.denominator for row in market.values for v in row))
+        scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in market.values]
+        items = [(0, *column) for column in zip(*scaled)]  # item j's worth per owner, unsold first
 
         def welfare(owners):
             return sum(map(tuple.__getitem__, items, owners))
-    return scale, welfare
+
+        def deviators(owners):
+            rows = []
+            for k, row in enumerate(scaled, 1):
+                own = sum(v for v, owner in zip(row, owners) if owner == k)
+                rows += [[-p for p in picks] + [1, -1] for picks in itertools.product((0, 1), repeat=m)
+                         if sum(itertools.compress(row, picks)) > own]
+            return rows
+    return scale, welfare, deviators
 
 
 def enumerate_allocations(market: Market, caps: SearchCaps = DEFAULT_CAPS) -> Iterator[Allocation]:
@@ -115,40 +121,35 @@ def enumerate_allocations(market: Market, caps: SearchCaps = DEFAULT_CAPS) -> It
         yield _allocation(market.n, owners)
 
 
-def _support_system(market: Market, allocation: Allocation) -> Tuple[list, list]:
-    """Price system for one candidate allocation, every bundle nonempty, as
-    int rows over the prices 0..m-1 and eps = m, each its coefficients then
-    its right-hand side, and a flag per row marking the equality rows:
-    unsold `p_j = 0`, each bundle `p(B) = 1`, each deviator
-    `-p(D) + eps <= -1`, then `eps <= 1`.  An additive buyer's deviators
-    are every bundle whose scaled value sum beats its own."""
+def _equilibria(market: Market, caps: SearchCaps) -> Iterator[Tuple[tuple, PriceVector, Fraction]]:
+    """Each owner tuple, in enumeration order, whose price system is
+    strictly satisfiable and whose welfare beats every one yielded before,
+    with its prices and that welfare: the first is the first equilibrium,
+    the last the first to attain the maximum welfare.  A tuple that leaves
+    a buyer with nothing (it can never spend its budget), or that cannot
+    beat the best, is skipped untested.
+
+    The system is int rows over the prices 0..m-1 and eps = m, each its
+    coefficients then its right-hand side: the equality rows, unsold
+    `p_j = 0` then each bundle `p(B) = 1`, then the deviator rows and
+    `eps <= 1`."""
     n, m = market.n, market.m
-    sold = frozenset(j for b in allocation.bundles for j in b)
-    rows = [[int(k == j) for k in range(m)] + [0, 0] for j in range(m) if j not in sold]
-    rows += [[int(j in bundle) for j in range(m)] + [0, 1] for bundle in allocation.bundles]
-    eq = [True] * len(rows)
-    if market.market_class == LEONTIEF:
-        for i in range(n):
-            wanted = frozenset(j for j in range(m) if market.values[i][j] > 0)
-            if not wanted <= allocation.bundles[i]:
-                rows.append([-int(j in wanted) for j in range(m)] + [1, -1])
-    else:
-        _, scaled = _scaled_values(market)
-        for row, bundle in zip(scaled, allocation.bundles):
-            assigned = sum(row[j] for j in bundle)
-            for picks in itertools.product((0, 1), repeat=m):
-                if sum(itertools.compress(row, picks)) > assigned:
-                    rows.append([-p for p in picks] + [1, -1])
-    rows.append([0] * m + [1, 1])
-    eq += [False] * (len(rows) - len(eq))
-    return rows, eq
-
-
-def _supporting_prices(market: Market, allocation: Allocation) -> Optional[PriceVector]:
-    status, scaled, den = lp._solve_rows(*_support_system(market, allocation), [0] * market.m + [1])
-    if status != lp.OPTIMAL or scaled[market.m] <= 0:
-        return None
-    return PriceVector([Fraction(x, den) if x else ZERO for x in scaled[: market.m]])
+    scale, welfare, deviators = _scores(market)
+    everyone = frozenset(range(1, n + 1))
+    best = None
+    for owners in _owners(market, caps, systems=True):
+        if not everyone.issubset(owners):
+            continue
+        score = welfare(owners)
+        if best is not None and score <= best:
+            continue
+        fixed = [[int(k == j) for k in range(m)] + [0, 0] for j, owner in enumerate(owners) if not owner]
+        fixed += [[int(owner == k) for owner in owners] + [0, 1] for k in range(1, n + 1)]
+        free = deviators(owners) + [[0] * m + [1, 1]]
+        status, x, den = lp._solve_rows(fixed + free, [True] * len(fixed) + [False] * len(free), [0] * m + [1])
+        if status == lp.OPTIMAL and x[m] > 0:
+            best = score
+            yield owners, PriceVector([Fraction(v, den) if v else ZERO for v in x[:m]]), Fraction(score, scale)
 
 
 def equilibrium_exists_bruteforce(
@@ -158,14 +159,8 @@ def equilibrium_exists_bruteforce(
     satisfying prices, with those prices; None when no equilibrium exists.
     An allocation that leaves a buyer with nothing can never spend its
     budget, so it is skipped untested."""
-    _check_cap(market, caps, systems=True)
-    everyone = frozenset(range(1, market.n + 1))
-    for owners in _owners(market, caps):
-        if everyone.issubset(owners):
-            allocation = _allocation(market.n, owners)
-            prices = _supporting_prices(market, allocation)
-            if prices is not None:
-                return allocation, prices
+    for owners, prices, _ in _equilibria(market, caps):
+        return _allocation(market.n, owners), prices
     return None
 
 
@@ -179,17 +174,7 @@ def max_welfare_equilibrium_bruteforce(
     buyer with nothing, are not tested, which does not change the result),
     with its welfare as a `Fraction`, or None when no equilibrium exists.
     """
-    _check_cap(market, caps, systems=True)
-    scale, welfare = _scores(market)
-    everyone = frozenset(range(1, market.n + 1))
     best = None
-    for owners in _owners(market, caps):
-        score = welfare(owners)
-        if best is not None and score <= best[2]:
-            continue
-        if everyone.issubset(owners):
-            allocation = _allocation(market.n, owners)
-            prices = _supporting_prices(market, allocation)
-            if prices is not None:
-                best = (allocation, prices, score)
-    return None if best is None else (best[0], best[1], Fraction(best[2], scale))
+    for best in _equilibria(market, caps):
+        pass
+    return None if best is None else (_allocation(market.n, best[0]), *best[1:])

@@ -59,6 +59,18 @@ class TestEnumeration:
         assert (info.value.cap, info.value.size, info.value.limit) == ("max_states", 9, 8)
         assert "9 exceeds the cap max_states = 8" in str(info.value)
 
+    # Ahead of the 1x12 refusal below, which a search sized too small would
+    # run for hours: this fails at once when either class is mis-sized.
+    @pytest.mark.parametrize("search", [oracle.equilibrium_exists_bruteforce,
+                                        oracle.max_welfare_equilibrium_bruteforce])
+    @pytest.mark.parametrize("market_class, size", [("leontief", 3 ** 2), ("additive", 3 ** 2 * 2 * 2 ** 2)])
+    def test_search_refusal_size_at_the_cap_and_one_past(self, search, market_class, size):
+        market = demand_market([{0}, {1}], 2, market_class)
+        assert search(market, SearchCaps(max_states=size)) == search(market) is not None
+        with pytest.raises(SearchCapExceeded) as info:
+            search(market, SearchCaps(max_states=size - 1))
+        assert (info.value.cap, info.value.size, info.value.limit) == ("max_states", size, size - 1)
+
     @pytest.mark.parametrize("search", [oracle.equilibrium_exists_bruteforce,
                                         oracle.max_welfare_equilibrium_bruteforce])
     def test_additive_cap_counts_every_bundle_of_every_buyer(self, search):
@@ -206,28 +218,30 @@ def test_oracle_rows_solve_as_the_record_system(monkeypatch):
     # The oracle hands the simplex dense int rows; `solve_lp` on the same
     # system built as records must reach the same status, point and value
     # along as many pivots, system by system, over both searches on the
-    # `corpus->oracle` golden stride.
+    # `corpus->oracle` golden stride.  Each system's allocation is read
+    # back from its bundle rows, the equality rows with right-hand side 1.
     pivots = count_calls(monkeypatch, lp._Tableau, "pivot")
-    built, solved = [], []
-    support_system, solve_rows = oracle._support_system, lp._solve_rows
+    built, solved, market = [], [], None
+    solve_rows = lp._solve_rows
 
-    def build(market, x):
-        system = support_system(market, x)
-        if system is not None:
-            built.append((market, x))
-        return system
-
-    def solve(*args):
+    def solve(rows, eq, objective):
+        bundles = [frozenset(j for j in range(market.m) if row[j]) for row, q in zip(rows, eq) if q and row[-1] == 1]
+        built.append((market, core.Allocation(bundles)))
         before = len(pivots)
-        answer = solve_rows(*args)
+        answer = solve_rows(rows, eq, objective)
         solved.append((answer, len(pivots) - before))
         return answer
 
-    monkeypatch.setattr(oracle, "_support_system", build)
     monkeypatch.setattr(lp, "_solve_rows", solve)
-    for market in oracle_corpus_stride():
-        oracle.equilibrium_exists_bruteforce(market)
-        oracle.max_welfare_equilibrium_bruteforce(market)
+    split = {}
+    for search in (oracle.equilibrium_exists_bruteforce, oracle.max_welfare_equilibrium_bruteforce):
+        systems, before = len(solved), len(pivots)
+        for market in oracle_corpus_stride():
+            search(market)
+        split[search.__name__] = (len(solved) - systems, len(pivots) - before)
+    monkeypatch.setattr(lp, "_solve_rows", solve_rows)
+    assert split == {"equilibrium_exists_bruteforce": (7_019, 51_905),
+                     "max_welfare_equilibrium_bruteforce": (7_325, 53_758)}
     assert len(built) == len(solved) == 14_344 and len(pivots) == 105_663
     for (market, x), ((status, scaled, den), count) in zip(built, solved):
         before = len(pivots)
