@@ -1,5 +1,6 @@
-import sys
+"""`python -m ceei`: one request, run and ended by `cli.console_entry`."""
 
-from .cli import main
+from .cli import console_entry
 
-sys.exit(main())
+if __name__ == "__main__":
+    console_entry()

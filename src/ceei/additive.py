@@ -54,9 +54,9 @@ from __future__ import annotations
 
 from functools import cache, partial
 from itertools import accumulate
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from . import equilibrium, lp
+from . import equilibrium
 from .core import (
     ADDITIVE,
     DEFAULT_CAPS,
@@ -73,6 +73,9 @@ from .core import (
     rational,
 )
 from .equilibrium import _check_assignment_cap
+
+if TYPE_CHECKING:
+    from . import lp
 
 
 def _require_additive(market: Market) -> None:

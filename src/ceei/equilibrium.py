@@ -20,9 +20,8 @@ first of the maximal-welfare answers.
 from __future__ import annotations
 
 import sys
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from . import lp
 from .core import (
     SUBOPTIMAL_BUNDLE,
     ZERO,
@@ -41,6 +40,9 @@ from .core import (
     integer_row,
     rational,
 )
+
+if TYPE_CHECKING:
+    from . import lp
 
 #: deviators(buyer, bundle): the bundles the buyer strictly prefers to
 #: `bundle`, each as an int mask over item indices (bit j set for item j).
@@ -126,6 +128,8 @@ def price_support_lp(market: Market, allocation: Allocation, deviators: Deviator
     allocation, and ValueError for an empty bundle, whose budget no prices
     can exhaust.
     """
+    from . import lp  # loaded on first use, as in `prices_for_allocation`
+
     if check_feasible(market, allocation) is not None:
         raise InfeasibleAllocationError("allocation is not feasible")
     for i, bundle in enumerate(allocation.bundles):
@@ -166,6 +170,8 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
             return None
     rows, free = _support_system(masks, listed)
     e = len(free)
+    from . import lp  # loaded on the first solve, so a request that solves no LP starts faster
+
     _, scaled, den = lp._solve_rows(rows, None, [0] * e + [1])  # optimal: the cap bounds e
     if scaled[e] <= den:
         return None

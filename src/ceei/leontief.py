@@ -12,9 +12,9 @@ by hard caps.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
-from . import equilibrium, lp
+from . import equilibrium
 from .core import (
     DEFAULT_CAPS,
     LEONTIEF,
@@ -31,6 +31,9 @@ from .core import (
     integer_row,
 )
 from .equilibrium import _check_assignment_cap
+
+if TYPE_CHECKING:
+    from . import lp
 
 
 def _require_leontief(market: Market) -> None:

@@ -19,21 +19,43 @@ class Id(IntEnum):
     B = 1
 
 
+def _child_env(*unset):
+    """This process's environment less the variables named in `unset`, with
+    this checkout's `src` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {key: value for key, value in os.environ.items() if key not in unset}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return env
+
+
 def run_script(script, timeout):
     """Standard output of `script` run in a fresh interpreter on this
     checkout's `src`; a run past `timeout` seconds fails the test rather
     than hanging the suite, and a nonzero exit fails it with the child's
     exit code and standard error."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     try:
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        proc = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True,
                               timeout=timeout)
     except subprocess.TimeoutExpired:
         pytest.fail(f"not finished in {timeout} s")
     if proc.returncode:
         pytest.fail(f"child exited with status {proc.returncode}:\n{proc.stderr}")
     return proc.stdout
+
+
+def run_cli(argv, timeout, entry=("-m", "ceei"), unset=(), stdout=subprocess.PIPE):
+    """Exit code, standard output and standard error, as bytes, of the CLI
+    run on `argv` in a fresh interpreter on this checkout's `src`, started
+    with the interpreter arguments `entry` and without the environment
+    variables named in `unset`.  Standard output goes to `stdout`, and is
+    returned as None unless piped.  A run past `timeout` seconds fails the
+    test rather than hanging the suite."""
+    try:
+        proc = subprocess.run([sys.executable, *entry, *argv], env=_child_env(*unset),
+                              stdout=stdout, stderr=subprocess.PIPE, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"not finished in {timeout} s")
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def count_calls(monkeypatch, owner, name):

@@ -1,7 +1,10 @@
 import json
+import os
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,9 @@ from ceei import io, reductions
 from ceei.cli import build_parser, main
 from ceei.core import make_allocation, make_market, make_prices
 
-from conftest import demand_market, example2_market, run_script
+from conftest import demand_market, example2_market, run_cli, run_script
+
+_COMMANDS = ["validate", "verify", "solve", "prices-for", "alloc-for", "maxwelfare", "apxwelfare", "oracle"]
 
 
 @pytest.fixture
@@ -495,13 +500,21 @@ class TestParser:
         assert repr(text) in err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["m.json"]
 
-    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["gen", "--help"]])
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["solve", "--help"], ["gen", "--help"],
+        *([command, "--help"] for command in _COMMANDS if command != "solve"),
+        *([command] for command in [*_COMMANDS, "gen"]),  # a missing --market, or gen's missing source
+        [], ["frobnicate"], ["-h", "solve"], ["verify", "--market", "m.json", "--prices"],
+        ["oracle", "--market", "m.json", "--max-welfare", "extra"], ["gen", "x3c", "--set"],
+    ])
     def test_help_is_that_of_a_fresh_parser(self, run, argv):
-        expected = StringIO()
-        with redirect_stdout(expected), pytest.raises(SystemExit):
+        """Help and usage errors, each of which a request's own parser
+        gives, are those of the parser with every command's arguments."""
+        expected, errors = StringIO(), StringIO()
+        with redirect_stdout(expected), redirect_stderr(errors), pytest.raises(SystemExit) as info:
             build_parser.__wrapped__().parse_args(argv)
         for _ in range(2):
-            assert run(*argv) == (0, expected.getvalue(), "")
+            assert run(*argv) == (2 if info.value.code else 0, expected.getvalue(), errors.getvalue())
 
 
 class TestOracleCommand:
@@ -511,13 +524,14 @@ class TestOracleCommand:
         assert code == 1
 
     @pytest.mark.parametrize("flags", [[], ["--max-welfare"]], ids=["exists", "max-welfare"])
-    def test_oracle_refuses_an_additive_market_past_its_bundle_count(self, run, tmp_path, flags):
-        # each of the 2^12 states tests all 2^12 bundles of the one buyer
+    def test_oracle_refuses_an_additive_market_past_its_bundle_count(self, tmp_path, flags):
+        # each of the 2^12 states tests all 2^12 bundles of the one buyer; the request runs in a child,
+        # so a cap that lets the market through fails at the timeout instead of hanging the suite
         (tmp_path / "m.json").write_text(io.market_to_json(make_market([list(range(1, 13))], "additive")))
-        code, out, err = run("oracle", "--market", str(tmp_path / "m.json"), *flags)
-        assert (code, out) == (2, "")
-        assert err == ("error: enumeration over 1 buyers and 12 items, (n+1)^m * n * 2^m bundles: "
-                       "16777216 exceeds the cap max_states = 10000000\n")
+        code, out, err = run_cli(["oracle", "--market", str(tmp_path / "m.json"), *flags], timeout=30)
+        assert (code, out) == (2, b"")
+        assert err == (b"error: enumeration over 1 buyers and 12 items, (n+1)^m * n * 2^m bundles: "
+                       b"16777216 exceeds the cap max_states = 10000000\n")
 
     def test_oracle_max_welfare(self, run, tmp_path):
         (tmp_path / "m.json").write_text(io.market_to_json(demand_market([{0, 1}, {2, 3}], 4)))
@@ -602,17 +616,72 @@ class TestImports:
 
     @pytest.mark.parametrize("market_class, other", [("leontief", "additive"), ("additive", "leontief")])
     def test_solve_loads_only_its_class_module(self, tmp_path, market_class, other):
-        """Every command that runs a class algorithm, not `solve` alone."""
+        """Every command that runs a class algorithm, not `solve` alone, and
+        `lp` only for a request that solves a price-support LP: price
+        recovery, and a search that prices a leaf (the one buyer taking
+        both items), but not the constructive Leontief `solve`."""
         (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1, 1]], market_class)))
         solution = str(tmp_path / "s.json")
         (tmp_path / "s.json").write_text(io.solution_to_json(
             allocation=make_allocation([[0, 1]]), prices=make_prices(["1/2", "1/2"])))
+        solves_lp = {"prices-for", "maxwelfare"} | ({"solve"} if market_class == "additive" else set())
         for argv in (["solve"], ["verify", "--alloc", solution, "--prices", solution],
-                     ["prices-for", "--alloc", solution], ["alloc-for", "--prices", solution], ["maxwelfare"]):
+                     ["prices-for", "--alloc", solution], ["alloc-for", "--prices", solution], ["maxwelfare"],
+                     *([["apxwelfare"]] if market_class == "leontief" else [])):
             code, loaded = _import_delta([*argv, "--market", str(tmp_path / "m.json")])
             assert code == 0, argv
             assert f"ceei.{market_class}" in loaded, argv
             assert loaded.isdisjoint({f"ceei.{other}", "ceei.oracle", "ceei.reductions"}), argv
+            assert ("ceei.lp" in loaded) == (argv[0] in solves_lp), argv
+
+
+def _console_script():
+    """Interpreter arguments that run `pyproject.toml`'s `ceei` console
+    script as its generated wrapper does: import the function and pass what
+    it returns to `sys.exit`."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    module, function = re.search(r'^ceei = "([\w.]+):(\w+)"$', text, re.MULTILINE).groups()
+    return "-c", f"import sys; from {module} import {function}; sys.exit({function}())"
+
+
+class TestEntryPoints:
+    """A request run as a process answers as `main` does in-process."""
+
+    @pytest.mark.parametrize("entry", [("-m", "ceei"), ("-m", "ceei.cli"), None],
+                             ids=["python-m-ceei", "python-m-ceei.cli", "console-script"])
+    def test_each_entry_point_answers_as_main(self, run, tmp_path, entry):
+        solution = str(tmp_path / "s.json")
+        (tmp_path / "s.json").write_text(io.solution_to_json(
+            allocation=make_allocation([[0, 1], [2]]), prices=make_prices(["1/2", "1/2", "1"])))
+        requests = [["--help"], ["solve"], ["validate", "--market", str(tmp_path / "missing.json")],
+                    ["gen", "partition", "--values", "1,2", "--out", str(tmp_path / "g")]]
+        for market_class in ("leontief", "additive"):
+            market = str(tmp_path / f"{market_class}.json")
+            (tmp_path / f"{market_class}.json").write_text(
+                io.market_to_json(make_market([[1, 1, 0], [0, 1, 2]], market_class)))
+            requests += [[command, "--market", market, *files] for command, files in (
+                ("validate", ()), ("verify", ("--alloc", solution, "--prices", solution)), ("solve", ()),
+                ("prices-for", ("--alloc", solution)), ("alloc-for", ("--prices", solution)),
+                ("maxwelfare", ()), ("apxwelfare", ()), ("oracle", ()))]
+        for argv in requests:
+            code, out, err = run(*argv)
+            assert run_cli(argv, timeout=60, entry=entry or _console_script()) == (
+                code, out.encode(), err.encode()), argv
+
+    def test_an_answer_that_cannot_be_written_is_one_error_line(self, tmp_path):
+        """Buffered standard output is written when the process ends; with
+        no reader left that write fails, and the request is an error."""
+        (tmp_path / "m.json").write_text(io.market_to_json(make_market([[1]], "additive")))
+        read, write = os.pipe()
+        os.close(read)  # so the child's first write fails
+        try:
+            code, _, err = run_cli(["validate", "--market", str(tmp_path / "m.json")], timeout=60,
+                                   unset=("PYTHONUNBUFFERED",), stdout=write)
+        finally:
+            os.close(write)
+        assert code == 2
+        assert b"Traceback" not in err
+        assert err.startswith(b"error: ") and err.count(b"\n") == 1, err
 
 
 # --- fuzzing the JSON boundary ------------------------------------------------
@@ -654,9 +723,6 @@ def _documents(draw):
             doc.pop(draw(st.sampled_from(sorted(doc))))
     return {name: draw(_maybe(st.just(doc), st.sampled_from([[doc], "doc", None])))
             for name, doc in docs.items()}
-
-
-_COMMANDS = ["validate", "verify", "solve", "prices-for", "alloc-for", "maxwelfare", "apxwelfare", "oracle"]
 
 
 @settings(max_examples=150, deadline=None)

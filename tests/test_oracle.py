@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -26,6 +27,7 @@ from conftest import (
     example4_market,
     leontief_profile_corpus,
     oracle_corpus_stride,
+    run_script,
 )
 
 
@@ -74,13 +76,23 @@ class TestEnumeration:
     @pytest.mark.parametrize("search", [oracle.equilibrium_exists_bruteforce,
                                         oracle.max_welfare_equilibrium_bruteforce])
     def test_additive_cap_counts_every_bundle_of_every_buyer(self, search):
-        # each of the 2^12 states builds a system over all 2^12 bundles
+        # each of the 2^12 states builds a system over all 2^12 bundles; the search runs in a child,
+        # so a cap that lets the market through fails at the timeout instead of hanging the suite
+        refused = json.loads(run_script(
+            "import json\n"
+            "from ceei import oracle\n"
+            "from ceei.core import SearchCapExceeded, make_market\n"
+            "try:\n"
+            f"    oracle.{search.__name__}(make_market([list(range(1, 13))], 'additive'))\n"
+            "except SearchCapExceeded as exc:\n"
+            "    print(json.dumps([exc.cap, exc.size, exc.limit, str(exc)]))\n"
+            "else:\n"
+            "    print('null')\n", timeout=30))
+        assert refused is not None, "not refused"
+        assert refused[:3] == ["max_states", 2 ** 24, 10_000_000]
+        assert refused[3] == ("enumeration over 1 buyers and 12 items, (n+1)^m * n * 2^m bundles: "
+                              "16777216 exceeds the cap max_states = 10000000")
         market = make_market([list(range(1, 13))], "additive")
-        with pytest.raises(SearchCapExceeded) as info:
-            search(market)
-        assert (info.value.cap, info.value.size, info.value.limit) == ("max_states", 2 ** 24, 10_000_000)
-        assert str(info.value) == ("enumeration over 1 buyers and 12 items, (n+1)^m * n * 2^m bundles: "
-                                   "16777216 exceeds the cap max_states = 10000000")
         assert next(oracle.enumerate_allocations(market)).bundles == (frozenset(),)  # still (n+1)^m
 
     @pytest.mark.parametrize("search", [oracle.equilibrium_exists_bruteforce,
