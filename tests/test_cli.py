@@ -647,7 +647,7 @@ def _console_script():
 class TestEntryPoints:
     """A request run as a process answers as `main` does in-process."""
 
-    @pytest.mark.parametrize("entry", [("-m", "ceei"), ("-m", "ceei.cli"), None],
+    @pytest.mark.parametrize("entry", [("-m", "ceei"), ("-m", "ceei.cli"), _console_script()],
                              ids=["python-m-ceei", "python-m-ceei.cli", "console-script"])
     def test_each_entry_point_answers_as_main(self, run, tmp_path, entry):
         solution = str(tmp_path / "s.json")
@@ -665,7 +665,7 @@ class TestEntryPoints:
                 ("maxwelfare", ()), ("apxwelfare", ()), ("oracle", ()))]
         for argv in requests:
             code, out, err = run(*argv)
-            assert run_cli(argv, timeout=60, entry=entry or _console_script()) == (
+            assert run_cli(argv, timeout=60, entry=entry) == (
                 code, out.encode(), err.encode()), argv
 
     def test_an_answer_that_cannot_be_written_is_one_error_line(self, tmp_path):
