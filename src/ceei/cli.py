@@ -218,24 +218,11 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-# One row per command but `gen`: name, handler, help, the files `main`
-# reads besides --market, and whether the search caps apply.
-_COMMANDS = (
-    ("validate", _cmd_validate, "check a market file against the structural invariants", (), False),
-    ("verify", _cmd_verify, "decide whether (allocation, prices) is an equilibrium", ("alloc", "prices"), True),
-    ("solve", _cmd_solve, "compute an equilibrium if one exists", (), True),
-    ("prices-for", _cmd_prices_for, "find prices supporting a given allocation", ("alloc",), True),
-    ("alloc-for", _cmd_alloc_for, "find an allocation clearing given prices", ("prices",), True),
-    ("maxwelfare", _cmd_maxwelfare, "equilibrium with maximum social welfare (exhaustive)", (), True),
-    ("apxwelfare", _cmd_apxwelfare, "equilibrium within 1/n of the best equilibrium welfare", (), False),
-    ("oracle", _cmd_oracle, "brute-force equilibrium search (ground truth)", (), True),
-)
-_NAMES = frozenset([*(row[0] for row in _COMMANDS), "gen"])
-
-
-@cache
-def _cap_flags() -> argparse.ArgumentParser:
-    """The search caps, declared once and shared by every command they apply to."""
+@cache  # parsing leaves the parser unchanged, so one per process serves every call
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="ceei", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    # The search caps, declared once and shared by every command they apply to.
     cap_flags = argparse.ArgumentParser(add_help=False)
     cap_flags.add_argument("--cap-items", type=integer, default=DEFAULT_CAPS.max_items,
                            help="maximum item count for exhaustive searches")
@@ -243,23 +230,19 @@ def _cap_flags() -> argparse.ArgumentParser:
                            help="maximum search size (n^m; oracle: (n+1)^m, or (n+1)^m * n * 2^m if additive)")
     cap_flags.add_argument("--cap-enum", type=integer, default=DEFAULT_CAPS.max_enum_items,
                            help="maximum item count for per-buyer bundle enumeration")
-    return cap_flags
-
-
-@cache  # parsing leaves a parser unchanged, so one per command and process serves every call
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser for a request naming `command`: every command is
-    registered with its help, but only `command`'s own subparser gets its
-    arguments, so a request builds only what it parses.  With no command
-    (None) every subparser gets its arguments.  Help and usage errors are
-    the same either way."""
-    parser = argparse.ArgumentParser(prog="ceei", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, text, files, caps in _COMMANDS:
-        if command not in (None, name):
-            sub.add_parser(name, help=text)
-            continue
-        p = sub.add_parser(name, help=text, parents=[_cap_flags()] if caps else [])
+    # name, handler, help, files `main` reads besides --market, whether search caps apply
+    for name, func, text, files, caps in (
+        ("validate", _cmd_validate, "check a market file against the structural invariants", (), False),
+        ("verify", _cmd_verify, "decide whether (allocation, prices) is an equilibrium",
+         ("alloc", "prices"), True),
+        ("solve", _cmd_solve, "compute an equilibrium if one exists", (), True),
+        ("prices-for", _cmd_prices_for, "find prices supporting a given allocation", ("alloc",), True),
+        ("alloc-for", _cmd_alloc_for, "find an allocation clearing given prices", ("prices",), True),
+        ("maxwelfare", _cmd_maxwelfare, "equilibrium with maximum social welfare (exhaustive)", (), True),
+        ("apxwelfare", _cmd_apxwelfare, "equilibrium within 1/n of the best equilibrium welfare", (), False),
+        ("oracle", _cmd_oracle, "brute-force equilibrium search (ground truth)", (), True),
+    ):
+        p = sub.add_parser(name, help=text, parents=[cap_flags] if caps else [])
         for flag in ("market", *files):
             p.add_argument(f"--{flag}", required=True)
         if name == "oracle":
@@ -267,15 +250,14 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.set_defaults(func=func, files=files)
 
     p = sub.add_parser("gen", help="generate a hardness-gadget instance")
-    if command in (None, "gen"):
-        p.add_argument("source", choices=list(_GEN_SOURCES))
-        p.add_argument("--values", help="comma-separated positive integers")
-        p.add_argument("--target", type=integer, help="subset-sum target")
-        p.add_argument("--universe", type=integer, help="universe size (multiple of 3)")
-        p.add_argument("--set", action="append", default=[], help="comma-separated set elements (repeatable)")
-        p.add_argument("--threshold", type=integer, help="set-packing threshold")
-        p.add_argument("--out", default="instance", help="output path prefix")
-        p.set_defaults(func=_cmd_gen)
+    p.add_argument("source", choices=list(_GEN_SOURCES))
+    p.add_argument("--values", help="comma-separated positive integers")
+    p.add_argument("--target", type=integer, help="subset-sum target")
+    p.add_argument("--universe", type=integer, help="universe size (multiple of 3)")
+    p.add_argument("--set", action="append", default=[], help="comma-separated set elements (repeatable)")
+    p.add_argument("--threshold", type=integer, help="set-packing threshold")
+    p.add_argument("--out", default="instance", help="output path prefix")
+    p.set_defaults(func=_cmd_gen)
 
     return parser
 
@@ -283,8 +265,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one request, `argv` or the process's arguments, and return its
     exit code; the process goes on."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _NAMES else None)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -304,7 +285,10 @@ def console_entry() -> NoReturn:
     ceei.cli`: run `main`, flush the answer, and end the process with
     `main`'s exit code, skipping the interpreter's teardown, which would
     only free memory the process gives back anyway.  A flush that fails (a
-    closed pipe) is an error like any other, exit 2."""
+    closed pipe) is an error like any other, exit 2.  Under a profiler or
+    tracer (`python -m cProfile -m ceei`, `trace`, coverage, a debugger)
+    the process ends through `sys.exit` instead, so the tool's report at
+    exit is still written."""
     code = main()
     try:
         sys.stdout.flush()
@@ -312,7 +296,9 @@ def console_entry() -> NoReturn:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     sys.stderr.flush()
-    os._exit(code)
+    if sys.getprofile() is None and sys.gettrace() is None:
+        os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

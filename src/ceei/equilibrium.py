@@ -44,6 +44,11 @@ from .core import (
 if TYPE_CHECKING:
     from . import lp
 
+#: The `lp` module once `prices_for_allocation` has solved its first LP, so
+#: that a request that solves none never compiles it; a global rather than
+#: an import in the function, which would run once per recovery.
+_lp = None
+
 #: deviators(buyer, bundle): the bundles the buyer strictly prefers to
 #: `bundle`, each as an int mask over item indices (bit j set for item j).
 Deviators = Callable[[int, frozenset], List[int]]
@@ -128,7 +133,7 @@ def price_support_lp(market: Market, allocation: Allocation, deviators: Deviator
     allocation, and ValueError for an empty bundle, whose budget no prices
     can exhaust.
     """
-    from . import lp  # loaded on first use, as in `prices_for_allocation`
+    from . import lp  # loaded on first use, as `_lp` is
 
     if check_feasible(market, allocation) is not None:
         raise InfeasibleAllocationError("allocation is not feasible")
@@ -170,9 +175,10 @@ def prices_for_allocation(market: Market, allocation: Allocation, deviators: Dev
             return None
     rows, free = _support_system(masks, listed)
     e = len(free)
-    from . import lp  # loaded on the first solve, so a request that solves no LP starts faster
-
-    _, scaled, den = lp._solve_rows(rows, None, [0] * e + [1])  # optimal: the cap bounds e
+    global _lp
+    if _lp is None:
+        from . import lp as _lp
+    _, scaled, den = _lp._solve_rows(rows, None, [0] * e + [1])  # optimal: the cap bounds e
     if scaled[e] <= den:
         return None
     scaled_prices = [0] * market.m
