@@ -6,11 +6,15 @@ modules they are used to check (only the bare LP solver is reused).  The
 additive deviation constraints are the full, unfiltered set over every
 strictly better bundle.
 
-Both searches draw on one walk over every owner tuple in one order.
-Utilities and welfare are compared as ints over one positive scale that
-each call computes from the market's values, so no rational is added in
-the walk.  Each price system is built straight from its owner tuple, and
-an `Allocation` only for the tuple a search returns.
+Both searches walk the owner tuples in enumeration order and test only a
+tuple that leaves no buyer empty.  The existence search returns the first
+tuple its system supports.  The welfare search first collects the welfare
+levels of those tuples, then tests each level's tuples from the highest
+level down, so it never tests a tuple worth less than its answer.
+Welfare is compared as ints over one positive scale that each call
+computes from the market's values, so no rational is added in a walk.
+Each price system is built straight from its owner tuple, and an
+`Allocation` only for the tuple a search returns.
 
 Each strict "p(B) > 1" is encoded as "p(B) >= 1 + eps" with eps a maximized
 variable, so the system is strictly satisfiable iff the optimum eps > 0.
@@ -121,35 +125,29 @@ def enumerate_allocations(market: Market, caps: SearchCaps = DEFAULT_CAPS) -> It
         yield _allocation(market.n, owners)
 
 
-def _equilibria(market: Market, caps: SearchCaps) -> Iterator[Tuple[tuple, PriceVector, Fraction]]:
-    """Each owner tuple, in enumeration order, whose price system is
-    strictly satisfiable and whose welfare beats every one yielded before,
-    with its prices and that welfare: the first is the first equilibrium,
-    the last the first to attain the maximum welfare.  A tuple that leaves
-    a buyer with nothing (it can never spend its budget), or that cannot
-    beat the best, is skipped untested.
+def _candidates(market: Market, caps: SearchCaps) -> Iterator[Tuple[int, ...]]:
+    """The owner tuples that leave no buyer empty, in enumeration order: a
+    buyer with nothing can never spend its budget, so no other tuple is an
+    equilibrium.  The cap is checked when this is called."""
+    return filter(frozenset(range(1, market.n + 1)).issubset, _owners(market, caps, systems=True))
+
+
+def _prices(market: Market, owners: tuple, deviators: Callable[[tuple], list]) -> Optional[PriceVector]:
+    """Prices strictly supporting the owner tuple, or None when its system
+    has no strict solution.
 
     The system is int rows over the prices 0..m-1 and eps = m, each its
     coefficients then its right-hand side: the equality rows, unsold
     `p_j = 0` then each bundle `p(B) = 1`, then the deviator rows and
     `eps <= 1`."""
     n, m = market.n, market.m
-    scale, welfare, deviators = _scores(market)
-    everyone = frozenset(range(1, n + 1))
-    best = None
-    for owners in _owners(market, caps, systems=True):
-        if not everyone.issubset(owners):
-            continue
-        score = welfare(owners)
-        if best is not None and score <= best:
-            continue
-        fixed = [[int(k == j) for k in range(m)] + [0, 0] for j, owner in enumerate(owners) if not owner]
-        fixed += [[int(owner == k) for owner in owners] + [0, 1] for k in range(1, n + 1)]
-        free = deviators(owners) + [[0] * m + [1, 1]]
-        status, x, den = lp._solve_rows(fixed + free, [True] * len(fixed) + [False] * len(free), [0] * m + [1])
-        if status == lp.OPTIMAL and x[m] > 0:
-            best = score
-            yield owners, PriceVector([Fraction(v, den) if v else ZERO for v in x[:m]]), Fraction(score, scale)
+    fixed = [[int(k == j) for k in range(m)] + [0, 0] for j, owner in enumerate(owners) if not owner]
+    fixed += [[int(owner == k) for owner in owners] + [0, 1] for k in range(1, n + 1)]
+    free = deviators(owners) + [[0] * m + [1, 1]]
+    status, x, den = lp._solve_rows(fixed + free, [True] * len(fixed) + [False] * len(free), [0] * m + [1])
+    if status == lp.OPTIMAL and x[m] > 0:
+        return PriceVector([Fraction(v, den) if v else ZERO for v in x[:m]])
+    return None
 
 
 def equilibrium_exists_bruteforce(
@@ -159,8 +157,11 @@ def equilibrium_exists_bruteforce(
     satisfying prices, with those prices; None when no equilibrium exists.
     An allocation that leaves a buyer with nothing can never spend its
     budget, so it is skipped untested."""
-    for owners, prices, _ in _equilibria(market, caps):
-        return _allocation(market.n, owners), prices
+    _, _, deviators = _scores(market)
+    for owners in _candidates(market, caps):
+        prices = _prices(market, owners, deviators)
+        if prices is not None:
+            return _allocation(market.n, owners), prices
     return None
 
 
@@ -169,12 +170,20 @@ def max_welfare_equilibrium_bruteforce(
 ) -> Optional[Tuple[Allocation, PriceVector, object]]:
     """Exhaustive maximum of social welfare over all equilibria.
 
-    Returns the first enumerated equilibrium attaining the maximum
-    (allocations whose welfare cannot beat the best found, or that leave a
-    buyer with nothing, are not tested, which does not change the result),
-    with its welfare as a `Fraction`, or None when no equilibrium exists.
+    Returns the first enumerated equilibrium attaining the maximum, with
+    its welfare as a `Fraction`, or None when no equilibrium exists.  One
+    walk with no LP collects the welfare levels of the tuples that leave no
+    buyer empty; then, from the highest level down, a walk per level tests
+    that level's tuples in enumeration order and the first supported one
+    is the answer.  No tuple above the best equilibrium's welfare is
+    supported, so this tests no tuple worth less than the answer, and
+    keeps one int per level, not the tuples.
     """
-    best = None
-    for best in _equilibria(market, caps):
-        pass
-    return None if best is None else (_allocation(market.n, best[0]), *best[1:])
+    scale, welfare, deviators = _scores(market)
+    for level in sorted(set(map(welfare, _candidates(market, caps))), reverse=True):
+        for owners in _candidates(market, caps):
+            if welfare(owners) == level:
+                prices = _prices(market, owners, deviators)
+                if prices is not None:
+                    return _allocation(market.n, owners), prices, Fraction(level, scale)
+    return None

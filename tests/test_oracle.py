@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -253,8 +254,8 @@ def test_oracle_rows_solve_as_the_record_system(monkeypatch):
         split[search.__name__] = (len(solved) - systems, len(pivots) - before)
     monkeypatch.setattr(lp, "_solve_rows", solve_rows)
     assert split == {"equilibrium_exists_bruteforce": (7_019, 51_905),
-                     "max_welfare_equilibrium_bruteforce": (7_325, 53_758)}
-    assert len(built) == len(solved) == 14_344 and len(pivots) == 105_663
+                     "max_welfare_equilibrium_bruteforce": (2_411, 16_155)}
+    assert len(built) == len(solved) == 9_430 and len(pivots) == 68_060
     for (market, x), ((status, scaled, den), count) in zip(built, solved):
         before = len(pivots)
         result = lp.solve_lp(_reference_support_system(market, x))
@@ -282,19 +283,26 @@ def _reference_prices(market, x):
     return PriceVector(result.point[: market.m])
 
 
-def _reference_searches(market):
-    """Both brute-force searches over the same enumeration, with utilities,
-    welfare and every strictly better bundle in rationals."""
-    allocations = list(oracle.enumerate_allocations(market))
-    first = next(((x, p) for x in allocations if (p := _reference_prices(market, x)) is not None), None)
+def _reference_first(market):
+    """The existence search by its definition: the first allocation of the
+    enumeration whose system is strictly satisfiable, with its prices."""
+    return next(((x, p) for x in oracle.enumerate_allocations(market)
+                 if (p := _reference_prices(market, x)) is not None), None)
+
+
+def _reference_best(market):
+    """The welfare search by its former rule: one pass over the enumeration
+    that keeps the last supported allocation strictly beating the best
+    kept, with utilities, welfare and every strictly better bundle in
+    rationals."""
     best = None
-    for x in allocations:
+    for x in oracle.enumerate_allocations(market):
         welfare = sum((_reference_value(market, i, b) for i, b in enumerate(x.bundles)), ZERO)
         if best is None or welfare > best[2]:
             prices = _reference_prices(market, x)
             if prices is not None:
                 best = (x, prices, welfare)
-    return first, best
+    return best
 
 
 def _non_integral_markets(rng, count):
@@ -318,11 +326,100 @@ def test_searches_match_a_rational_reference_on_non_integral_values():
     # as 1 / (5/4), and additive rows with mixed denominators.
     found = 0
     for market in _non_integral_markets(random.Random(31), 400):
-        first, best = _reference_searches(market)
-        assert repr(oracle.equilibrium_exists_bruteforce(market)) == repr(first), market
+        assert repr(oracle.equilibrium_exists_bruteforce(market)) == repr(_reference_first(market)), market
         ours = oracle.max_welfare_equilibrium_bruteforce(market)
-        assert repr(ours) == repr(best), market
+        assert repr(ours) == repr(_reference_best(market)), market
         if ours is not None:
             assert type(ours[2]) is Fraction
             found += ours[2] != int(ours[2])
     assert found >= 100  # many optima are not whole
+
+
+def _owner_tuple(m, bundles):
+    """An allocation's place in the enumeration: item j's owner, 0 unsold
+    and k + 1 for buyer k, item by item, compared lexicographically."""
+    return tuple(next((k + 1 for k, bundle in enumerate(bundles) if j in bundle), 0) for j in range(m))
+
+
+def test_welfare_search_solves_no_system_worth_less_than_its_answer(monkeypatch):
+    # Over the `corpus->oracle` stride, every system the welfare search
+    # hands the simplex is for an allocation worth at least its answer;
+    # one worth as much comes before the answer in the enumeration, and the
+    # last system solved is the answer's.  Each system's allocation is read
+    # back from its bundle rows, the equality rows with right-hand side 1.
+    solve_rows, tested = lp._solve_rows, []
+
+    def solve(rows, eq, objective):
+        tested.append([frozenset(j for j in range(m) if row[j]) for row, q in zip(rows, eq) if q and row[-1] == 1])
+        return solve_rows(rows, eq, objective)
+
+    monkeypatch.setattr(lp, "_solve_rows", solve)
+    above = level = 0
+    for market in oracle_corpus_stride():
+        m, tested[:] = market.m, []
+        found = oracle.max_welfare_equilibrium_bruteforce(market)
+        if found is None:
+            continue
+        x, _, welfare = found
+        assert tested[-1] == list(x.bundles), market
+        for bundles in tested[:-1]:
+            worth = sum((_reference_value(market, i, b) for i, b in enumerate(bundles)), ZERO)
+            assert worth >= welfare, (market, bundles)
+            if worth == welfare:
+                assert _owner_tuple(m, bundles) < _owner_tuple(m, x.bundles), (market, bundles)
+            above += worth > welfare
+            level += worth == welfare
+    assert above and level  # both kinds of tested system occur
+
+
+def _level_markets(rng, count):
+    """Leontief markets of up to 3x4 with values 1-3 and additive markets of
+    up to 3x3 with values 0-4, in turn: whole values that give a market
+    several welfare levels."""
+    for k in range(count):
+        n = rng.randint(1, 3)
+        if k % 2:
+            m = rng.randint(1, 3)
+            yield make_market([[rng.randint(0, 4) for _ in range(m)] for _ in range(n)], "additive")
+            continue
+        m = rng.randint(1, 4)
+        rows = [[rng.randint(1, 3) if rng.random() < 0.6 else 0 for _ in range(m)] for _ in range(n)]
+        for row in rows:
+            if not any(row):
+                row[rng.randrange(m)] = rng.randint(1, 3)
+        yield make_market(rows, "leontief")
+
+
+def test_welfare_search_matches_the_former_rule():
+    # The welfare search tests allocations level by level from the highest
+    # welfare down; the former rule took one pass and kept the last
+    # strictly improving supported allocation.  Both give the first
+    # enumerated equilibrium of the highest welfare, so allocation, prices
+    # and welfare must agree exactly, also where the answer lies below the
+    # highest welfare of an allocation that leaves no buyer empty, which is
+    # rare: 15 of these 1,000 markets (and 356 have no equilibrium, so the
+    # search walks every level).
+    below = 0
+    for market in _level_markets(random.Random(36), 1000):
+        ours = oracle.max_welfare_equilibrium_bruteforce(market)
+        assert repr(ours) == repr(_reference_best(market)), market
+        if ours is not None:
+            top = max(sum((_reference_value(market, i, b) for i, b in enumerate(x.bundles)), ZERO)
+                      for x in oracle.enumerate_allocations(market) if all(x.bundles))
+            below += ours[2] < top
+    assert below >= 10
+
+
+def test_welfare_search_keeps_no_table_of_owner_tuples():
+    # A 3x8 Leontief market has 46,620 owner tuples that leave no buyer
+    # empty; a search that kept them by welfare level would hold several
+    # megabytes, where walking once per level holds one int per level.
+    market = make_market([[1, 1, 0, 0, 0, 0, 0, 0], [0, 0, 2, 2, 0, 0, 0, 0], [0, 0, 0, 0, 3, 3, 3, 0]], "leontief")
+    tracemalloc.start()
+    try:
+        found = oracle.max_welfare_equilibrium_bruteforce(market)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found[2] == 1 + Fraction(1, 2) + Fraction(1, 3)
+    assert peak < 1 << 20, peak
