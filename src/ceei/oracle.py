@@ -6,8 +6,8 @@ modules they are used to check (only the bare LP solver is reused).  The
 additive deviation constraints are the full, unfiltered set over every
 strictly better bundle.
 
-Both searches walk the owner tuples in enumeration order and test only a
-tuple that leaves no buyer empty.  The existence search returns the first
+Both searches walk, in enumeration order, only the owner tuples that leave
+no buyer empty, built directly.  The existence search returns the first
 tuple its system supports.  The welfare search first collects the welfare
 levels of those tuples, then tests each level's tuples from the highest
 level down, so it never tests a tuple worth less than its answer.
@@ -43,18 +43,15 @@ from .core import (
     SearchCaps,
 )
 
-def _owners(market: Market, caps: SearchCaps, systems: bool = False) -> Iterator[Tuple[int, ...]]:
-    """The owner tuples in `enumerate_allocations`'s order, an item's owner
-    0 when it is unsold and k + 1 when buyer k holds it.  The cap is
-    checked once, when this is called, over the (n+1)^m states, and with
-    `systems` over every bundle of an additive state's price system."""
+def _check_cap(market: Market, caps: SearchCaps, systems: bool = False) -> None:
+    """SearchCapExceeded past the cap over the (n+1)^m owner tuples, and
+    with `systems` over every bundle of an additive tuple's price system."""
     size, what = (market.n + 1) ** market.m, "(n+1)^m states"
     if systems and market.market_class != LEONTIEF:
         size, what = size * (market.n << market.m), "(n+1)^m * n * 2^m bundles"
     if size > caps.max_states:
         raise SearchCapExceeded(f"enumeration over {market.n} buyers and {market.m} items, {what}",
                                 "max_states", size, caps.max_states)
-    return itertools.product(range(market.n + 1), repeat=market.m)
 
 
 def _allocation(n: int, owners: Tuple[int, ...]) -> Allocation:
@@ -121,15 +118,37 @@ def enumerate_allocations(market: Market, caps: SearchCaps = DEFAULT_CAPS) -> It
     order (unsold, buyer 0, ..., buyer n-1), so the all-unsold allocation
     comes first.  The order is a pure function of (n, m).
     """
-    for owners in _owners(market, caps):
+    _check_cap(market, caps)
+    for owners in itertools.product(range(market.n + 1), repeat=market.m):
         yield _allocation(market.n, owners)
 
 
 def _candidates(market: Market, caps: SearchCaps) -> Iterator[Tuple[int, ...]]:
-    """The owner tuples that leave no buyer empty, in enumeration order: a
+    """The owner tuples that leave no buyer empty, in enumeration order, an
+    item's owner 0 when it is unsold and k + 1 when buyer k holds it: a
     buyer with nothing can never spend its budget, so no other tuple is an
-    equilibrium.  The cap is checked when this is called."""
-    return filter(frozenset(range(1, market.n + 1)).issubset, _owners(market, caps, systems=True))
+    equilibrium.  The cap is checked when this is called.
+
+    The tuples are built, not filtered from all (n+1)^m, so a walk costs
+    what its candidates cost: once every buyer holds an item the items
+    left take any owners, and once the buyers still empty are as many as
+    the items left those items go to them, one each."""
+    n, m = market.n, market.m
+    _check_cap(market, caps, systems=True)
+
+    def extend(prefix, missing):
+        left = m - len(prefix)
+        if not missing:
+            for rest in itertools.product(range(n + 1), repeat=left):
+                yield prefix + rest
+        elif len(missing) == left:
+            for rest in itertools.permutations(sorted(missing)):
+                yield prefix + rest
+        else:
+            for owner in range(n + 1):
+                yield from extend(prefix + (owner,), missing - {owner})
+
+    return extend((), frozenset(range(1, n + 1))) if n <= m else iter(())
 
 
 def _prices(market: Market, owners: tuple, deviators: Callable[[tuple], list]) -> Optional[PriceVector]:

@@ -62,6 +62,17 @@ class TestEnumeration:
         assert (info.value.cap, info.value.size, info.value.limit) == ("max_states", 9, 8)
         assert "9 exceeds the cap max_states = 8" in str(info.value)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_candidates_are_the_tuples_that_leave_no_buyer_empty(self, n):
+        # Built, not filtered: the same tuples in the same order as the owner
+        # tuples that name every buyer, also when there are fewer items than
+        # buyers (none) or exactly as many (permutations only).
+        for m in range(1, 7):
+            market = make_market([[1] * m] * n, "leontief")
+            everyone = set(range(1, n + 1))
+            expected = [t for t in itertools.product(range(n + 1), repeat=m) if everyone <= set(t)]
+            assert list(oracle._candidates(market, core.DEFAULT_CAPS)) == expected, (n, m)
+
     # Ahead of the 1x12 refusal below, which a search sized too small would
     # run for hours: this fails at once when either class is mis-sized.
     @pytest.mark.parametrize("search", [oracle.equilibrium_exists_bruteforce,
@@ -408,6 +419,19 @@ def test_welfare_search_matches_the_former_rule():
                       for x in oracle.enumerate_allocations(market) if all(x.bundles))
             below += ours[2] < top
     assert below >= 10
+
+
+def test_welfare_search_walks_only_the_tuples_it_can_test():
+    # 7x7 Leontief with no equilibrium (buyers 0 and 1 both demand item 0
+    # alone) and 96 welfare levels: each level's walk must cost its 5,040
+    # candidates, not all 8^7 = 2,097,152 owner tuples, which took about a
+    # minute where the whole search takes about a second.
+    found = run_script(
+        "from ceei import oracle\n"
+        "from ceei.core import make_market\n"
+        "rows = [[1] + [0] * 6, [2] + [0] * 6] + [[0] * j + [2 ** j] + [0] * (6 - j) for j in range(2, 7)]\n"
+        "print(oracle.max_welfare_equilibrium_bruteforce(make_market(rows, 'leontief')))\n", timeout=20)
+    assert found == "None\n"
 
 
 def test_welfare_search_keeps_no_table_of_owner_tuples():
